@@ -16,8 +16,6 @@ import os
 import sys
 from dataclasses import fields, replace
 
-import numpy as np
-
 from . import colearn, envs, harness, lyapunov_eval, monitor, nn, planner
 from .envs import RobotKind
 

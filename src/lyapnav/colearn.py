@@ -12,7 +12,7 @@ goal-conditioned networks generalize over goal positions.
 import csv
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -159,19 +159,27 @@ class Agent:
     def act(self, sg):
         return self.policy.forward(np.asarray(sg, dtype=float))
 
+    def _networks(self):
+        """Checkpoint name -> network, in manifest order."""
+        return {
+            "pi": self.pi,
+            "q": self.q,
+            "v": self.v.net,
+            "lq": self.lq,
+            "pi_target": self.pi_t,
+            "q_target": self.q_t,
+            "lq_target": self.lq_t,
+        }
+
     def save(self, out_dir):
         os.makedirs(out_dir, exist_ok=True)
-        nn.save_params(self.pi, os.path.join(out_dir, "pi.json"))
-        nn.save_params(self.q, os.path.join(out_dir, "q.json"))
-        nn.save_params(self.v.net, os.path.join(out_dir, "v.json"))
-        nn.save_params(self.lq, os.path.join(out_dir, "lq.json"))
-        nn.save_params(self.pi_t, os.path.join(out_dir, "pi_target.json"))
-        nn.save_params(self.q_t, os.path.join(out_dir, "q_target.json"))
-        nn.save_params(self.lq_t, os.path.join(out_dir, "lq_target.json"))
+        networks = self._networks()
+        for name, net in networks.items():
+            nn.save_params(net, os.path.join(out_dir, f"{name}.json"))
         manifest = {
             "robot": self.kind.value,
             "v_digest": nn.params_digest(self.v.net),
-            "files": ["pi", "q", "v", "lq", "pi_target", "q_target", "lq_target"],
+            "files": list(networks),
         }
         with open(os.path.join(out_dir, "manifest.json"), "w") as f:
             json.dump(manifest, f, indent=2)
@@ -182,13 +190,8 @@ class Agent:
             manifest = json.load(f)
         kind = RobotKind(manifest["robot"])
         agent = make_agent(kind)
-        nn.load_params(os.path.join(out_dir, "pi.json"), agent.pi)
-        nn.load_params(os.path.join(out_dir, "q.json"), agent.q)
-        nn.load_params(os.path.join(out_dir, "v.json"), agent.v.net)
-        nn.load_params(os.path.join(out_dir, "lq.json"), agent.lq)
-        nn.load_params(os.path.join(out_dir, "pi_target.json"), agent.pi_t)
-        nn.load_params(os.path.join(out_dir, "q_target.json"), agent.q_t)
-        nn.load_params(os.path.join(out_dir, "lq_target.json"), agent.lq_t)
+        for name, net in agent._networks().items():
+            nn.load_params(os.path.join(out_dir, f"{name}.json"), net)
         return agent
 
 
@@ -213,23 +216,12 @@ def sink_state(kind, batch):
     return batch * envs.sink_mask(kind)
 
 
-def lyapunov_risk(value_fn, s, s1, sinks):
-    """Sample estimate of the Lyapunov training risk.
+def lyapunov_risk(vs, vs1, vo):
+    """Sample estimate of the Lyapunov training risk from V on s, s1 and sinks.
 
     Mean of V(sink)^2 + max(0, -V(s)) + max(0, V(s1) - V(s)).
     """
-    vs = value_fn(s)
-    vs1 = value_fn(s1)
-    vo = value_fn(sinks)
     return float(np.mean(vo**2 + np.maximum(0.0, -vs) + np.maximum(0.0, vs1 - vs)))
-
-
-def lq_loss(lq, v, s, a, s1, kind=None):
-    """Regression loss of LQ(s, a) onto V(s1), mean squared over the batch."""
-    sf = envs.featurize(kind, np.atleast_2d(s))
-    pred = np.atleast_2d(lq.forward(np.hstack([sf, np.atleast_2d(a)])))[:, 0]
-    target = v.value(s1)
-    return float(np.mean((pred - target) ** 2))
 
 
 def policy_loss(pi, q_t, lq_t, s, alpha, kind=None):
@@ -240,6 +232,38 @@ def policy_loss(pi, q_t, lq_t, s, alpha, kind=None):
     qv = np.atleast_2d(q_t.forward(x))[:, 0]
     lv = np.atleast_2d(lq_t.forward(x))[:, 0]
     return float(np.mean(-qv + alpha * lv))
+
+
+def td_target(q_t, pi_t, r, s1, done, gamma):
+    """Bootstrapped critic target r + gamma * (1 - done) * Q'(s1, pi'(s1))."""
+    a1 = np.atleast_2d(pi_t.forward(s1))
+    q1 = np.atleast_2d(q_t.forward(np.hstack([s1, a1])))[:, 0]
+    return r + gamma * (1.0 - done) * q1
+
+
+def regress(net, adam, x, target):
+    """One Adam step on mean((net(x) - target)**2); returns that loss as it
+    was before the step."""
+    n = x.shape[0]
+    err = np.atleast_2d(net.forward(x))[:, 0] - target
+    grads, _ = net.gradients(x, (2.0 * err / n)[:, None])
+    nn.adam_step(adam, net.params(), grads)
+    return float(np.mean(err**2))
+
+
+def actor_step(pi, adam, s, critics):
+    """One Adam step on mean(sum w * critic(s, pi(s))) through frozen critics.
+
+    ``critics`` is a list of (network, weight) pairs; only pi is updated.
+    """
+    n = s.shape[0]
+    a = np.atleast_2d(pi.forward(s))
+    x = np.hstack([s, a])
+    na = a.shape[1]
+    ones = np.ones((n, 1))
+    terms = [critic.input_gradients(x, w * ones / n)[:, -na:] for critic, w in critics]
+    grads, _ = pi.gradients(s, sum(terms[1:], terms[0]))
+    nn.adam_step(adam, pi.params(), grads)
 
 
 class Trainer:
@@ -254,20 +278,11 @@ class Trainer:
         self.adam_lq = nn.AdamState(agent.lq.params(), lr=cfg.lr)
 
     def train_q(self, batch):
-        ag, cfg = self.agent, self.cfg
-        n = batch["s"].shape[0]
-        sf = envs.featurize(ag.kind, batch["s"])
+        ag = self.agent
         s1f = envs.featurize(ag.kind, batch["s1"])
-        a1 = np.atleast_2d(ag.pi_t.forward(s1f))
-        q1 = np.atleast_2d(ag.q_t.forward(np.hstack([s1f, a1])))[:, 0]
-        y = batch["r"] + cfg.gamma * (1.0 - batch["done"]) * q1
-        x = np.hstack([sf, batch["a"]])
-        q = np.atleast_2d(ag.q.forward(x))[:, 0]
-        err = q - y
-        upstream = (2.0 * err / n)[:, None]
-        grads, _ = ag.q.gradients(x, upstream)
-        nn.adam_step(self.adam_q, ag.q.params(), grads)
-        return float(np.mean(err**2))
+        y = td_target(ag.q_t, ag.pi_t, batch["r"], s1f, batch["done"], self.cfg.gamma)
+        x = np.hstack([envs.featurize(ag.kind, batch["s"]), batch["a"]])
+        return regress(ag.q, self.adam_q, x, y)
 
     def train_v(self, batch):
         ag, cfg = self.agent, self.cfg
@@ -288,34 +303,19 @@ class Trainer:
         grads = ag.v.param_grads(points, ups)
         nn.adam_step(self.adam_v, ag.v.net.params(), grads)
         # reported value is the plain (margin-free) risk
-        return float(np.mean(vo**2 + np.maximum(0.0, -vs) + np.maximum(0.0, vs1 - vs)))
+        return lyapunov_risk(vs, vs1, vo)
 
     def train_lq(self, batch):
         ag = self.agent
-        n = batch["s"].shape[0]
         x = np.hstack([envs.featurize(ag.kind, batch["s"]), batch["a"]])
-        pred = np.atleast_2d(ag.lq.forward(x))[:, 0]
-        target = ag.v.value(batch["s1"])  # V is frozen for this update
-        err = pred - target
-        grads, _ = ag.lq.gradients(x, (2.0 * err / n)[:, None])
-        nn.adam_step(self.adam_lq, ag.lq.params(), grads)
-        return float(np.mean(err**2))
+        return regress(ag.lq, self.adam_lq, x, ag.v.value(batch["s1"]))  # V is frozen for this update
 
     def train_pi(self, batch):
         ag, cfg = self.agent, self.cfg
+        loss = policy_loss(ag.pi, ag.q_t, ag.lq_t, batch["s"], cfg.alpha, ag.kind)
         s = envs.featurize(ag.kind, batch["s"])
-        n = s.shape[0]
-        a = np.atleast_2d(ag.pi.forward(s))
-        x = np.hstack([s, a])
-        na = a.shape[1]
-        ones = np.ones((n, 1))
-        gq = ag.q_t.input_gradients(x, -ones / n)[:, -na:]
-        gl = ag.lq_t.input_gradients(x, cfg.alpha * ones / n)[:, -na:]
-        grads, _ = ag.pi.gradients(s, gq + gl)
-        nn.adam_step(self.adam_pi, ag.pi.params(), grads)
-        qv = np.atleast_2d(ag.q_t.forward(x))[:, 0]
-        lv = np.atleast_2d(ag.lq_t.forward(x))[:, 0]
-        return float(np.mean(-qv + cfg.alpha * lv))
+        actor_step(ag.pi, self.adam_pi, s, [(ag.q_t, -1.0), (ag.lq_t, cfg.alpha)])
+        return loss
 
     def polyak(self):
         tau = self.cfg.tau

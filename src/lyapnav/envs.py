@@ -10,7 +10,7 @@ All dynamics are Euler-integrated at a fixed dt and deterministic.
 
 import enum
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

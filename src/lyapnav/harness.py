@@ -144,19 +144,9 @@ def train_e2e(kind, cfg=None, seed=0):
             continue
         for _ in range(cfg.grad_steps):
             b = buffer.sample(rng, cfg.batch_size)
-            n = b["s"].shape[0]
-            a1 = np.atleast_2d(pi_t.forward(b["s1"]))
-            q1 = np.atleast_2d(q_t.forward(np.hstack([b["s1"], a1])))[:, 0]
-            y = b["r"] + cfg.gamma * (1.0 - b["done"]) * q1
-            x = np.hstack([b["s"], b["a"]])
-            err = np.atleast_2d(q.forward(x))[:, 0] - y
-            grads, _ = q.gradients(x, (2.0 * err / n)[:, None])
-            nn.adam_step(adam_q, q.params(), grads)
-            a = np.atleast_2d(policy.net.forward(b["s"]))
-            x = np.hstack([b["s"], a])
-            ga = q_t.input_gradients(x, -np.ones((n, 1)) / n)[:, -na:]
-            grads, _ = policy.net.gradients(b["s"], ga)
-            nn.adam_step(adam_pi, policy.net.params(), grads)
+            y = colearn.td_target(q_t, pi_t, b["r"], b["s1"], b["done"], cfg.gamma)
+            colearn.regress(q, adam_q, np.hstack([b["s"], b["a"]]), y)
+            colearn.actor_step(policy.net, adam_pi, b["s"], [(q_t, -1.0)])
             nn.polyak_update(pi_t, policy.net, cfg.tau)
             nn.polyak_update(q_t, q, cfg.tau)
         nn.check_finite(policy.net, f"in e2e actor after episode {ep}")
@@ -183,6 +173,8 @@ def run_episode(method, agent, world, config=None, lut=None, plan_seed=0, reach_
     if method == "monitored":
         if lut is None:
             raise ValueError("monitored episodes need a lookup table")
+        if lut.v_digest != nn.params_digest(agent.v.net):
+            raise ValueError(f"lookup table was built for V {lut.v_digest}, not this agent's V")
         try:
             path = planner.plan_path(world, seed=plan_seed)
         except planner.PlanNotFound:

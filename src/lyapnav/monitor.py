@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import envs
-from .envs import HAZARD_RADIUS
 
 
 class InfeasibleLevelError(RuntimeError):
@@ -100,13 +99,10 @@ def overapprox_radius(value_fn, grad_fn, level, box, cfg=None, seed=0, project=N
     sublevel set {V <= level}, centered at the sink."""
     if level <= 0:
         raise ValueError("level constant must be positive")
-    cfg = cfg or SearchConfig()
-    rng = np.random.default_rng(seed)
-    levels = np.full(cfg.n_starts, float(level))
-    best = _ascend(value_fn, grad_fn, levels, box, cfg, rng, project)
-    if np.all(np.isnan(best)):
+    radius = float(batch_radii(value_fn, grad_fn, [level], box, cfg, seed, project)[0])
+    if np.isnan(radius):
         raise InfeasibleLevelError(f"no feasible start for level {level}")
-    return float(np.nanmax(best))
+    return radius
 
 
 def batch_radii(value_fn, grad_fn, levels, box, cfg=None, seed=0, project=None):
@@ -119,9 +115,9 @@ def batch_radii(value_fn, grad_fn, levels, box, cfg=None, seed=0, project=None):
     levels = np.asarray(levels, dtype=float)
     tiled = np.repeat(levels, cfg.n_starts)
     best = _ascend(value_fn, grad_fn, tiled, box, cfg, rng, project)
-    per_level = best.reshape(levels.size, cfg.n_starts)
-    with np.errstate(all="ignore"):
-        return np.nanmax(per_level, axis=1)
+    # fmax skips NaN chains and leaves NaN where every chain is; unlike
+    # nanmax it does not warn on infeasible levels
+    return np.fmax.reduce(best.reshape(levels.size, cfg.n_starts), axis=1)
 
 
 @dataclass

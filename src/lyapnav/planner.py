@@ -1,9 +1,8 @@
 """RRT over the 2D plane with exact segment-disc collision checks, plus
-shortest-path extraction over the grown tree."""
+root-to-goal path extraction over the grown tree."""
 
-import heapq
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -35,7 +34,6 @@ class PlannerConfig:
 class Tree:
     points: list  # list of (2,) arrays; node 0 is the start
     parents: list  # parent index per node; -1 for the root
-    edge_lengths: list
     goal_node: int | None = None  # node whose segment to the goal is clear
 
 
@@ -68,7 +66,7 @@ def rrt_build(world, cfg=None, seed=0):
     rng = np.random.default_rng(seed)
     start = np.asarray(world.start, dtype=float)
     goal = np.asarray(world.goal, dtype=float)
-    tree = Tree(points=[start], parents=[-1], edge_lengths=[0.0])
+    tree = Tree(points=[start], parents=[-1])
     pts = np.empty((cfg.max_iters + 1, 2))
     pts[0] = start
     n = 1
@@ -88,7 +86,6 @@ def rrt_build(world, cfg=None, seed=0):
             continue
         tree.points.append(new.copy())
         tree.parents.append(nearest)
-        tree.edge_lengths.append(float(np.linalg.norm(new - base)))
         pts[n] = new
         n += 1
         if np.linalg.norm(new - goal) <= cfg.goal_tol and segment_free(new, goal, world, cfg.margin):
@@ -98,41 +95,15 @@ def rrt_build(world, cfg=None, seed=0):
 
 
 def extract_path(tree, world):
-    """Shortest start-to-goal waypoint path over the tree's edges.
-
-    Runs Dijkstra on the (undirected) tree edges plus the goal connection
-    edge; on a tree this coincides with the unique root-to-goal-node path.
-    """
+    """Start-to-goal waypoint path: the tree's unique root-to-goal-node chain,
+    followed by the goal itself."""
     if tree.goal_node is None:
         raise PlanNotFound("tree does not reach the goal region")
-    n = len(tree.points)
-    adj = [[] for _ in range(n)]
-    for i in range(1, n):
-        p = tree.parents[i]
-        w = tree.edge_lengths[i]
-        adj[i].append((p, w))
-        adj[p].append((i, w))
-    dist = np.full(n, np.inf)
-    prev = np.full(n, -1, dtype=int)
-    dist[0] = 0.0
-    heap = [(0.0, 0)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if d > dist[u]:
-            continue
-        for v, w in adj[u]:
-            nd = d + w
-            if nd < dist[v]:
-                dist[v] = nd
-                prev[v] = u
-                heapq.heappush(heap, (nd, v))
-    if not np.isfinite(dist[tree.goal_node]):
-        raise PlanNotFound("goal node unreachable in tree")
     path = [np.asarray(world.goal, dtype=float)]
     u = tree.goal_node
     while u != -1:
         path.append(tree.points[u])
-        u = int(prev[u]) if u != 0 else -1
+        u = tree.parents[u]
     path.reverse()
     return np.array(path)
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from lyapnav import colearn, envs, nn
+from lyapnav import colearn, envs, harness, nn
 from lyapnav.envs import RobotKind
 
 
@@ -39,7 +39,7 @@ def test_lyapunov_risk_formula_oracle():
     expected = np.mean(
         [0.5**2 + max(0, -3.0) + max(0, 4.0 - 3.0), 0.0 + max(0, 2.0) + max(0, -3.0 - (-2.0))]
     )
-    assert colearn.lyapunov_risk(value_fn, s, s1, sinks) == pytest.approx(expected)
+    assert colearn.lyapunov_risk(value_fn(s), value_fn(s1), value_fn(sinks)) == pytest.approx(expected)
 
 
 def test_replay_buffer_ring_overwrite():
@@ -184,15 +184,10 @@ def test_lq_regresses_onto_v_next():
     for _ in range(100):
         last = trainer.train_lq(batch)
     assert last < first
-    assert colearn.lq_loss(agent.lq, agent.v, batch["s"], batch["a"], batch["s1"], kind) == pytest.approx(
-        np.mean(
-            (
-                agent.lq.forward(np.hstack([envs.featurize(kind, batch["s"]), batch["a"]]))[:, 0]
-                - agent.v.value(batch["s1"])
-            )
-            ** 2
-        )
-    )
+    # the returned loss is the mean squared error before the step
+    pred = agent.lq.forward(np.hstack([envs.featurize(kind, batch["s"]), batch["a"]]))[:, 0]
+    expected = np.mean((pred - agent.v.value(batch["s1"])) ** 2)
+    assert trainer.train_lq(batch) == pytest.approx(expected)
 
 
 def test_policy_loss_formula_oracle():
@@ -205,6 +200,36 @@ def test_policy_loss_formula_oracle():
     x = np.hstack([sf, a])
     expected = np.mean(-agent.q_t.forward(x)[:, 0] + 0.5 * agent.lq_t.forward(x)[:, 0])
     assert colearn.policy_loss(agent.pi, agent.q_t, agent.lq_t, s, 0.5, kind) == pytest.approx(expected)
+
+
+def test_actor_step_single_critic_matches_finite_differences(monkeypatch):
+    # the end-to-end baseline's actor update: one frozen critic with weight -1
+    kind = RobotKind.POINT
+    rng = np.random.default_rng(14)
+    pi = harness.make_e2e_policy(kind, seed=3).net
+    q_t = nn.Mlp([pi.in_dim + pi.out_dim, 64, 64, 1], "identity", rng)
+    s = rng.normal(size=(32, pi.in_dim))
+    rec = {}
+    monkeypatch.setattr(nn, "adam_step", lambda state, params, grads: rec.setdefault("grads", grads))
+    colearn.actor_step(pi, nn.AdamState(pi.params()), s, [(q_t, -1.0)])
+    monkeypatch.undo()
+
+    def loss():
+        return float(np.mean(-q_t.forward(np.hstack([s, pi.forward(s)]))[:, 0]))
+
+    params = pi.params()
+    eps = 1e-6
+    for _ in range(60):
+        i = int(rng.integers(len(params)))
+        j = int(rng.integers(params[i].size))
+        p = params[i].ravel()
+        orig = p[j]
+        p[j] = orig + eps
+        hi = loss()
+        p[j] = orig - eps
+        lo = loss()
+        p[j] = orig
+        assert rec["grads"][i].ravel()[j] == pytest.approx((hi - lo) / (2 * eps), rel=1e-4, abs=1e-8)
 
 
 def test_train_config_validation():

@@ -87,6 +87,12 @@ def test_run_episode_monitored_needs_lut():
         harness.run_episode("monitored", Dummy(), world)
 
 
+def test_run_episode_monitored_refuses_lut_of_another_v(sweeping_agent, point_lut):
+    world = envs.make_world(1, 0)
+    with pytest.raises(ValueError, match="lookup table was built for V"):
+        harness.run_episode("monitored", sweeping_agent, world, lut=point_lut)
+
+
 class _IdlePolicy:
     """E2E-style policy that never moves."""
 

@@ -84,7 +84,6 @@ def test_extract_path_is_root_to_goal_chain():
     tree = planner.Tree(
         points=[np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([2.0, 0.0])],
         parents=[-1, 0, 1],
-        edge_lengths=[0.0, 1.0, 1.0],
         goal_node=2,
     )
     world = envs.empty_world()
