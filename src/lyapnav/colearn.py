@@ -46,11 +46,16 @@ class TrainConfig:
     hidden: tuple = (64, 64)
 
     def validate(self):
-        assert 0.0 <= self.gamma <= 1.0
-        assert 0.0 < self.tau <= 1.0
-        assert self.alpha >= 0.0
-        assert self.batch_size > 0 and self.horizon > 0
-        assert 0.0 < self.reach_tol < self.goal_min
+        if not 0.0 <= self.gamma <= 1.0:
+            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
+        if not 0.0 < self.tau <= 1.0:
+            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
+        if not self.alpha >= 0.0:
+            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
+        if not (self.batch_size > 0 and self.horizon > 0):
+            raise ValueError("batch_size and horizon must be positive")
+        if not 0.0 < self.reach_tol < self.goal_min:
+            raise ValueError(f"need 0 < reach_tol < goal_min, got {self.reach_tol}, {self.goal_min}")
 
 
 class LyapunovNet:
@@ -192,6 +197,8 @@ class Agent:
         agent = make_agent(kind)
         for name, net in agent._networks().items():
             nn.load_params(os.path.join(out_dir, f"{name}.json"), net)
+        if manifest["v_digest"] != nn.params_digest(agent.v.net):
+            raise nn.CheckpointError(f"v.json in {out_dir} is not the V of its manifest")
         return agent
 
 

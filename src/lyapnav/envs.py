@@ -99,9 +99,10 @@ def step(kind, s, a, dt=DT):
 
 
 def goal_condition(s, g):
-    """Goal-conditioned state vector [g - pos, intrinsic]."""
-    g = np.asarray(g, dtype=float)
-    return np.concatenate([g - s.pos, s.intrinsic])
+    """Goal-conditioned state vector [g - pos, intrinsic]; a (k, 2) array of
+    goals gives one row per goal."""
+    d = np.asarray(g, dtype=float) - s.pos
+    return np.concatenate([d, np.broadcast_to(s.intrinsic, d.shape[:-1] + s.intrinsic.shape)], axis=-1)
 
 
 def featurize(kind, x):

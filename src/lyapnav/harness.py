@@ -46,9 +46,10 @@ class BenchmarkSummary:
     mean_steps_to_reach: float  # NaN when nothing reached
 
     def __post_init__(self):
-        assert 0.0 <= self.violation_rate <= 1.0
-        assert 0.0 <= self.reach_rate <= 1.0
-        assert self.violation_rate + self.reach_rate <= 1.0 + 1e-12
+        if not (0.0 <= self.violation_rate <= 1.0 and 0.0 <= self.reach_rate <= 1.0):
+            raise ValueError(f"rates must be in [0, 1], got {self.violation_rate}, {self.reach_rate}")
+        if not self.violation_rate + self.reach_rate <= 1.0 + 1e-12:
+            raise ValueError("violation and reach rates sum above 1")
 
 
 class E2ePolicy:

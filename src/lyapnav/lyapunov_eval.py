@@ -19,9 +19,10 @@ class LyapunovReport:
     max_sink_abs: float
 
     def __post_init__(self):
-        assert 0.0 <= self.positivity_rate <= 1.0
-        assert 0.0 <= self.lie_rate <= 1.0
-        assert self.joint_rate <= min(self.positivity_rate, self.lie_rate) + 1e-12
+        if not (0.0 <= self.positivity_rate <= 1.0 and 0.0 <= self.lie_rate <= 1.0):
+            raise ValueError(f"rates must be in [0, 1], got {self.positivity_rate}, {self.lie_rate}")
+        if not self.joint_rate <= min(self.positivity_rate, self.lie_rate) + 1e-12:
+            raise ValueError("joint rate exceeds the positivity or decrease rate")
 
     def to_json(self):
         return json.dumps(asdict(self))

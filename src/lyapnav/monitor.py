@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import envs
+from . import envs, planner
 
 
 class InfeasibleLevelError(RuntimeError):
@@ -207,24 +207,17 @@ def level_grid_from_values(values, n=32, lo_pct=0.1, hi_pct=99.0):
 def lut_query(lut, v):
     """Ceiling-rule lookup: radius of the smallest key >= v.
 
-    Levels at or below the smallest key certify with the smallest radius;
-    levels above the largest key have no certificate and raise.
+    Levels at or below the smallest key certify with the smallest radius.
+    Levels above the largest key (or NaN) have no certificate: a scalar level
+    raises, and an array of levels gets NaN in those entries.
     """
-    if v > lut.keys[-1]:
+    v = np.asarray(v, dtype=float)
+    uncertified = ~(v <= lut.keys[-1])
+    if v.ndim == 0 and uncertified:
         raise LevelExceededError(f"level {v} exceeds table maximum {lut.keys[-1]}")
-    idx = int(np.searchsorted(lut.keys, v, side="left"))
-    return float(lut.radii[idx])
-
-
-def candidate_sinks(g1, g2, delta):
-    """Line-search positions from g1 to g2 at fractional granularity delta."""
-    if not 0.0 < delta <= 1.0:
-        raise ValueError("delta must be in (0, 1]")
-    g1 = np.asarray(g1, dtype=float)
-    g2 = np.asarray(g2, dtype=float)
-    n = int(np.ceil(1.0 / delta))
-    fracs = np.minimum(np.arange(n + 1) * delta, 1.0)
-    return [g1 + f * (g2 - g1) for f in fracs]
+    idx = np.minimum(np.searchsorted(lut.keys, v, side="left"), lut.keys.size - 1)
+    radii = np.where(uncertified, np.nan, lut.radii[idx])
+    return float(radii) if v.ndim == 0 else radii
 
 
 @dataclass
@@ -253,54 +246,47 @@ class MonitorConfig:
 def select_sink(kind, state, path, seg_idx, world, value_fn, lut, cfg=None):
     """Farthest safe sink among the line-search candidates in the window.
 
-    A candidate is safe when its inflated certified circle clears every
-    hazard; among safe candidates the farthest path progress wins, ties
-    broken by the larger certified radius. (Radius-first selection livelocks
-    in tight passages: the already-traversed open space behind the robot
-    always admits a larger circle than the passage ahead, so the monitor
-    would keep sending the robot backward.) Raises MonitorStall when nothing
-    is safe.
+    The candidates of each window segment sit at fractions 0, delta, ...,
+    1 of it. A candidate is safe when its inflated certified circle clears
+    every hazard; among safe candidates the farthest path progress wins, ties
+    broken by the larger certified radius, then by the earlier segment and
+    fraction. (Radius-first selection livelocks in tight passages: the
+    already-traversed open space behind the robot always admits a larger
+    circle than the passage ahead, so the monitor would keep sending the
+    robot backward.) Raises MonitorStall when nothing is safe.
     """
     cfg = cfg or MonitorConfig()
+    if not 0.0 < cfg.delta <= 1.0:
+        raise ValueError("delta must be in (0, 1]")
     if envs.in_hazard(state.pos, world):
         raise ValueError("select_sink requires a hazard-free robot position")
     n_seg = max(len(path) - 1, 1)
     seg_idx = min(seg_idx, n_seg - 1)
-    best = None
+    segs = np.arange(seg_idx, min(seg_idx + cfg.window, n_seg))
+    fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
+    g1 = path[segs, None]
+    g2 = path[np.minimum(segs + 1, len(path) - 1), None]
+    cands = (g1 + fracs[:, None] * (g2 - g1)).reshape(-1, 2)
+    levels = value_fn(envs.goal_condition(state, cands))
+    radii = lut_query(lut, levels)
     hz = world.hazards
-    for seg in range(seg_idx, min(seg_idx + cfg.window, n_seg)):
-        g1, g2 = path[seg], path[min(seg + 1, len(path) - 1)]
-        cands = candidate_sinks(g1, g2, cfg.delta)
-        fracs = np.minimum(np.arange(len(cands)) * cfg.delta, 1.0)
-        for p, frac in zip(cands, fracs):
-            level = float(value_fn(envs.goal_condition(state, p)[None, :])[0])
-            try:
-                radius = lut_query(lut, level)
-            except LevelExceededError:
-                continue  # no certificate: treat as unsafe
-            r_inf = radius * cfg.radius_inflation
-            if len(hz):
-                clear = np.linalg.norm(hz[:, :2] - p, axis=1) >= r_inf + hz[:, 2]
-                if not np.all(clear):
-                    continue
-            cand = SinkChoice(pos=np.asarray(p, dtype=float), level=level, radius=radius, segment=seg, fraction=float(frac))
-            if best is None or (cand.progress, cand.radius) > (best.progress, best.radius):
-                best = cand
-    if best is None:
+    gaps = np.linalg.norm(hz[:, :2] - cands[:, None], axis=2)
+    safe = ~np.isnan(radii) & np.all(gaps >= (radii * cfg.radius_inflation)[:, None] + hz[:, 2], axis=1)
+    if not safe.any():
         raise MonitorStall(f"no safe sink in window at segment {seg_idx}")
-    return best
+    progress = (segs[:, None] + fracs).ravel()
+    idx = np.flatnonzero(safe)
+    farthest = idx[progress[idx] == progress[idx].max()]
+    i = farthest[np.argmax(radii[farthest])]
+    seg, j = divmod(int(i), fracs.size)
+    return SinkChoice(cands[i].copy(), float(levels[i]), float(radii[i]), seg_idx + seg, float(fracs[j]))
 
 
 def _nearest_segment(pos, path, seg_idx, window):
-    from .planner import point_segment_distance
-
     n_seg = max(len(path) - 1, 1)
-    best_j, best_d = seg_idx, np.inf
-    for j in range(seg_idx, min(seg_idx + window + 1, n_seg)):
-        d = point_segment_distance(pos, path[j], path[min(j + 1, len(path) - 1)])
-        if d < best_d:
-            best_j, best_d = j, d
-    return best_j
+    segs = np.arange(seg_idx, min(seg_idx + window + 1, n_seg))
+    d = planner.point_segment_distance(pos, path[segs], path[np.minimum(segs + 1, len(path) - 1)])
+    return int(segs[np.argmin(d)])
 
 
 @dataclass

@@ -38,14 +38,13 @@ class Tree:
 
 
 def point_segment_distance(p, a, b):
-    """Exact distance from point p to segment [a, b]."""
+    """Exact distance from point p to segment [a, b], broadcast over leading
+    axes: many points against one segment, or one point against many."""
     p, a, b = (np.asarray(x, dtype=float) for x in (p, a, b))
     ab = b - a
-    denom = float(ab @ ab)
-    if denom == 0.0:
-        return float(np.linalg.norm(p - a))
-    t = np.clip(float((p - a) @ ab) / denom, 0.0, 1.0)
-    return float(np.linalg.norm(p - (a + t * ab)))
+    denom = np.sum(ab * ab, axis=-1)
+    t = np.clip(np.sum((p - a) * ab, axis=-1) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
+    return np.linalg.norm(p - (a + t[..., None] * ab), axis=-1)
 
 
 def segment_free(p, q, world, margin):
@@ -53,10 +52,8 @@ def segment_free(p, q, world, margin):
     from every hazard center."""
     if margin < 0:
         raise ValueError("margin must be nonnegative")
-    for cx, cy, r in world.hazards:
-        if point_segment_distance((cx, cy), p, q) <= r + margin:
-            return False
-    return True
+    hz = world.hazards
+    return bool(np.all(point_segment_distance(hz[:, :2], p, q) > hz[:, 2] + margin))
 
 
 def rrt_build(world, cfg=None, seed=0):

@@ -64,7 +64,10 @@ def _cached_agent(kind):
 def _cached_lut(kind, agent):
     path = CACHE / f"{kind.value}_lut.json"
     if path.exists():
-        return monitor.RoaLut.from_json(path.read_text())
+        lut = monitor.RoaLut.from_json(path.read_text())
+        if lut.v_digest != nn.params_digest(agent.v.net):
+            raise nn.CheckpointError(f"{path} was built for another V; delete it to rebuild")
+        return lut
     S, _ = lyapunov_eval.sample_transitions(kind, agent.policy, 2000, seed=5)
     grid = monitor.level_grid_from_values(agent.v.value(S))
     box = monitor.state_box(kind, 3.0)

@@ -1,9 +1,11 @@
 """Co-learning building blocks: Lyapunov net, replay, losses, episodes."""
 
+import shutil
+
 import numpy as np
 import pytest
 
-from lyapnav import colearn, envs, harness, nn
+from lyapnav import colearn, envs, harness, lyapunov_eval, nn
 from lyapnav.envs import RobotKind
 
 
@@ -76,6 +78,14 @@ def test_agent_save_load_roundtrip(tmp_path):
     x = np.random.default_rng(0).normal(size=(5, 2))
     assert np.array_equal(agent.v.value(x), loaded.v.value(x))
     assert np.array_equal(agent.act(x[0]), loaded.act(x[0]))
+
+
+def test_agent_load_refuses_swapped_v(tmp_path):
+    for seed in (4, 5):
+        colearn.make_agent(RobotKind.SWEEPING, seed=seed).save(tmp_path / str(seed))
+    shutil.copy(tmp_path / "5" / "v.json", tmp_path / "4" / "v.json")
+    with pytest.raises(nn.CheckpointError):
+        colearn.Agent.load(tmp_path / "4")
 
 
 def test_policy_wrapper_featurizes():
@@ -234,8 +244,28 @@ def test_actor_step_single_critic_matches_finite_differences(monkeypatch):
 
 def test_train_config_validation():
     cfg = colearn.TrainConfig(gamma=1.5)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         cfg.validate()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: colearn.TrainConfig(gamma=-0.1).validate(),
+        lambda: colearn.TrainConfig(tau=0.0).validate(),
+        lambda: colearn.TrainConfig(alpha=-1.0).validate(),
+        lambda: colearn.TrainConfig(batch_size=0).validate(),
+        lambda: colearn.TrainConfig(horizon=0).validate(),
+        lambda: colearn.TrainConfig(reach_tol=0.5, goal_min=0.3).validate(),
+        lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, -0.1, 0.5, 5.0),
+        lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, 0.1, 1.5, 5.0),
+        lambda: lyapunov_eval.LyapunovReport(10, 0.5, -0.1, 0.0, 0.0),
+    ],
+)
+def test_out_of_range_fields_raise_value_error(make):
+    # real exceptions, so the checks also hold under python -O
+    with pytest.raises(ValueError):
+        make()
 
 
 def test_colearn_smoke_logs_and_checkpoints(tmp_path):

@@ -60,7 +60,7 @@ def test_summarize_rejects_mixed_groups():
 
 
 def test_summary_invariant_guard():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         harness.BenchmarkSummary("e2e", "point", 1, 10, 0.6, 0.6, 5.0)
 
 

@@ -10,9 +10,9 @@ from lyapnav.envs import RobotKind
 
 
 def test_report_invariants_enforced():
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         lyapunov_eval.LyapunovReport(10, 1.2, 0.5, 0.5, 0.0)
-    with pytest.raises(AssertionError):
+    with pytest.raises(ValueError):
         lyapunov_eval.LyapunovReport(10, 0.5, 0.5, 0.9, 0.0)
 
 

@@ -95,10 +95,111 @@ def test_level_grid_from_values():
 
 
 def test_candidate_sinks_span_segment():
-    cands = monitor.candidate_sinks([0.0, 0.0], [1.0, 0.0], 0.25)
-    assert np.allclose(cands, [[0, 0], [0.25, 0], [0.5, 0], [0.75, 0], [1.0, 0]])
+    # the candidates select_sink hands to V, in one call, are the segment at
+    # fractions 0, delta, ..., 1
+    value, _ = quad_v(1.0)
+    calls = []
+
+    def recording_value(x):
+        calls.append(x.copy())
+        return value(x)
+
+    lut = monitor.RoaLut(keys=[0.01, 16.0], radii=[0.1, 0.1], box=BOX2)
+    state = envs.initial_state(RobotKind.SWEEPING, pos=(0.0, 0.0))
+    path = np.array([[0.0, 0.0], [1.0, 0.0]])
+    cfg = monitor.MonitorConfig(delta=0.25, window=1)
+    monitor.select_sink(RobotKind.SWEEPING, state, path, 0, envs.empty_world(), recording_value, lut, cfg)
+    assert len(calls) == 1
+    assert np.allclose(calls[0], [[0, 0], [0.25, 0], [0.5, 0], [0.75, 0], [1.0, 0]])
+    cfg = monitor.MonitorConfig(delta=0.0)
     with pytest.raises(ValueError):
-        monitor.candidate_sinks([0, 0], [1, 0], 0.0)
+        monitor.select_sink(RobotKind.SWEEPING, state, path, 0, envs.empty_world(), value, lut, cfg)
+
+
+def reference_select_sink(state, path, seg_idx, world, value_fn, lut, cfg):
+    """Oracle: one V call and one table query per candidate, scanned segment
+    by segment; a candidate replaces the best only on strictly greater
+    (progress, radius)."""
+    n_seg = max(len(path) - 1, 1)
+    seg_idx = min(seg_idx, n_seg - 1)
+    fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
+    best = None
+    for seg in range(seg_idx, min(seg_idx + cfg.window, n_seg)):
+        g1, g2 = path[seg], path[min(seg + 1, len(path) - 1)]
+        for frac in fracs:
+            p = g1 + frac * (g2 - g1)
+            level = float(value_fn(envs.goal_condition(state, p)[None, :])[0])
+            try:
+                radius = monitor.lut_query(lut, level)
+            except monitor.LevelExceededError:
+                continue
+            hz = world.hazards
+            if not np.all(np.linalg.norm(hz[:, :2] - p, axis=1) >= radius * cfg.radius_inflation + hz[:, 2]):
+                continue
+            cand = monitor.SinkChoice(p, level, radius, seg, float(frac))
+            if best is None or (cand.progress, cand.radius) > (best.progress, best.radius):
+                best = cand
+    if best is None:
+        raise monitor.MonitorStall("no safe sink")
+    return best
+
+
+def _assert_same_choice(got, want):
+    assert np.array_equal(got.pos, want.pos)
+    assert (got.level, got.radius, got.segment, got.fraction) == (want.level, want.radius, want.segment, want.fraction)
+
+
+def test_select_sink_matches_per_candidate_oracle():
+    rng = np.random.default_rng(13)
+    kinds = {"chosen": 0, "stalled": 0, "uncertified": 0}
+    for _ in range(300):
+        a, b = rng.uniform(0.2, 3.0, size=2)
+        c = rng.uniform(-1.0, 1.0)
+        value = lambda x, a=a, b=b, c=c: a * x[:, 0] ** 2 + b * x[:, 1] ** 2 + c * x[:, 0] * x[:, 1]
+        keys = np.geomspace(rng.uniform(0.005, 0.1), rng.uniform(0.2, 6.0), int(rng.integers(2, 8)))
+        lut = monitor.RoaLut(keys=keys, radii=np.sort(rng.uniform(0.02, 0.6, keys.size)), box=BOX2)
+        path = rng.uniform(0.0, 4.0, size=(int(rng.integers(1, 7)), 2))
+        world = envs.empty_world()
+        pos = path[0] + rng.normal(scale=0.2, size=2)
+        hz = np.column_stack([rng.uniform(0.0, 4.0, size=(12, 2)), rng.uniform(0.05, 0.5, 12)])
+        world.hazards = hz[np.linalg.norm(hz[:, :2] - pos, axis=1) > hz[:, 2]][: int(rng.integers(0, 13))]
+        state = envs.initial_state(RobotKind.SWEEPING, pos=pos)
+        cfg = monitor.MonitorConfig(delta=float(rng.choice([0.1, 0.15, 0.25, 0.3, 1.0])), window=int(rng.integers(1, 4)))
+        seg_idx = int(rng.integers(0, len(path)))
+        kinds["uncertified"] += bool(np.any(value(envs.goal_condition(state, path)) > keys[-1]))
+        try:
+            want = reference_select_sink(state, path, seg_idx, world, value, lut, cfg)
+        except monitor.MonitorStall:
+            kinds["stalled"] += 1
+            with pytest.raises(monitor.MonitorStall):
+                monitor.select_sink(RobotKind.SWEEPING, state, path, seg_idx, world, value, lut, cfg)
+            continue
+        kinds["chosen"] += 1
+        _assert_same_choice(monitor.select_sink(RobotKind.SWEEPING, state, path, seg_idx, world, value, lut, cfg), want)
+    assert min(kinds.values()) >= 20, kinds
+
+
+def test_select_sink_tie_at_shared_waypoint_keeps_earlier_segment():
+    # fraction 1.0 of segment 0 and fraction 0.0 of segment 1 are the same
+    # point; a hazard covers the rest of segment 1, so that point is the
+    # farthest safe one and the earlier segment must win, as the strict loop did
+    value, _ = quad_v(1.0)
+    lut = monitor.RoaLut(keys=[0.01, 16.0], radii=[0.05, 0.05], box=BOX2)
+    world = envs.empty_world()
+    world.hazards = np.array([[1.5, 1.9, 1.3]])
+    path = np.array([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5]])
+    state = envs.initial_state(RobotKind.SWEEPING, pos=(0.5, 0.5))
+    choice = monitor.select_sink(RobotKind.SWEEPING, state, path, 0, world, value, lut)
+    assert (choice.segment, choice.fraction) == (0, 1.0)
+    _assert_same_choice(choice, reference_select_sink(state, path, 0, world, value, lut, monitor.MonitorConfig()))
+
+
+def test_lut_query_array_matches_scalar_queries():
+    lut = monitor.RoaLut(keys=[1.0, 2.0, 4.0], radii=[1.0, 1.5, 2.5], box=BOX2)
+    levels = np.array([0.1, 1.0, 1.5, 2.0, 3.9, 4.0, 4.01, np.nan])
+    got = monitor.lut_query(lut, levels)
+    assert np.array_equal(got[:6], [monitor.lut_query(lut, v) for v in levels[:6]])
+    assert np.all(np.isnan(got[6:]))
 
 
 def test_select_sink_prefers_progress_on_clear_ground():

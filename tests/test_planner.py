@@ -12,6 +12,12 @@ def test_point_segment_distance_analytic_cases():
     assert planner.point_segment_distance([2, 1], [-1, 0], [1, 0]) == pytest.approx(np.sqrt(2))
     assert planner.point_segment_distance([0.5, 0], [-1, 0], [1, 0]) == pytest.approx(0.0)
     assert planner.point_segment_distance([3, 4], [0, 0], [0, 0]) == pytest.approx(5.0)
+    # the same cases as one array of points against one segment
+    d = planner.point_segment_distance([[0, 1], [2, 1], [0.5, 0]], [-1, 0], [1, 0])
+    assert d == pytest.approx([1.0, np.sqrt(2), 0.0])
+    # and one point against an array of segments, the last of zero length
+    d = planner.point_segment_distance([3, 4], [[-1, 4], [0, 0]], [[1, 4], [0, 0]])
+    assert d == pytest.approx([2.0, 5.0])
 
 
 def test_point_segment_distance_matches_dense_sampling():
@@ -23,6 +29,19 @@ def test_point_segment_distance_matches_dense_sampling():
         pts = a + ts[:, None] * (b - a)
         dense = np.min(np.linalg.norm(pts - p, axis=1))
         assert planner.point_segment_distance(p, a, b) == pytest.approx(dense, abs=1e-3)
+
+
+def test_point_segment_distance_broadcast_equals_row_calls():
+    rng = np.random.default_rng(1)
+    pts = rng.normal(size=(40, 2))
+    a, b = rng.normal(size=(2, 2))
+    rows = [planner.point_segment_distance(p, a, b) for p in pts]
+    assert np.array_equal(planner.point_segment_distance(pts, a, b), rows)
+    a_s, b_s = rng.normal(size=(2, 40, 2))
+    b_s[7] = a_s[7]  # zero-length segment
+    rows = [planner.point_segment_distance(pts[0], a_, b_) for a_, b_ in zip(a_s, b_s)]
+    assert np.array_equal(planner.point_segment_distance(pts[0], a_s, b_s), rows)
+    assert rows[7] == pytest.approx(np.linalg.norm(pts[0] - a_s[7]))
 
 
 def test_segment_free_strict_clearance():
