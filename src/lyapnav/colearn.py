@@ -89,14 +89,6 @@ class LyapunovNet:
         g2 = self.net.input_gradients(x * self.mask, ones)
         return g1 - g2 * self.mask
 
-    def param_grads(self, x, upstream):
-        """Gradients of sum(upstream * V(x)) w.r.t. the network parameters."""
-        x = np.atleast_2d(np.asarray(x, dtype=float))
-        u = np.asarray(upstream, dtype=float).reshape(-1, 1)
-        points = np.vstack([x, x * self.mask])
-        ups = np.vstack([u, -u])
-        return self.net.gradients(points, ups)[0]
-
 
 class Policy:
     """Deterministic actor over raw goal-conditioned states.
@@ -195,7 +187,12 @@ class Agent:
             manifest = json.load(f)
         kind = RobotKind(manifest["robot"])
         agent = make_agent(kind)
-        for name, net in agent._networks().items():
+        networks = agent._networks()
+        if manifest.get("files") != list(networks):
+            raise nn.CheckpointError(
+                f"manifest in {out_dir} lists files {manifest.get('files')}, expected {list(networks)}"
+            )
+        for name, net in networks.items():
             nn.load_params(os.path.join(out_dir, f"{name}.json"), net)
         if manifest["v_digest"] != nn.params_digest(agent.v.net):
             raise nn.CheckpointError(f"v.json in {out_dir} is not the V of its manifest")
@@ -252,25 +249,33 @@ def regress(net, adam, x, target):
     """One Adam step on mean((net(x) - target)**2); returns that loss as it
     was before the step."""
     n = x.shape[0]
-    err = np.atleast_2d(net.forward(x))[:, 0] - target
-    grads, _ = net.gradients(x, (2.0 * err / n)[:, None])
+    out, cache = net.forward_cache(x)
+    err = out[:, 0] - target
+    grads, _ = net.backward(cache, (2.0 * err / n)[:, None])
     nn.adam_step(adam, net.params(), grads)
     return float(np.mean(err**2))
 
 
 def actor_step(pi, adam, s, critics):
-    """One Adam step on mean(sum w * critic(s, pi(s))) through frozen critics.
+    """One Adam step on mean(sum w * critic(s, pi(s))) through frozen critics;
+    returns that loss as it was before the step.
 
     ``critics`` is a list of (network, weight) pairs; only pi is updated.
     """
     n = s.shape[0]
-    a = np.atleast_2d(pi.forward(s))
+    a, pi_cache = pi.forward_cache(s)
     x = np.hstack([s, a])
     na = a.shape[1]
     ones = np.ones((n, 1))
-    terms = [critic.input_gradients(x, w * ones / n)[:, -na:] for critic, w in critics]
-    grads, _ = pi.gradients(s, sum(terms[1:], terms[0]))
+    values, terms = [], []
+    for critic, w in critics:
+        out, cache = critic.forward_cache(x)
+        values.append(w * out[:, 0])
+        terms.append(critic.backward(cache, w * ones / n)[1][:, -na:])
+        del cache  # hold one critic's activations at a time, next to pi's
+    grads, _ = pi.backward(pi_cache, sum(terms[1:], terms[0]))
     nn.adam_step(adam, pi.params(), grads)
+    return float(np.mean(sum(values[1:], values[0])))
 
 
 class Trainer:
@@ -292,25 +297,28 @@ class Trainer:
         return regress(ag.q, self.adam_q, x, y)
 
     def train_v(self, batch):
+        """One Adam step on the hinged Lyapunov risk. Returns the plain risk
+        before the step and the fractions of rows whose positivity and
+        decrease hinges were active."""
         ag, cfg = self.agent, self.cfg
         s, s1 = batch["s"], batch["s1"]
         n = s.shape[0]
-        sinks = sink_state(ag.kind, s)
-        vs = ag.v.value(s)
-        vs1 = ag.v.value(s1)
-        vo = ag.v.value(sinks)
+        # one forward over [sinks, s, s1] and their sink images serves the
+        # values (V = f(x) - f(sink(x))) and the backward pass
+        points = np.vstack([sink_state(ag.kind, s), s, s1])
+        out, cache = ag.v.net.forward_cache(np.vstack([points, points * ag.v.mask]))
+        v = out[: 3 * n, 0] - out[3 * n :, 0]
+        vo, vs, vs1 = v[:n], v[n : 2 * n], v[2 * n :]
         floor = cfg.pos_margin * np.linalg.norm(s[:, :2], axis=1)
         pos_active = vs < floor
         lie_active = vs1 - vs > -cfg.lie_margin
         u_sink = 2.0 * vo / n
         u_s = (-pos_active.astype(float) - lie_active.astype(float)) / n
         u_s1 = lie_active.astype(float) / n
-        points = np.vstack([sinks, s, s1])
-        ups = np.concatenate([u_sink, u_s, u_s1])
-        grads = ag.v.param_grads(points, ups)
+        u = np.concatenate([u_sink, u_s, u_s1])[:, None]
+        grads, _ = ag.v.net.backward(cache, np.vstack([u, -u]))
         nn.adam_step(self.adam_v, ag.v.net.params(), grads)
-        # reported value is the plain (margin-free) risk
-        return lyapunov_risk(vs, vs1, vo)
+        return lyapunov_risk(vs, vs1, vo), float(np.mean(pos_active)), float(np.mean(lie_active))
 
     def train_lq(self, batch):
         ag = self.agent
@@ -318,11 +326,9 @@ class Trainer:
         return regress(ag.lq, self.adam_lq, x, ag.v.value(batch["s1"]))  # V is frozen for this update
 
     def train_pi(self, batch):
-        ag, cfg = self.agent, self.cfg
-        loss = policy_loss(ag.pi, ag.q_t, ag.lq_t, batch["s"], cfg.alpha, ag.kind)
+        ag = self.agent
         s = envs.featurize(ag.kind, batch["s"])
-        actor_step(ag.pi, self.adam_pi, s, [(ag.q_t, -1.0), (ag.lq_t, cfg.alpha)])
-        return loss
+        return actor_step(ag.pi, self.adam_pi, s, [(ag.q_t, -1.0), (ag.lq_t, self.cfg.alpha)])
 
     def polyak(self):
         tau = self.cfg.tau
@@ -421,31 +427,35 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
             kind, agent.target_policy, cfg, rng, random_actions=ep < cfg.warmup_episodes, noise=noise
         )
         store_episode(buffer, transitions, states, cfg, rng)
-        losses = np.zeros(4)
+        # phase means of the four losses and the two hinge-active fractions
+        means = np.zeros(6)
         phases = 0
         if buffer.size >= cfg.batch_size:
             for _ in range(cfg.grad_steps):
                 batch = buffer.sample(rng, cfg.batch_size)
                 ql = trainer.train_q(batch)
-                vl = trainer.train_v(batch)
+                vl, pos_frac, lie_frac = trainer.train_v(batch)
                 ll = trainer.train_lq(batch)
                 pl = trainer.train_pi(batch)
                 trainer.polyak()
-                losses += (ql, vl, ll, pl)
+                means += (ql, vl, ll, pl, pos_frac, lie_frac)
                 phases += 1
-            losses /= phases
+            means /= phases
         for net, name in ((agent.pi, "pi"), (agent.q, "q"), (agent.v.net, "v"), (agent.lq, "lq")):
             nn.check_finite(net, f"in {name} after episode {ep}")
         log_rows.append(
             {
                 "episode": ep,
                 "mean_reward": ep_reward,
-                "q_loss": losses[0],
-                "lyapunov_risk": losses[1],
-                "lq_loss": losses[2],
-                "policy_loss": losses[3],
+                "q_loss": means[0],
+                "lyapunov_risk": means[1],
+                "lq_loss": means[2],
+                "policy_loss": means[3],
                 "start_distance": d0,
                 "reached": int(transitions[-1][4]),
+                "pos_hinge_frac": float(means[4]),
+                "lie_hinge_frac": float(means[5]),
+                "replay_size": buffer.size,
             }
         )
     if log_path is not None:
@@ -461,6 +471,9 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
                     "policy_loss",
                     "start_distance",
                     "reached",
+                    "pos_hinge_frac",
+                    "lie_hinge_frac",
+                    "replay_size",
                 ],
             )
             writer.writeheader()

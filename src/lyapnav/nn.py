@@ -119,19 +119,26 @@ class Mlp:
         out = acts[-1]
         return out[0] if squeeze else out
 
-    def gradients(self, x, upstream):
-        """Backprop of <upstream, forward(x)> summed over the batch.
+    def forward_cache(self, x):
+        """forward(x) together with the activation cache that backward() takes."""
+        x, squeeze = self._check_input(x)
+        pres, acts = self._forward_cached(x)
+        out = acts[-1]
+        return (out[0] if squeeze else out), (pres, acts, squeeze)
+
+    def backward(self, cache, upstream):
+        """Backprop of <upstream, forward(x)> summed over the batch, where
+        cache comes from forward_cache(x) on the current parameters.
 
         Returns (param_grads, input_grad); param_grads matches params() order,
         input_grad matches the shape of x.
         """
-        x, squeeze = self._check_input(x)
+        pres, acts, squeeze = cache
         upstream = np.asarray(upstream, dtype=float)
         if squeeze:
             upstream = upstream[None, :]
-        if upstream.shape != (x.shape[0], self.out_dim):
+        if upstream.shape != (acts[0].shape[0], self.out_dim):
             raise ShapeError(f"upstream shape {upstream.shape} incompatible")
-        pres, acts = self._forward_cached(x)
         last = len(self.weights) - 1
         if self.output_activation == "tanh":
             delta = upstream * (1.0 - acts[-1] ** 2)
@@ -146,8 +153,11 @@ class Mlp:
             delta = delta @ self.weights[i].T
             if i > 0:
                 delta = delta * (1.0 - acts[i] ** 2)
-        input_grad = delta
-        return grads, (input_grad[0] if squeeze else input_grad)
+        return grads, (delta[0] if squeeze else delta)
+
+    def gradients(self, x, upstream):
+        """Backprop of <upstream, forward(x)>: backward() on a fresh forward_cache(x)."""
+        return self.backward(self.forward_cache(x)[1], upstream)
 
     def input_gradients(self, x, upstream):
         return self.gradients(x, upstream)[1]

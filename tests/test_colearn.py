@@ -1,5 +1,6 @@
 """Co-learning building blocks: Lyapunov net, replay, losses, episodes."""
 
+import json
 import shutil
 
 import numpy as np
@@ -86,6 +87,16 @@ def test_agent_load_refuses_swapped_v(tmp_path):
     shutil.copy(tmp_path / "5" / "v.json", tmp_path / "4" / "v.json")
     with pytest.raises(nn.CheckpointError):
         colearn.Agent.load(tmp_path / "4")
+
+
+@pytest.mark.parametrize("edit", [lambda files: files + ["extra"], lambda files: files[:-1]])
+def test_agent_load_refuses_manifest_file_list_mismatch(tmp_path, edit):
+    colearn.make_agent(RobotKind.SWEEPING, seed=4).save(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["files"] = edit(manifest["files"])
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(nn.CheckpointError):
+        colearn.Agent.load(tmp_path)
 
 
 def test_policy_wrapper_featurizes():
@@ -212,6 +223,47 @@ def test_policy_loss_formula_oracle():
     assert colearn.policy_loss(agent.pi, agent.q_t, agent.lq_t, s, 0.5, kind) == pytest.approx(expected)
 
 
+def _random_batch(kind, n, rng):
+    d, na = envs.state_dim(kind), envs.action_dim(kind)
+    return {
+        "s": rng.uniform(-2, 2, size=(n, d)),
+        "a": rng.uniform(-1, 1, size=(n, na)),
+        "r": rng.normal(size=n),
+        "s1": rng.uniform(-2, 2, size=(n, d)),
+        "done": np.zeros(n),
+    }
+
+
+def test_train_pi_returns_pre_step_policy_loss():
+    for kind in RobotKind:
+        agent = colearn.make_agent(kind, seed=15)
+        cfg = colearn.TrainConfig()
+        trainer = colearn.Trainer(agent, cfg)
+        batch = _random_batch(kind, 64, np.random.default_rng(16))
+        expected = colearn.policy_loss(agent.pi, agent.q_t, agent.lq_t, batch["s"], cfg.alpha, kind)
+        before = nn.params_digest(agent.pi)
+        assert trainer.train_pi(batch) == expected
+        assert nn.params_digest(agent.pi) != before
+
+
+def test_train_v_returns_pre_step_risk_and_hinge_fractions():
+    for kind in RobotKind:
+        agent = colearn.make_agent(kind, seed=17)
+        cfg = colearn.TrainConfig()
+        trainer = colearn.Trainer(agent, cfg)
+        batch = _random_batch(kind, 64, np.random.default_rng(18))
+        s, s1 = batch["s"], batch["s1"]
+        vs, vs1 = agent.v.value(s), agent.v.value(s1)
+        risk = colearn.lyapunov_risk(vs, vs1, agent.v.value(colearn.sink_state(kind, s)))
+        pos = np.mean(vs < cfg.pos_margin * np.linalg.norm(s[:, :2], axis=1))
+        lie = np.mean(vs1 - vs > -cfg.lie_margin)
+        before = nn.params_digest(agent.v.net)
+        got_risk, got_pos, got_lie = trainer.train_v(batch)
+        assert got_risk == pytest.approx(risk, rel=1e-12, abs=1e-15)
+        assert (got_pos, got_lie) == (pos, lie)
+        assert nn.params_digest(agent.v.net) != before
+
+
 def test_actor_step_single_critic_matches_finite_differences(monkeypatch):
     # the end-to-end baseline's actor update: one frozen critic with weight -1
     kind = RobotKind.POINT
@@ -276,3 +328,21 @@ def test_colearn_smoke_logs_and_checkpoints(tmp_path):
     text = log.read_text().splitlines()
     assert text[0].startswith("episode,mean_reward,q_loss")
     assert len(text) == 4
+
+
+def test_colearn_log_reports_hinge_fractions_and_replay_size(tmp_path):
+    cfg = colearn.TrainConfig(episodes=3, warmup_episodes=1, grad_steps=2, horizon=30)
+    log = tmp_path / "log.csv"
+    _, rows = colearn.colearn(RobotKind.POINT, cfg, seed=1, log_path=log)
+    header = log.read_text().splitlines()[0].split(",")
+    assert all(header == list(row) for row in rows)
+    assert header[-3:] == ["pos_hinge_frac", "lie_hinge_frac", "replay_size"]
+    for row in rows:
+        assert 0.0 <= row["pos_hinge_frac"] <= 1.0
+        assert 0.0 <= row["lie_hinge_frac"] <= 1.0
+    # every transition is stored once plus once per hindsight relabel
+    sizes = [row["replay_size"] for row in rows]
+    assert all(size % (1 + cfg.hindsight_relabels) == 0 for size in sizes)
+    assert sizes == sorted(sizes) and sizes[0] > 0
+    # gradient phases ran, so some hinge was active in some episode
+    assert any(row["pos_hinge_frac"] + row["lie_hinge_frac"] > 0 for row in rows)

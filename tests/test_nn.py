@@ -59,6 +59,26 @@ def test_input_gradients_match_finite_differences():
             assert rel_err(analytic[i, j], num) < 1e-5
 
 
+@pytest.mark.parametrize("act", ["identity", "tanh", "softplus"])
+@pytest.mark.parametrize("shape", [(3,), (1, 3), (5, 3)])
+def test_forward_cache_and_backward_match_forward_and_gradients(act, shape):
+    rng = np.random.default_rng(10)
+    net = nn.Mlp([3, 6, 6, 2], act, rng)
+    x = rng.normal(size=shape)
+    u1, u2 = rng.normal(size=shape[:-1] + (2,)), rng.normal(size=shape[:-1] + (2,))
+    out, cache = net.forward_cache(x)
+    assert out.tobytes() == net.forward(x).tobytes()
+    # one cache serves several backward passes, unchanged by each of them
+    for u in (u1, u2):
+        grads, input_grad = net.backward(cache, u)
+        ref_grads, ref_input_grad = net.gradients(x, u)
+        assert input_grad.shape == x.shape
+        assert input_grad.tobytes() == ref_input_grad.tobytes()
+        assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+    with pytest.raises(nn.ShapeError):
+        net.backward(cache, np.zeros(shape[:-1] + (3,)))
+
+
 def test_forward_1d_matches_batched():
     net = nn.Mlp([3, 5, 2], "tanh", np.random.default_rng(0))
     x = np.array([0.3, -0.2, 1.1])
