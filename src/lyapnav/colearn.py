@@ -29,7 +29,6 @@ class TrainConfig:
     episodes: int = 200
     grad_steps: int = 50  # gradient phases per episode
     noise: float = 0.1  # exploration noise std, in action units
-    noise_final: float | None = None  # decay target; None keeps noise constant
     replay_capacity: int = 100_000
     horizon: int = 200
     # hinge margins for the V update; without them V = 0 everywhere is a
@@ -153,8 +152,10 @@ class Agent:
     def target_policy(self):
         return Policy(self.kind, self.pi_t)
 
-    def act(self, sg):
-        return self.policy.forward(np.asarray(sg, dtype=float))
+    def act(self, state, goal, world):
+        """Action of the goal policy toward ``goal``; ``world`` is unused (the
+        policy is hazard-free), kept for ``E2ePolicy.act``'s signature."""
+        return self.policy.forward(envs.goal_condition(state, goal))
 
     def _networks(self):
         """Checkpoint name -> network, in manifest order."""
@@ -419,12 +420,8 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     log_rows = []
     for ep in range(cfg.episodes):
-        noise = cfg.noise
-        if cfg.noise_final is not None and cfg.episodes > 1:
-            frac = ep / (cfg.episodes - 1)
-            noise = cfg.noise + frac * (cfg.noise_final - cfg.noise)
         transitions, ep_reward, d0, states = collect_episode(
-            kind, agent.target_policy, cfg, rng, random_actions=ep < cfg.warmup_episodes, noise=noise
+            kind, agent.target_policy, cfg, rng, random_actions=ep < cfg.warmup_episodes
         )
         store_episode(buffer, transitions, states, cfg, rng)
         # phase means of the four losses and the two hinge-active fractions
@@ -477,5 +474,8 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
                 ],
             )
             writer.writeheader()
-            writer.writerows({k: repr(v) if isinstance(v, float) else v for k, v in row.items()} for row in log_rows)
+            # repr(float(.)): numpy 2 writes repr(np.float64) as "np.float64(...)"
+            writer.writerows(
+                {k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()} for row in log_rows
+            )
     return agent, log_rows

@@ -13,7 +13,7 @@ import csv
 import json
 import math
 import os
-from dataclasses import dataclass, asdict, replace
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from . import colearn, envs, monitor, nn, planner
 from .envs import RobotKind
 
 STEP_CAPS = {1: 1000, 2: 4000, 3: 16_000}
+REACH_TOL = 0.1  # goal (and h-e2e waypoint) reach distance of every method
 
 METHODS = ("monitored", "e2e", "h-e2e", "direct")
 
@@ -159,56 +160,68 @@ def _episode(method, robot, level, world, outcome, steps):
     return EpisodeReport(method, robot.value, level, world.seed, outcome, steps)
 
 
-def run_episode(method, agent, world, config=None, lut=None, plan_seed=0, reach_tol=0.1):
+class _WaypointChaser:
+    """Steering of e2e, h-e2e and direct: each waypoint in turn, moving on
+    once the robot is within REACH_TOL of it."""
+
+    def __init__(self, waypoints):
+        self.waypoints = waypoints
+        self.wp = 0
+
+    def target(self, state):
+        return self.waypoints[self.wp]
+
+    def advance(self, state):
+        while self.wp < len(self.waypoints) - 1 and np.linalg.norm(state.pos - self.waypoints[self.wp]) < REACH_TOL:
+            self.wp += 1
+
+
+def run_episode(method, agent, world, config=None, lut=None, plan_seed=0):
     """One evaluation episode of the given method on a fixed world.
 
     ``agent`` is a trained co-learning agent for ``monitored``/``direct`` and
-    an E2ePolicy for ``e2e``/``h-e2e``. A failed plan is reported with the
-    distinct ``plan_failed`` outcome (counts as not reached, not violated).
+    an E2ePolicy for ``e2e``/``h-e2e``; both act through
+    ``act(state, target, world)``. Every method runs the same loop: take a
+    target from the steering (``monitor.SinkTracker`` for ``monitored``, a
+    waypoint chaser otherwise), act, step, check hazards once (never for
+    ``direct``), check the goal, advance the steering. A failed plan is
+    reported with the distinct ``plan_failed`` outcome (counts as not
+    reached, not violated).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
     level = world.level if world.level in STEP_CAPS else 1
     cap = STEP_CAPS[level]
     kind = agent.kind
+    goal = np.asarray(world.goal, dtype=float)
     if method == "monitored":
         if lut is None:
             raise ValueError("monitored episodes need a lookup table")
         if lut.v_digest != nn.params_digest(agent.v.net):
             raise ValueError(f"lookup table was built for V {lut.v_digest}, not this agent's V")
+    if method in ("monitored", "h-e2e"):
         try:
             path = planner.plan_path(world, seed=plan_seed)
         except planner.PlanNotFound:
             return _episode(method, kind, level, world, "plan_failed", 0)
-        cfg = replace(config or monitor.MonitorConfig(), step_cap=cap)
-        res = monitor.monitored_rollout(kind, agent.policy, agent.v.value, lut, world, path, cfg)
-        return _episode(method, kind, level, world, res.outcome, res.steps)
-    if method == "h-e2e":
-        try:
-            path = planner.plan_path(world, seed=plan_seed)
-        except planner.PlanNotFound:
-            return _episode(method, kind, level, world, "plan_failed", 0)
-        waypoints = list(path)
-    elif method == "e2e":
-        waypoints = [np.asarray(world.goal, dtype=float)]
-    else:  # direct: hazard-free goal policy straight at the goal, no monitor
-        waypoints = [np.asarray(world.goal, dtype=float)]
+    if method == "monitored":
+        steer = monitor.SinkTracker(kind, path, world, agent.v.value, lut, config)
+    elif method == "h-e2e":
+        steer = _WaypointChaser(list(path))
+    else:  # e2e and direct drive straight at the goal
+        steer = _WaypointChaser([goal])
     state = envs.initial_state(kind, pos=np.asarray(world.start, dtype=float))
-    wp = 0
-    goal = np.asarray(world.goal, dtype=float)
     for t in range(cap):
-        target = waypoints[wp]
-        if method == "direct":
-            a = agent.policy.forward(envs.goal_condition(state, target))
-        else:
-            a = agent.act(state, target, world)
-        state = envs.step(kind, state, a)
+        try:
+            target = steer.target(state)
+        except monitor.MonitorStall:
+            return _episode(method, kind, level, world, "stalled", t)
+        state = envs.step(kind, state, agent.act(state, target, world))
         if method != "direct" and envs.in_hazard(state.pos, world):
             return _episode(method, kind, level, world, "violated", t + 1)
-        if np.linalg.norm(state.pos - goal) < reach_tol:
+        if np.linalg.norm(state.pos - goal) < REACH_TOL:
             return _episode(method, kind, level, world, "reached", t + 1)
-        while wp < len(waypoints) - 1 and np.linalg.norm(state.pos - waypoints[wp]) < reach_tol:
-            wp += 1
+        steer.advance(state)
     return _episode(method, kind, level, world, "timeout", cap)
 
 

@@ -237,10 +237,8 @@ class SinkChoice:
 class MonitorConfig:
     delta: float = 0.1
     window: int = 2  # path segments searched ahead of the current one
-    reach_tol: float = 0.1
     radius_inflation: float = 1.05  # absorbs optimizer under-estimation
     stall_patience: int = 50
-    step_cap: int = 1000
 
 
 def select_sink(kind, state, path, seg_idx, world, value_fn, lut, cfg=None):
@@ -254,12 +252,14 @@ def select_sink(kind, state, path, seg_idx, world, value_fn, lut, cfg=None):
     already-traversed open space behind the robot always admits a larger
     circle than the passage ahead, so the monitor would keep sending the
     robot backward.) Raises MonitorStall when nothing is safe.
+
+    The robot position is taken to be hazard-free and is not checked here:
+    ``harness.run_episode`` ends an episode at its first in-hazard step, and
+    the planner raises PlanNotFound for a start inside a hazard.
     """
     cfg = cfg or MonitorConfig()
     if not 0.0 < cfg.delta <= 1.0:
         raise ValueError("delta must be in (0, 1]")
-    if envs.in_hazard(state.pos, world):
-        raise ValueError("select_sink requires a hazard-free robot position")
     n_seg = max(len(path) - 1, 1)
     seg_idx = min(seg_idx, n_seg - 1)
     segs = np.arange(seg_idx, min(seg_idx + cfg.window, n_seg))
@@ -289,55 +289,43 @@ def _nearest_segment(pos, path, seg_idx, window):
     return int(segs[np.argmin(d)])
 
 
-@dataclass
-class RolloutResult:
-    outcome: str  # reached | violated | stalled | timeout
-    steps: int
-    trajectory: list  # per-step dicts (t, pos, sink, level, radius, action)
+class SinkTracker:
+    """Steering of a monitored episode: one sink per step along the path.
 
-
-def monitored_rollout(kind, policy, value_fn, lut, world, path, cfg=None):
-    """Follow the planned path under the runtime monitor.
-
-    Each step re-runs the sink line search, drives the policy toward the
-    chosen sink, and terminates immediately on hazard entry. A stall holds
-    the last safe sink for cfg.stall_patience steps before giving up.
+    ``target`` re-runs the sink line search from the current state. A stall
+    holds the last safe sink for cfg.stall_patience steps; past that, or
+    with no sink to hold, it raises MonitorStall and the episode stalls.
+    ``advance`` re-anchors the path segment on the robot's new position.
     """
-    cfg = cfg or MonitorConfig()
-    state = envs.initial_state(kind, pos=np.asarray(world.start, dtype=float))
-    seg_idx = 0
-    stall = 0
-    last_choice = None
-    trajectory = []
-    for t in range(cfg.step_cap):
+
+    def __init__(self, kind, path, world, value_fn, lut, cfg=None):
+        self.kind = kind
+        self.path = path
+        self.world = world
+        self.value_fn = value_fn
+        self.lut = lut
+        self.cfg = cfg or MonitorConfig()
+        self.seg_idx = 0
+        self.stall = 0
+        self.held = None
+
+    def target(self, state):
         try:
-            choice = select_sink(kind, state, path, seg_idx, world, value_fn, lut, cfg)
-            stall = 0
+            choice = select_sink(
+                self.kind, state, self.path, self.seg_idx, self.world, self.value_fn, self.lut, self.cfg
+            )
+            self.stall = 0
         except MonitorStall:
-            stall += 1
-            if last_choice is None or stall > cfg.stall_patience:
-                return RolloutResult("stalled", t, trajectory)
-            choice = last_choice
-        last_choice = choice
-        seg_idx = max(seg_idx, choice.segment)
-        a = policy.forward(envs.goal_condition(state, choice.pos))
-        state = envs.step(kind, state, a)
-        trajectory.append(
-            {
-                "t": t,
-                "pos": state.pos.copy(),
-                "sink": choice.pos.copy(),
-                "level": choice.level,
-                "radius": choice.radius,
-                "action": np.asarray(a, dtype=float).copy(),
-            }
-        )
-        if envs.in_hazard(state.pos, world):
-            return RolloutResult("violated", t + 1, trajectory)
-        if np.linalg.norm(state.pos - np.asarray(world.goal)) < cfg.reach_tol:
-            return RolloutResult("reached", t + 1, trajectory)
-        seg_idx = _nearest_segment(state.pos, path, seg_idx, cfg.window)
-    return RolloutResult("timeout", cfg.step_cap, trajectory)
+            self.stall += 1
+            if self.held is None or self.stall > self.cfg.stall_patience:
+                raise
+            choice = self.held
+        self.held = choice
+        self.seg_idx = max(self.seg_idx, choice.segment)
+        return choice.pos
+
+    def advance(self, state):
+        self.seg_idx = _nearest_segment(state.pos, self.path, self.seg_idx, self.cfg.window)
 
 
 def state_box(kind, reach):
@@ -354,18 +342,3 @@ def state_box(kind, reach):
         hi = [reach, reach, 1.0, 1.0, envs.CAR_WHEEL_V_MAX, envs.CAR_WHEEL_V_MAX]
     return (np.array(lo), np.array(hi))
 
-
-def trajectory_to_csv(trajectory, path):
-    import csv
-
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(["t", "x", "y", "sink_x", "sink_y", "level", "radius", "a0", "a1"])
-        for row in trajectory:
-            w.writerow(
-                [row["t"]]
-                + [repr(float(v)) for v in row["pos"]]
-                + [repr(float(v)) for v in row["sink"]]
-                + [repr(float(row["level"])), repr(float(row["radius"]))]
-                + [repr(float(v)) for v in row["action"]]
-            )

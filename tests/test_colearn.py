@@ -1,5 +1,6 @@
 """Co-learning building blocks: Lyapunov net, replay, losses, episodes."""
 
+import csv
 import json
 import shutil
 
@@ -78,7 +79,8 @@ def test_agent_save_load_roundtrip(tmp_path):
     loaded = colearn.Agent.load(tmp_path / "agent")
     x = np.random.default_rng(0).normal(size=(5, 2))
     assert np.array_equal(agent.v.value(x), loaded.v.value(x))
-    assert np.array_equal(agent.act(x[0]), loaded.act(x[0]))
+    state, goal, world = envs.initial_state(RobotKind.SWEEPING, pos=x[1]), x[2], envs.empty_world()
+    assert np.array_equal(agent.act(state, goal, world), loaded.act(state, goal, world))
 
 
 def test_agent_load_refuses_swapped_v(tmp_path):
@@ -346,3 +348,16 @@ def test_colearn_log_reports_hinge_fractions_and_replay_size(tmp_path):
     assert sizes == sorted(sizes) and sizes[0] > 0
     # gradient phases ran, so some hinge was active in some episode
     assert any(row["pos_hinge_frac"] + row["lie_hinge_frac"] > 0 for row in rows)
+
+
+def test_train_log_csv_cells_are_plain_numbers(tmp_path):
+    cfg = colearn.TrainConfig(episodes=3, warmup_episodes=1, grad_steps=2, horizon=30)
+    log = tmp_path / "log.csv"
+    _, rows = colearn.colearn(RobotKind.SWEEPING, cfg, seed=0, log_path=log)
+    with open(log, newline="") as f:
+        cells = list(csv.DictReader(f))
+    assert len(cells) == len(rows)
+    assert any(row["q_loss"] > 0 for row in rows)  # gradient phases ran
+    for row, written in zip(rows, cells):
+        for key, text in written.items():
+            assert float(text) == row[key], (key, text)

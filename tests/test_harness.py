@@ -1,11 +1,12 @@
 """Benchmark driver: episode protocols, aggregation, report files."""
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
-from lyapnav import envs, harness, monitor
+from lyapnav import envs, harness, monitor, nn
 from lyapnav.envs import RobotKind
 
 
@@ -110,27 +111,61 @@ def test_run_episode_e2e_times_out_at_level_cap():
     assert rep.steps == harness.STEP_CAPS[1]
 
 
-def test_run_episode_violation_terminates_inside_hazard():
-    class Charger:
-        kind = RobotKind.SWEEPING
+class _Charger:
+    """Drives straight at the world's goal whatever target it is given, so
+    every method runs into a hazard placed on that line. Its V (the squared
+    goal distance) and network only serve the monitored method's table."""
 
-        def act(self, state, goal, world):
-            d = np.asarray(goal) - state.pos
-            return d / max(np.linalg.norm(d), 1e-9)
+    kind = RobotKind.SWEEPING
+    v = SimpleNamespace(
+        value=lambda x: np.sum(np.atleast_2d(x)[:, :2] ** 2, axis=1),
+        net=nn.Mlp([2, 4, 1], "identity", np.random.default_rng(0)),
+    )
 
+    def act(self, state, target, world):
+        d = np.asarray(world.goal) - state.pos
+        return d / max(np.linalg.norm(d), 1e-9)
+
+
+@pytest.mark.parametrize("method", ["e2e", "h-e2e", "monitored"])
+def test_run_episode_violation_terminates_inside_hazard(method):
     # hazard directly between start and goal
     world = envs.empty_world()
     world.level = 1
     world.hazards = np.array([[2.0, 2.0, 0.2]])
-    rep = harness.run_episode("e2e", Charger(), world)
+    policy = _Charger()
+    # zero radii certify every candidate off the hazard, so the monitor never stalls
+    box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    lut = monitor.RoaLut(keys=[1e3, 1e4], radii=[0.0, 0.0], box=box, v_digest=nn.params_digest(policy.v.net))
+    rep = harness.run_episode(method, policy, world, lut=lut)
     assert rep.outcome == "violated"
     # replay the episode to confirm the last position is the first in-hazard one
     state = envs.initial_state(RobotKind.SWEEPING, pos=world.start)
-    policy = Charger()
     for t in range(rep.steps):
         state = envs.step(RobotKind.SWEEPING, state, policy.act(state, world.goal, world))
         hit = envs.in_hazard(state.pos, world)
         assert hit == (t == rep.steps - 1)
+
+
+def test_run_episode_checks_hazards_once_per_step(monkeypatch, sweeping_agent, sweeping_lut, sweeping_e2e):
+    counts = {}
+    step, in_hazard = envs.step, envs.in_hazard
+
+    def counting(name, fn):
+        def wrapped(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapped
+
+    monkeypatch.setattr(envs, "step", counting("step", step))
+    monkeypatch.setattr(envs, "in_hazard", counting("in_hazard", in_hazard))
+    world = envs.make_world(1, harness.episode_world_seed(0, 0))
+    for method, agent, lut in (("monitored", sweeping_agent, sweeping_lut), ("e2e", sweeping_e2e, None)):
+        counts.update(step=0, in_hazard=0)
+        rep = harness.run_episode(method, agent, world, lut=lut, plan_seed=world.seed)
+        assert counts["step"] == rep.steps > 0, method
+        assert counts["in_hazard"] == counts["step"], method
 
 
 def test_run_episode_deterministic():

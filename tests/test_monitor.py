@@ -1,10 +1,12 @@
 """Certified-circle search, lookup table, and sink selection, validated
 against an analytic quadratic value function."""
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
-from lyapnav import envs, monitor
+from lyapnav import cli, envs, harness, monitor, nn
 from lyapnav.envs import RobotKind
 
 
@@ -250,44 +252,57 @@ def test_select_sink_stalls_when_nothing_safe():
         monitor.select_sink(RobotKind.SWEEPING, state, path, 0, world, value, lut)
 
 
+class QuadAgent:
+    """Stand-in agent for monitored episodes: the quadratic V (any Mlp serves
+    as ``v.net``, whose digest binds the table) and a straight-line drive at
+    the target."""
+
+    kind = RobotKind.SWEEPING
+
+    def __init__(self, k):
+        value, _ = quad_v(k)
+        self.v = SimpleNamespace(value=value, net=nn.Mlp([2, 4, 1], "identity", np.random.default_rng(0)))
+
+    def act(self, state, goal, world):
+        d = np.asarray(goal) - state.pos
+        return d / max(np.linalg.norm(d), 0.05)
+
+
 def test_monitored_rollout_reaches_on_empty_world():
+    agent = QuadAgent(1.0)
     value, grad = quad_v(1.0)
-    lut = monitor.build_lut(value, grad, np.geomspace(0.01, 16.0, 16), BOX2, seed=11)
-
-    class StraightPolicy:
-        def forward(self, sg):
-            d = sg[:2]
-            n = np.linalg.norm(d)
-            return d / max(n, 0.05)
-
-    world = envs.empty_world()
-    path = np.array([world.start, world.goal])
-    res = monitor.monitored_rollout(RobotKind.SWEEPING, StraightPolicy(), value, lut, world, path)
-    assert res.outcome == "reached"
-    assert res.steps <= 1000
+    grid = np.geomspace(0.01, 16.0, 16)
+    lut = monitor.build_lut(value, grad, grid, BOX2, seed=11, v_digest=nn.params_digest(agent.v.net))
+    rep = harness.run_episode("monitored", agent, envs.empty_world(), lut=lut)
+    assert rep.outcome == "reached"
+    assert rep.steps <= harness.STEP_CAPS[1]
 
 
-def test_monitored_rollout_detects_violation():
+def test_monitored_rollout_detects_violation(monkeypatch):
+    agent = QuadAgent(1.0)
     value, grad = quad_v(1.0)
-    lut = monitor.build_lut(value, grad, np.geomspace(0.01, 64.0, 16), BOX2, seed=12)
-
-    class StraightPolicy:
-        def forward(self, sg):
-            d = sg[:2]
-            return d / max(np.linalg.norm(d), 0.05)
-
+    grid = np.geomspace(0.01, 64.0, 16)
+    lut = monitor.build_lut(value, grad, grid, BOX2, seed=12, v_digest=nn.params_digest(agent.v.net))
     world = envs.empty_world()
-    # hazard dead on the straight path, placed after rollout start; the huge
-    # table radius certifies straight-line driving into it
+    # hazard dead on the straight line from start to goal
     world.hazards = np.array([[2.0, 2.0, 0.2]])
-    path = np.array([world.start, world.goal])
-    res = monitor.monitored_rollout(RobotKind.SWEEPING, StraightPolicy(), value, lut, world, path)
+    stepped = []
+    step = envs.step
+
+    def recording_step(*args):
+        stepped.append(step(*args))
+        return stepped[-1]
+
+    monkeypatch.setattr(envs, "step", recording_step)
+    rep = harness.run_episode("monitored", agent, world, lut=lut)
+    assert rep.steps == len(stepped)
     # the monitor may dodge or violate depending on the table, but if it
     # reports a violation the final position must be inside the hazard
-    if res.outcome == "violated":
-        assert envs.in_hazard(res.trajectory[-1]["pos"], world)
+    if rep.outcome == "violated":
+        assert envs.in_hazard(stepped[-1].pos, world)
     else:
-        assert res.outcome in ("reached", "stalled", "timeout")
+        assert rep.outcome in ("reached", "stalled", "timeout")
+        assert not any(envs.in_hazard(s.pos, world) for s in stepped)
 
 
 def test_state_box_dimensions():
@@ -298,19 +313,9 @@ def test_state_box_dimensions():
         assert hi[0] == 3.0
 
 
-def test_trajectory_csv(tmp_path):
-    rows = [
-        {
-            "t": 0,
-            "pos": np.array([1.0, 2.0]),
-            "sink": np.array([1.5, 2.0]),
-            "level": 0.3,
-            "radius": 0.7,
-            "action": np.array([0.1, -0.2]),
-        }
-    ]
-    out = tmp_path / "traj.csv"
-    monitor.trajectory_to_csv(rows, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "t,x,y,sink_x,sink_y,level,radius,a0,a1"
-    assert lines[1].startswith("0,1.0,2.0,1.5,2.0")
+
+@pytest.mark.parametrize("key", ["step_cap", "reach_tol"])
+def test_monitor_config_rejects_episode_loop_keys(key):
+    # step caps and the reach tolerance belong to harness.run_episode
+    with pytest.raises(ValueError, match="unknown config keys"):
+        cli.apply_overrides(monitor.MonitorConfig(), {key: 1})

@@ -91,6 +91,16 @@ def test_enclosed_goal_raises_plan_not_found():
         planner.plan_path(world, cfg, seed=0)
 
 
+def test_start_inside_hazard_raises_plan_not_found():
+    # no segment out of a hazard-covered start is clear, so the tree never
+    # grows; the monitor's sink selection relies on this
+    world = envs.empty_world()
+    world.hazards = np.array([[0.6, 0.5, 0.2]])
+    cfg = planner.PlannerConfig.for_world(world, max_iters=500)
+    with pytest.raises(planner.PlanNotFound):
+        planner.plan_path(world, cfg, seed=0)
+
+
 def test_plan_deterministic_per_seed():
     world = envs.make_world(1, seed=5)
     p1 = planner.plan_path(world, seed=11)
