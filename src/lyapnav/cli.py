@@ -5,8 +5,10 @@ end-to-end baseline, score the learned Lyapunov function, precompute the
 certificate lookup table, plan paths, run benchmarks, and re-render reports.
 
 Every dataclass default can be overridden from a single JSON config file with
-top-level sections {"train", "e2e", "planner", "monitor", "search", "lut"}.
-The LYAPNAV_SEED environment variable overrides every --seed argument.
+top-level sections {"train", "e2e", "planner", "monitor", "search"}; an unknown
+section or key is an error. Network width (colearn.HIDDEN) and reach tolerance
+(envs.REACH_TOL) are fixed. The LYAPNAV_SEED environment variable overrides
+every --seed argument.
 """
 
 import argparse
@@ -19,6 +21,8 @@ from dataclasses import fields, replace
 from . import colearn, envs, harness, lyapunov_eval, monitor, nn, planner
 from .envs import RobotKind
 
+CONFIG_SECTIONS = ("train", "e2e", "planner", "monitor", "search")
+
 
 def load_config(path):
     if path is None:
@@ -27,6 +31,9 @@ def load_config(path):
         doc = json.load(f)
     if not isinstance(doc, dict):
         raise ValueError("config file must hold a JSON object")
+    unknown = set(doc) - set(CONFIG_SECTIONS)
+    if unknown:
+        raise ValueError(f"unknown config sections {sorted(unknown)}; known sections are {list(CONFIG_SECTIONS)}")
     return doc
 
 
@@ -38,8 +45,7 @@ def apply_overrides(obj, overrides):
     unknown = set(overrides) - known
     if unknown:
         raise ValueError(f"unknown config keys for {type(obj).__name__}: {sorted(unknown)}")
-    clean = {k: tuple(v) if isinstance(getattr(obj, k), tuple) else v for k, v in overrides.items()}
-    return replace(obj, **clean)
+    return replace(obj, **overrides)
 
 
 def resolve_seed(args):
@@ -81,14 +87,9 @@ def cmd_build_lut(args):
     agent = colearn.Agent.load(args.agent)
     seed = resolve_seed(args)
     search = apply_overrides(monitor.SearchConfig(), doc.get("search"))
-    lut_opts = doc.get("lut", {})
-    n_keys = int(lut_opts.get("n_keys", 32))
-    lo_pct = float(lut_opts.get("lo_pct", 0.1))
-    hi_pct = float(lut_opts.get("hi_pct", 99.0))
-    reach = float(lut_opts.get("reach", args.reach))
     S, _ = lyapunov_eval.sample_transitions(agent.kind, agent.policy, args.n_samples, seed=seed)
-    grid = monitor.level_grid_from_values(agent.v.value(S), n_keys, lo_pct, hi_pct)
-    box = monitor.state_box(agent.kind, reach)
+    grid = monitor.level_grid_from_values(agent.v.value(S))
+    box = monitor.state_box(agent.kind, args.reach)
     lut = monitor.build_lut(
         agent.v.value,
         agent.v.grad,

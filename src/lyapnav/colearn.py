@@ -19,6 +19,23 @@ import numpy as np
 from . import envs, nn
 from .envs import RobotKind
 
+HIDDEN = (64, 64)  # hidden layer widths of every network, e2e baseline included
+
+# columns of the training log, one row per episode
+LOG_FIELDS = (
+    "episode",
+    "mean_reward",
+    "q_loss",
+    "lyapunov_risk",
+    "lq_loss",
+    "policy_loss",
+    "start_distance",
+    "reached",
+    "pos_hinge_frac",
+    "lie_hinge_frac",
+    "replay_size",
+)
+
 
 @dataclass
 class TrainConfig:
@@ -35,14 +52,12 @@ class TrainConfig:
     # degenerate minimum of the plain risk and training collapses
     pos_margin: float = 0.1  # require V >= pos_margin * |d_g|
     lie_margin: float = 0.01  # require V to drop by at least this per step
-    reach_tol: float = 0.1
     goal_range: float = 3.0  # goals sampled in a disk of this radius
     goal_min: float = 0.3
     lr: float = 1e-3
     actor_lr: float = 3e-4
     warmup_episodes: int = 10  # uniform random actions to seed the replay
     hindsight_relabels: int = 4  # extra buffer copies per transition with future achieved goals
-    hidden: tuple = (64, 64)
 
     def validate(self):
         if not 0.0 <= self.gamma <= 1.0:
@@ -53,8 +68,8 @@ class TrainConfig:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         if not (self.batch_size > 0 and self.horizon > 0):
             raise ValueError("batch_size and horizon must be positive")
-        if not 0.0 < self.reach_tol < self.goal_min:
-            raise ValueError(f"need 0 < reach_tol < goal_min, got {self.reach_tol}, {self.goal_min}")
+        if not self.goal_min > envs.REACH_TOL:
+            raise ValueError(f"goal_min must exceed envs.REACH_TOL = {envs.REACH_TOL}, got {self.goal_min}")
 
 
 class LyapunovNet:
@@ -66,11 +81,10 @@ class LyapunovNet:
     are shaped by training.
     """
 
-    def __init__(self, kind, hidden=(64, 64), rng=None):
+    def __init__(self, kind, rng=None):
         self.kind = kind
         self.mask = envs.sink_mask(kind)
-        dim = envs.state_dim(kind)
-        self.net = nn.Mlp([dim] + list(hidden) + [1], "identity", rng)
+        self.net = nn.Mlp([envs.state_dim(kind), *HIDDEN, 1], "identity", rng)
 
     @property
     def in_dim(self):
@@ -200,16 +214,16 @@ class Agent:
         return agent
 
 
-def make_agent(kind, hidden=(64, 64), seed=0):
+def make_agent(kind, seed=0):
     """Fresh agent with targets initialized to the online networks."""
     d = envs.feature_dim(kind)
     na = envs.action_dim(kind)
     ss = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in ss.spawn(4)]
-    pi = nn.Mlp([d] + list(hidden) + [na], "tanh", rngs[0])
-    q = nn.Mlp([d + na] + list(hidden) + [1], "identity", rngs[1])
-    v = LyapunovNet(kind, hidden, rngs[2])
-    lq = nn.Mlp([d + na] + list(hidden) + [1], "identity", rngs[3])
+    pi = nn.Mlp([d, *HIDDEN, na], "tanh", rngs[0])
+    q = nn.Mlp([d + na, *HIDDEN, 1], "identity", rngs[1])
+    v = LyapunovNet(kind, rngs[2])
+    lq = nn.Mlp([d + na, *HIDDEN, 1], "identity", rngs[3])
     return Agent(kind, pi, q, v, lq, pi.copy(), q.copy(), lq.copy())
 
 
@@ -373,7 +387,7 @@ def collect_episode(kind, policy, cfg, rng, goal=None, random_actions=False, noi
         nxt = envs.step(kind, state, a)
         r = envs.reward(goal, state, nxt)
         sg1 = envs.goal_condition(nxt, goal)
-        done = np.linalg.norm(goal - nxt.pos) < cfg.reach_tol
+        done = np.linalg.norm(goal - nxt.pos) < envs.REACH_TOL
         transitions.append((sg, a, r, sg1, done))
         states.append(nxt)
         total += r
@@ -402,7 +416,7 @@ def store_episode(buffer, transitions, states, cfg, rng):
             sg = envs.goal_condition(s_t, g)
             sg1 = envs.goal_condition(s_t1, g)
             r = envs.reward(g, s_t, s_t1)
-            done = np.linalg.norm(g - s_t1.pos) < cfg.reach_tol
+            done = np.linalg.norm(g - s_t1.pos) < envs.REACH_TOL
             buffer.add(sg, a, r, sg1, done)
 
 
@@ -414,7 +428,7 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
     """
     cfg = cfg or TrainConfig()
     cfg.validate()
-    agent = make_agent(kind, cfg.hidden, seed=seed)
+    agent = make_agent(kind, seed=seed)
     trainer = Trainer(agent, cfg)
     buffer = ReplayBuffer(cfg.replay_capacity, envs.state_dim(kind), envs.action_dim(kind))
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
@@ -440,39 +454,11 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
             means /= phases
         for net, name in ((agent.pi, "pi"), (agent.q, "q"), (agent.v.net, "v"), (agent.lq, "lq")):
             nn.check_finite(net, f"in {name} after episode {ep}")
-        log_rows.append(
-            {
-                "episode": ep,
-                "mean_reward": ep_reward,
-                "q_loss": means[0],
-                "lyapunov_risk": means[1],
-                "lq_loss": means[2],
-                "policy_loss": means[3],
-                "start_distance": d0,
-                "reached": int(transitions[-1][4]),
-                "pos_hinge_frac": float(means[4]),
-                "lie_hinge_frac": float(means[5]),
-                "replay_size": buffer.size,
-            }
-        )
+        row = (ep, ep_reward, *means[:4], d0, int(transitions[-1][4]), float(means[4]), float(means[5]), buffer.size)
+        log_rows.append(dict(zip(LOG_FIELDS, row)))
     if log_path is not None:
         with open(log_path, "w", newline="") as f:
-            writer = csv.DictWriter(
-                f,
-                fieldnames=[
-                    "episode",
-                    "mean_reward",
-                    "q_loss",
-                    "lyapunov_risk",
-                    "lq_loss",
-                    "policy_loss",
-                    "start_distance",
-                    "reached",
-                    "pos_hinge_frac",
-                    "lie_hinge_frac",
-                    "replay_size",
-                ],
-            )
+            writer = csv.DictWriter(f, fieldnames=LOG_FIELDS)
             writer.writeheader()
             # repr(float(.)): numpy 2 writes repr(np.float64) as "np.float64(...)"
             writer.writerows(

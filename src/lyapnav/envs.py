@@ -25,6 +25,7 @@ CAR_TRACK_WIDTH = 0.4
 
 HAZARD_RADIUS = 0.2
 START_GOAL_CLEARANCE = 0.3  # extra clearance beyond the hazard radius
+REACH_TOL = 0.1  # goal (and waypoint) reach distance in training and evaluation
 
 # level -> (map side length, hazard count)
 LEVELS = {1: (4.0, 8), 2: (8.0, 32), 3: (16.0, 128)}

@@ -21,7 +21,6 @@ from . import colearn, envs, monitor, nn, planner
 from .envs import RobotKind
 
 STEP_CAPS = {1: 1000, 2: 4000, 3: 16_000}
-REACH_TOL = 0.1  # goal (and h-e2e waypoint) reach distance of every method
 
 METHODS = ("monitored", "e2e", "h-e2e", "direct")
 
@@ -85,9 +84,9 @@ def e2e_obs_dim(kind):
     return 16 + envs.state_dim(kind)
 
 
-def make_e2e_policy(kind, hidden=(64, 64), seed=0):
+def make_e2e_policy(kind, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE2]))
-    net = nn.Mlp([e2e_obs_dim(kind)] + list(hidden) + [envs.action_dim(kind)], "tanh", rng)
+    net = nn.Mlp([e2e_obs_dim(kind), *colearn.HIDDEN, envs.action_dim(kind)], "tanh", rng)
     return E2ePolicy(kind, net)
 
 
@@ -103,23 +102,21 @@ class E2eTrainConfig:
     horizon: int = 300
     noise: float = 0.15
     replay_capacity: int = 100_000
-    reach_tol: float = 0.1
     lr: float = 1e-3
     actor_lr: float = 3e-4
     warmup_episodes: int = 10
-    hidden: tuple = (64, 64)
 
 
 def train_e2e(kind, cfg=None, seed=0):
     """DDPG training of the end-to-end baseline in randomly generated hazard
     worlds, with the hazard-penalized progress reward."""
     cfg = cfg or E2eTrainConfig()
-    policy = make_e2e_policy(kind, cfg.hidden, seed)
+    policy = make_e2e_policy(kind, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE3]))
     q_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE4]))
     na = envs.action_dim(kind)
     obs_dim = e2e_obs_dim(kind)
-    q = nn.Mlp([obs_dim + na] + list(cfg.hidden) + [1], "identity", q_rng)
+    q = nn.Mlp([obs_dim + na, *colearn.HIDDEN, 1], "identity", q_rng)
     pi_t, q_t = policy.net.copy(), q.copy()
     adam_pi = nn.AdamState(policy.net.params(), lr=cfg.actor_lr)
     adam_q = nn.AdamState(q.params(), lr=cfg.lr)
@@ -137,7 +134,7 @@ def train_e2e(kind, cfg=None, seed=0):
             nxt = envs.step(kind, state, a)
             r = envs.e2e_reward(goal, state, nxt, world, cfg.penalty)
             o1 = policy.observe(nxt, goal, world)
-            done = np.linalg.norm(goal - nxt.pos) < cfg.reach_tol
+            done = np.linalg.norm(goal - nxt.pos) < envs.REACH_TOL
             buffer.add(o, a, r, o1, done)
             state = nxt
             if done:
@@ -162,7 +159,7 @@ def _episode(method, robot, level, world, outcome, steps):
 
 class _WaypointChaser:
     """Steering of e2e, h-e2e and direct: each waypoint in turn, moving on
-    once the robot is within REACH_TOL of it."""
+    once the robot is within envs.REACH_TOL of it."""
 
     def __init__(self, waypoints):
         self.waypoints = waypoints
@@ -172,7 +169,8 @@ class _WaypointChaser:
         return self.waypoints[self.wp]
 
     def advance(self, state):
-        while self.wp < len(self.waypoints) - 1 and np.linalg.norm(state.pos - self.waypoints[self.wp]) < REACH_TOL:
+        last = len(self.waypoints) - 1
+        while self.wp < last and np.linalg.norm(state.pos - self.waypoints[self.wp]) < envs.REACH_TOL:
             self.wp += 1
 
 
@@ -219,7 +217,7 @@ def run_episode(method, agent, world, config=None, lut=None, plan_seed=0):
         state = envs.step(kind, state, agent.act(state, target, world))
         if method != "direct" and envs.in_hazard(state.pos, world):
             return _episode(method, kind, level, world, "violated", t + 1)
-        if np.linalg.norm(state.pos - goal) < REACH_TOL:
+        if np.linalg.norm(state.pos - goal) < envs.REACH_TOL:
             return _episode(method, kind, level, world, "reached", t + 1)
         steer.advance(state)
     return _episode(method, kind, level, world, "timeout", cap)

@@ -12,7 +12,8 @@ import numpy as np
 
 CHECKPOINT_VERSION = 1
 
-OUTPUT_ACTIVATIONS = ("identity", "tanh", "softplus")
+HIDDEN_ACTIVATION = "tanh"
+OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
 
 class ShapeError(ValueError):
@@ -23,16 +24,8 @@ class CheckpointError(RuntimeError):
     """A parameter file is malformed or does not match the architecture."""
 
 
-def _softplus(z):
-    return np.logaddexp(0.0, z)
-
-
-def _sigmoid(z):
-    return 0.5 * (1.0 + np.tanh(0.5 * z))
-
-
 class Mlp:
-    """Feed-forward net, tanh hidden layers, configurable output activation."""
+    """Feed-forward net, tanh hidden layers, identity or tanh output."""
 
     def __init__(self, layer_sizes, output_activation="identity", rng=None):
         if len(layer_sizes) < 2 or any(n <= 0 for n in layer_sizes):
@@ -66,18 +59,6 @@ class Mlp:
             out.append(b)
         return out
 
-    def set_params(self, params):
-        expected = self.params()
-        if len(params) != len(expected):
-            raise ShapeError("parameter count mismatch")
-        for i, (p, q) in enumerate(zip(params, expected)):
-            p = np.asarray(p, dtype=float)
-            if p.shape != q.shape:
-                raise ShapeError(f"parameter {i} shape {p.shape} != {q.shape}")
-        for i in range(len(self.weights)):
-            self.weights[i] = np.array(params[2 * i], dtype=float)
-            self.biases[i] = np.array(params[2 * i + 1], dtype=float)
-
     def copy(self):
         other = Mlp(self.layer_sizes, self.output_activation)
         other.weights = [w.copy() for w in self.weights]
@@ -94,37 +75,25 @@ class Mlp:
         return x, squeeze
 
     def _forward_cached(self, x):
-        """Returns (pre-activations, post-activations) per layer, input included."""
+        """Activations per layer, input included."""
         acts = [x]
-        pres = []
-        h = x
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = h @ w + b
-            pres.append(z)
-            if i < last:
-                h = np.tanh(z)
-            elif self.output_activation == "tanh":
-                h = np.tanh(z)
-            elif self.output_activation == "softplus":
-                h = _softplus(z)
-            else:
-                h = z
-            acts.append(h)
-        return pres, acts
+            z = acts[-1] @ w + b
+            acts.append(np.tanh(z) if i < last or self.output_activation == "tanh" else z)
+        return acts
 
     def forward(self, x):
         x, squeeze = self._check_input(x)
-        _, acts = self._forward_cached(x)
-        out = acts[-1]
+        out = self._forward_cached(x)[-1]
         return out[0] if squeeze else out
 
     def forward_cache(self, x):
         """forward(x) together with the activation cache that backward() takes."""
         x, squeeze = self._check_input(x)
-        pres, acts = self._forward_cached(x)
+        acts = self._forward_cached(x)
         out = acts[-1]
-        return (out[0] if squeeze else out), (pres, acts, squeeze)
+        return (out[0] if squeeze else out), (acts, squeeze)
 
     def backward(self, cache, upstream):
         """Backprop of <upstream, forward(x)> summed over the batch, where
@@ -133,19 +102,14 @@ class Mlp:
         Returns (param_grads, input_grad); param_grads matches params() order,
         input_grad matches the shape of x.
         """
-        pres, acts, squeeze = cache
+        acts, squeeze = cache
         upstream = np.asarray(upstream, dtype=float)
         if squeeze:
             upstream = upstream[None, :]
         if upstream.shape != (acts[0].shape[0], self.out_dim):
             raise ShapeError(f"upstream shape {upstream.shape} incompatible")
         last = len(self.weights) - 1
-        if self.output_activation == "tanh":
-            delta = upstream * (1.0 - acts[-1] ** 2)
-        elif self.output_activation == "softplus":
-            delta = upstream * _sigmoid(pres[-1])
-        else:
-            delta = upstream
+        delta = upstream * (1.0 - acts[-1] ** 2) if self.output_activation == "tanh" else upstream
         grads = [None] * (2 * len(self.weights))
         for i in range(last, -1, -1):
             grads[2 * i] = acts[i].T @ delta
@@ -214,7 +178,7 @@ def save_params(net, path):
     doc = {
         "format_version": CHECKPOINT_VERSION,
         "layer_sizes": net.layer_sizes,
-        "hidden_activation": "tanh",
+        "hidden_activation": HIDDEN_ACTIVATION,
         "output_activation": net.output_activation,
         "weights": [np.asarray(w).tolist() for w in net.weights],
         "biases": [np.asarray(b).tolist() for b in net.biases],
@@ -229,11 +193,17 @@ def load_params(path, net=None):
         with open(path) as f:
             doc = json.load(f)
         layer_sizes = list(doc["layer_sizes"])
+        hidden_activation = doc["hidden_activation"]
         output_activation = doc["output_activation"]
         weights = [np.asarray(w, dtype=float) for w in doc["weights"]]
         biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"cannot parse checkpoint {path}: {exc}") from exc
+    if hidden_activation != HIDDEN_ACTIVATION or output_activation not in OUTPUT_ACTIVATIONS:
+        raise CheckpointError(
+            f"checkpoint {path} has activations {hidden_activation}/{output_activation}; "
+            f"networks have {HIDDEN_ACTIVATION} hidden layers and one of {OUTPUT_ACTIVATIONS} outputs"
+        )
     if net is None:
         net = Mlp(layer_sizes, output_activation)
     elif net.layer_sizes != layer_sizes or net.output_activation != output_activation:

@@ -16,18 +16,15 @@ class PlannerConfig:
     # extra clearance beyond the hazard radius; must exceed the monitor's
     # smallest inflated certificate radius or tight passages livelock
     margin: float = 0.2
-    step_size: float = 0.25  # scaled with map size by default_config_for
+    step_size: float = 0.25  # scaled with map size by for_world
     goal_bias: float = 0.1
     max_iters: int = 20_000
     goal_tol: float = 0.25
 
     @classmethod
-    def for_world(cls, world, **overrides):
+    def for_world(cls, world):
         scale = world.size / 4.0
-        cfg = cls(step_size=0.25 * scale, goal_tol=0.25 * scale)
-        for k, v in overrides.items():
-            setattr(cfg, k, v)
-        return cfg
+        return cls(step_size=0.25 * scale, goal_tol=0.25 * scale)
 
 
 @dataclass

@@ -1,0 +1,53 @@
+"""Config files: every section and key names a setting that a command reads."""
+
+import json
+
+import pytest
+
+from lyapnav import cli, colearn, harness
+
+
+@pytest.fixture
+def no_work(monkeypatch):
+    """Fail the test if a command gets as far as training or loading an agent."""
+
+    def fail(*args, **kwargs):
+        pytest.fail("the config file was accepted")
+
+    monkeypatch.setattr(colearn, "colearn", fail)
+    monkeypatch.setattr(harness, "train_e2e", fail)
+    monkeypatch.setattr(colearn.Agent, "load", fail)
+
+
+@pytest.mark.parametrize(
+    "command, doc, match",
+    [
+        ("train", {"train": {"hidden": [32, 32]}}, "hidden"),
+        ("train-e2e", {"e2e": {"hidden": [32, 32]}}, "hidden"),
+        ("train", {"train": {"reach_tol": 0.2}}, "reach_tol"),
+        ("build-lut", {"lut": {"n_keys": 4}}, "lut"),
+        ("train", {"trian": {}}, "trian"),
+    ],
+    ids=["train.hidden", "e2e.hidden", "train.reach_tol", "lut", "trian"],
+)
+def test_config_file_with_unused_setting_is_rejected(tmp_path, no_work, command, doc, match):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    if command == "build-lut":
+        argv = [command, "--agent", str(tmp_path / "agent"), "--out", str(out), "--config", str(cfg)]
+    else:
+        argv = [command, "--robot", "sweeping", "--out", str(out), "--config", str(cfg)]
+    args = cli.build_parser().parse_args(argv)
+    with pytest.raises(ValueError, match=match):
+        args.fn(args)
+    assert not out.exists()
+
+
+def test_config_file_may_hold_every_section(tmp_path):
+    # sections are checked against one set, not per command, so one file can
+    # carry the sections of several commands
+    cfg = tmp_path / "cfg.json"
+    doc = {section: {} for section in ("train", "e2e", "planner", "monitor", "search")}
+    cfg.write_text(json.dumps(doc))
+    assert cli.load_config(str(cfg)) == doc

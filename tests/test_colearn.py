@@ -152,7 +152,7 @@ def test_hindsight_relabels_consistent():
         d1 = np.linalg.norm(buf.s1[i][:2])
         d0 = np.linalg.norm(buf.s[i][:2])
         assert buf.r[i] == pytest.approx(d0 - d1)
-        assert buf.done[i] == float(d1 < cfg.reach_tol)
+        assert buf.done[i] == float(d1 < envs.REACH_TOL)
 
 
 def test_train_q_reduces_td_error_on_fixed_batch():
@@ -310,7 +310,7 @@ def test_train_config_validation():
         lambda: colearn.TrainConfig(alpha=-1.0).validate(),
         lambda: colearn.TrainConfig(batch_size=0).validate(),
         lambda: colearn.TrainConfig(horizon=0).validate(),
-        lambda: colearn.TrainConfig(reach_tol=0.5, goal_min=0.3).validate(),
+        lambda: colearn.TrainConfig(goal_min=0.05).validate(),
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, -0.1, 0.5, 5.0),
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, 0.1, 1.5, 5.0),
         lambda: lyapunov_eval.LyapunovReport(10, 0.5, -0.1, 0.0, 0.0),

@@ -1,4 +1,5 @@
-"""Source hygiene: every name a lyapnav module imports is used in it."""
+"""Source hygiene: every name a lyapnav module imports is used in it, and
+every function and class it defines is referenced somewhere."""
 
 import ast
 from pathlib import Path
@@ -8,6 +9,7 @@ import pytest
 import lyapnav
 
 SOURCES = sorted(Path(lyapnav.__file__).parent.glob("*.py"))
+REPO = Path(__file__).resolve().parents[1]
 
 
 def unused_imports(source):
@@ -32,3 +34,36 @@ def test_unused_imports_finds_leftover_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_definitions(defining, referencing):
+    """Non-dunder function and class names defined in the ``defining`` sources
+    that no ``referencing`` source reads as a name or an attribute."""
+    defined = set()
+    for source in defining:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+    referenced = set()
+    for source in referencing:
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return sorted(n for n in defined - referenced if not (n.startswith("__") and n.endswith("__")))
+
+
+def test_unreferenced_definitions_finds_dead_code():
+    source = (
+        "class A:\n"
+        "    def __init__(self):\n        pass\n"
+        "    def used(self):\n        pass\n"
+        "    def dead(self):\n        pass\n"
+    )
+    assert unreferenced_definitions([source], [source, "A().used()\n"]) == ["dead"]
+
+
+def test_every_definition_is_referenced():
+    referencing = [p.read_text() for d in ("src", "tests", "bench") for p in sorted((REPO / d).rglob("*.py"))]
+    assert unreferenced_definitions([p.read_text() for p in SOURCES], referencing) == []

@@ -31,7 +31,7 @@ def rel_err(a, b):
     return np.abs(a - b) / (np.maximum(np.abs(a), np.abs(b)) + 1e-10)
 
 
-@pytest.mark.parametrize("act", ["identity", "tanh", "softplus"])
+@pytest.mark.parametrize("act", nn.OUTPUT_ACTIVATIONS)
 def test_param_gradients_match_finite_differences(act):
     rng = np.random.default_rng(7)
     net = nn.Mlp([3, 8, 2], act, rng)
@@ -59,7 +59,7 @@ def test_input_gradients_match_finite_differences():
             assert rel_err(analytic[i, j], num) < 1e-5
 
 
-@pytest.mark.parametrize("act", ["identity", "tanh", "softplus"])
+@pytest.mark.parametrize("act", nn.OUTPUT_ACTIVATIONS)
 @pytest.mark.parametrize("shape", [(3,), (1, 3), (5, 3)])
 def test_forward_cache_and_backward_match_forward_and_gradients(act, shape):
     rng = np.random.default_rng(10)
@@ -147,6 +147,20 @@ def test_checkpoint_rejects_corrupt_file(tmp_path):
     net = nn.Mlp([2, 2, 1], "identity", np.random.default_rng(0))
     with pytest.raises(nn.CheckpointError):
         nn.load_params(path, net)
+
+
+@pytest.mark.parametrize("field, value", [("output_activation", "softplus"), ("hidden_activation", "relu")])
+def test_checkpoint_rejects_unknown_activation(tmp_path, field, value):
+    # activations no network has, loaded with or without a network to load into
+    net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(0))
+    path = tmp_path / "net.json"
+    nn.save_params(net, path)
+    doc = json.loads(path.read_text())
+    doc[field] = value
+    path.write_text(json.dumps(doc))
+    for target in (None, net):
+        with pytest.raises(nn.CheckpointError, match=value):
+            nn.load_params(path, target)
 
 
 def test_params_digest_detects_change():

@@ -1,5 +1,7 @@
 """Waypoint planning: collision predicates, tree growth, path extraction."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ def test_start_inside_hazard_raises_plan_not_found():
     # grows; the monitor's sink selection relies on this
     world = envs.empty_world()
     world.hazards = np.array([[0.6, 0.5, 0.2]])
-    cfg = planner.PlannerConfig.for_world(world, max_iters=500)
+    cfg = replace(planner.PlannerConfig.for_world(world), max_iters=500)
     with pytest.raises(planner.PlanNotFound):
         planner.plan_path(world, cfg, seed=0)
 
