@@ -21,7 +21,13 @@ from dataclasses import fields, replace
 from . import colearn, envs, harness, lyapunov_eval, monitor, nn, planner
 from .envs import RobotKind
 
-CONFIG_SECTIONS = ("train", "e2e", "planner", "monitor", "search")
+CONFIG_SECTIONS = {
+    "train": colearn.TrainConfig,
+    "e2e": harness.E2eTrainConfig,
+    "planner": planner.PlannerConfig,
+    "monitor": monitor.MonitorConfig,
+    "search": monitor.SearchConfig,
+}
 
 
 def load_config(path):
@@ -38,13 +44,20 @@ def load_config(path):
 
 
 def apply_overrides(obj, overrides):
-    """Dataclass copy with config-file overrides; unknown keys are errors."""
+    """Dataclass copy with config-file overrides. Unknown keys and values of
+    the wrong type are errors: an int setting takes a JSON integer, a float
+    setting an integer or a float, and true and false are neither."""
     if not overrides:
         return obj
-    known = {f.name for f in fields(obj)}
-    unknown = set(overrides) - known
+    types = {f.name: f.type for f in fields(obj)}
+    unknown = set(overrides) - set(types)
     if unknown:
         raise ValueError(f"unknown config keys for {type(obj).__name__}: {sorted(unknown)}")
+    section = next(name for name, cls in CONFIG_SECTIONS.items() if isinstance(obj, cls))
+    for key, value in overrides.items():
+        accepted, expected = {int: ((int,), "an integer"), float: ((int, float), "a number")}[types[key]]
+        if isinstance(value, bool) or not isinstance(value, accepted):
+            raise ValueError(f"config setting {section}.{key} must be {expected}, got {json.dumps(value)}")
     return replace(obj, **overrides)
 
 

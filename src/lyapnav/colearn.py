@@ -286,7 +286,7 @@ def actor_step(pi, adam, s, critics):
     for critic, w in critics:
         out, cache = critic.forward_cache(x)
         values.append(w * out[:, 0])
-        terms.append(critic.backward(cache, w * ones / n)[1][:, -na:])
+        terms.append(critic.backward(cache, w * ones / n, params=False)[1][:, -na:])
         del cache  # hold one critic's activations at a time, next to pi's
     grads, _ = pi.backward(pi_cache, sum(terms[1:], terms[0]))
     nn.adam_step(adam, pi.params(), grads)

@@ -242,60 +242,25 @@ class MonitorConfig:
 
 
 def select_sink(kind, state, path, seg_idx, world, value_fn, lut, cfg=None):
-    """Farthest safe sink among the line-search candidates in the window.
-
-    The candidates of each window segment sit at fractions 0, delta, ...,
-    1 of it. A candidate is safe when its inflated certified circle clears
-    every hazard; among safe candidates the farthest path progress wins, ties
-    broken by the larger certified radius, then by the earlier segment and
-    fraction. (Radius-first selection livelocks in tight passages: the
-    already-traversed open space behind the robot always admits a larger
-    circle than the passage ahead, so the monitor would keep sending the
-    robot backward.) Raises MonitorStall when nothing is safe.
-
-    The robot position is taken to be hazard-free and is not checked here:
-    ``harness.run_episode`` ends an episode at its first in-hazard step, and
-    the planner raises PlanNotFound for a start inside a hazard.
-    """
-    cfg = cfg or MonitorConfig()
-    if not 0.0 < cfg.delta <= 1.0:
-        raise ValueError("delta must be in (0, 1]")
-    n_seg = max(len(path) - 1, 1)
-    seg_idx = min(seg_idx, n_seg - 1)
-    segs = np.arange(seg_idx, min(seg_idx + cfg.window, n_seg))
-    fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
-    g1 = path[segs, None]
-    g2 = path[np.minimum(segs + 1, len(path) - 1), None]
-    cands = (g1 + fracs[:, None] * (g2 - g1)).reshape(-1, 2)
-    levels = value_fn(envs.goal_condition(state, cands))
-    radii = lut_query(lut, levels)
-    hz = world.hazards
-    gaps = np.linalg.norm(hz[:, :2] - cands[:, None], axis=2)
-    safe = ~np.isnan(radii) & np.all(gaps >= (radii * cfg.radius_inflation)[:, None] + hz[:, 2], axis=1)
-    if not safe.any():
-        raise MonitorStall(f"no safe sink in window at segment {seg_idx}")
-    progress = (segs[:, None] + fracs).ravel()
-    idx = np.flatnonzero(safe)
-    farthest = idx[progress[idx] == progress[idx].max()]
-    i = farthest[np.argmax(radii[farthest])]
-    seg, j = divmod(int(i), fracs.size)
-    return SinkChoice(cands[i].copy(), float(levels[i]), float(radii[i]), seg_idx + seg, float(fracs[j]))
-
-
-def _nearest_segment(pos, path, seg_idx, window):
-    n_seg = max(len(path) - 1, 1)
-    segs = np.arange(seg_idx, min(seg_idx + window + 1, n_seg))
-    d = planner.point_segment_distance(pos, path[segs], path[np.minimum(segs + 1, len(path) - 1)])
-    return int(segs[np.argmin(d)])
+    """Farthest safe sink in the window starting at path segment seg_idx:
+    one ``SinkTracker.select`` on a fresh tracker for this path."""
+    return SinkTracker(kind, path, world, value_fn, lut, cfg).select(state, seg_idx)
 
 
 class SinkTracker:
     """Steering of a monitored episode: one sink per step along the path.
 
-    ``target`` re-runs the sink line search from the current state. A stall
-    holds the last safe sink for cfg.stall_patience steps; past that, or
-    with no sink to hold, it raises MonitorStall and the episode stalls.
-    ``advance`` re-anchors the path segment on the robot's new position.
+    The path's geometry is tabulated once: the candidate sinks of every
+    segment, at fractions 0, delta, ..., 1 of it, their path progress, and
+    the segment endpoints. The first time the window reaches a segment, its
+    candidates' minimum gap to the hazard centres is stored, one minimum per
+    distinct hazard radius, so a step costs one V call, one table query and
+    one compare of those gaps against the inflated certified radii.
+
+    ``target`` selects a sink from the current state. A stall holds the last
+    safe sink for cfg.stall_patience steps; past that, or with no sink to
+    hold, it raises MonitorStall and the episode stalls. ``advance``
+    re-anchors the path segment on the robot's new position.
     """
 
     def __init__(self, kind, path, world, value_fn, lut, cfg=None):
@@ -305,15 +270,72 @@ class SinkTracker:
         self.value_fn = value_fn
         self.lut = lut
         self.cfg = cfg or MonitorConfig()
+        if not 0.0 < self.cfg.delta <= 1.0:
+            raise ValueError("delta must be in (0, 1]")
         self.seg_idx = 0
         self.stall = 0
         self.held = None
+        n_seg = max(len(path) - 1, 1)
+        self.fracs = np.minimum(np.arange(int(np.ceil(1.0 / self.cfg.delta)) + 1) * self.cfg.delta, 1.0)
+        self.seg_a = path[:n_seg]
+        self.seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
+        self.cands = self.seg_a[:, None] + self.fracs[:, None] * (self.seg_b - self.seg_a)[:, None]
+        self.progress = np.arange(n_seg)[:, None] + self.fracs
+        # hazards grouped by radius: every hazard of radius rho has the same
+        # clearance threshold R * inflation + rho, so the group's nearest
+        # centre decides the whole group
+        hz = world.hazards[np.argsort(world.hazards[:, 2], kind="stable")]
+        self.hz_xy = hz[:, :2]
+        self.rhos, self.rho_starts = np.unique(hz[:, 2], return_index=True)
+        self.gaps = np.empty((n_seg, self.fracs.size, self.rhos.size))
+        self.has_gaps = np.zeros(n_seg, dtype=bool)
+
+    def _clearance(self, seg):
+        """Minimum distance from each candidate of segment seg to the hazard
+        centres of each radius group."""
+        d = np.linalg.norm(self.hz_xy - self.cands[seg][:, None], axis=2)
+        return np.minimum.reduceat(d, self.rho_starts, axis=1)
+
+    def select(self, state, seg_idx):
+        """Farthest safe sink among the candidates of segments seg_idx to
+        seg_idx + cfg.window - 1.
+
+        A candidate is safe when its inflated certified circle clears every
+        hazard; among safe candidates the farthest path progress wins, ties
+        broken by the larger certified radius, then by the earlier segment and
+        fraction. (Radius-first selection livelocks in tight passages: the
+        already-traversed open space behind the robot always admits a larger
+        circle than the passage ahead, so the monitor would keep sending the
+        robot backward.) Raises MonitorStall when nothing is safe.
+
+        The robot position is taken to be hazard-free and is not checked here:
+        ``harness.run_episode`` ends an episode at its first in-hazard step,
+        and the planner raises PlanNotFound for a start inside a hazard.
+        """
+        n_seg = self.has_gaps.size
+        lo = min(seg_idx, n_seg - 1)
+        hi = min(lo + self.cfg.window, n_seg)
+        for seg in range(lo, hi):
+            if not self.has_gaps[seg]:
+                self.gaps[seg] = self._clearance(seg)
+                self.has_gaps[seg] = True
+        cands = self.cands[lo:hi].reshape(-1, 2)
+        levels = self.value_fn(envs.goal_condition(state, cands))
+        radii = lut_query(self.lut, levels)
+        gaps = self.gaps[lo:hi].reshape(len(cands), self.rhos.size)
+        safe = ~np.isnan(radii) & np.all(gaps >= (radii * self.cfg.radius_inflation)[:, None] + self.rhos, axis=1)
+        if not safe.any():
+            raise MonitorStall(f"no safe sink in window at segment {lo}")
+        progress = self.progress[lo:hi].ravel()
+        idx = np.flatnonzero(safe)
+        farthest = idx[progress[idx] == progress[idx].max()]
+        i = farthest[np.argmax(radii[farthest])]
+        seg, j = divmod(int(i), self.fracs.size)
+        return SinkChoice(cands[i].copy(), float(levels[i]), float(radii[i]), lo + seg, float(self.fracs[j]))
 
     def target(self, state):
         try:
-            choice = select_sink(
-                self.kind, state, self.path, self.seg_idx, self.world, self.value_fn, self.lut, self.cfg
-            )
+            choice = self.select(state, self.seg_idx)
             self.stall = 0
         except MonitorStall:
             self.stall += 1
@@ -325,7 +347,11 @@ class SinkTracker:
         return choice.pos
 
     def advance(self, state):
-        self.seg_idx = _nearest_segment(state.pos, self.path, self.seg_idx, self.cfg.window)
+        """Move seg_idx to the nearest of segments seg_idx to seg_idx +
+        cfg.window (the earliest on ties)."""
+        hi = min(self.seg_idx + self.cfg.window + 1, self.has_gaps.size)
+        d = planner.point_segment_distance(state.pos, self.seg_a[self.seg_idx : hi], self.seg_b[self.seg_idx : hi])
+        self.seg_idx += int(np.argmin(d))
 
 
 def state_box(kind, reach):

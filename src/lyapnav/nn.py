@@ -95,12 +95,13 @@ class Mlp:
         out = acts[-1]
         return (out[0] if squeeze else out), (acts, squeeze)
 
-    def backward(self, cache, upstream):
+    def backward(self, cache, upstream, params=True):
         """Backprop of <upstream, forward(x)> summed over the batch, where
         cache comes from forward_cache(x) on the current parameters.
 
         Returns (param_grads, input_grad); param_grads matches params() order,
-        input_grad matches the shape of x.
+        input_grad matches the shape of x. With params=False the parameter
+        gradients are not computed and param_grads is None.
         """
         acts, squeeze = cache
         upstream = np.asarray(upstream, dtype=float)
@@ -110,10 +111,11 @@ class Mlp:
             raise ShapeError(f"upstream shape {upstream.shape} incompatible")
         last = len(self.weights) - 1
         delta = upstream * (1.0 - acts[-1] ** 2) if self.output_activation == "tanh" else upstream
-        grads = [None] * (2 * len(self.weights))
+        grads = [None] * (2 * len(self.weights)) if params else None
         for i in range(last, -1, -1):
-            grads[2 * i] = acts[i].T @ delta
-            grads[2 * i + 1] = delta.sum(axis=0)
+            if params:
+                grads[2 * i] = acts[i].T @ delta
+                grads[2 * i + 1] = delta.sum(axis=0)
             delta = delta @ self.weights[i].T
             if i > 0:
                 delta = delta * (1.0 - acts[i] ** 2)
@@ -124,7 +126,8 @@ class Mlp:
         return self.backward(self.forward_cache(x)[1], upstream)
 
     def input_gradients(self, x, upstream):
-        return self.gradients(x, upstream)[1]
+        """Gradient of <upstream, forward(x)> with respect to x only."""
+        return self.backward(self.forward_cache(x)[1], upstream, params=False)[1]
 
 
 class AdamState:
@@ -205,7 +208,10 @@ def load_params(path, net=None):
             f"networks have {HIDDEN_ACTIVATION} hidden layers and one of {OUTPUT_ACTIVATIONS} outputs"
         )
     if net is None:
-        net = Mlp(layer_sizes, output_activation)
+        try:
+            net = Mlp(layer_sizes, output_activation)
+        except (TypeError, ValueError) as exc:
+            raise CheckpointError(f"checkpoint {path} has bad layer sizes {layer_sizes}") from exc
     elif net.layer_sizes != layer_sizes or net.output_activation != output_activation:
         raise CheckpointError(
             f"checkpoint architecture {layer_sizes}/{output_activation} does not "

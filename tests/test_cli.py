@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from lyapnav import cli, colearn, harness
+from lyapnav import cli, colearn, harness, monitor
 
 
 @pytest.fixture
@@ -51,3 +51,34 @@ def test_config_file_may_hold_every_section(tmp_path):
     doc = {section: {} for section in ("train", "e2e", "planner", "monitor", "search")}
     cfg.write_text(json.dumps(doc))
     assert cli.load_config(str(cfg)) == doc
+
+
+def test_int_setting_takes_json_integers_only():
+    assert cli.apply_overrides(colearn.TrainConfig(), {"episodes": 5}).episodes == 5
+    for value in (5.0, "5", None, [5]):
+        with pytest.raises(ValueError, match=r"train\.episodes must be an integer"):
+            cli.apply_overrides(colearn.TrainConfig(), {"episodes": value})
+
+
+def test_float_setting_takes_integers_and_floats():
+    cfg = cli.apply_overrides(monitor.MonitorConfig(), {"delta": 0.25, "radius_inflation": 1})
+    assert (cfg.delta, cfg.radius_inflation) == (0.25, 1)
+    for value in ("0.25", None, {"x": 1}):
+        with pytest.raises(ValueError, match=r"monitor\.delta must be a number"):
+            cli.apply_overrides(monitor.MonitorConfig(), {"delta": value})
+
+
+@pytest.mark.parametrize("value", [True, False])
+def test_true_and_false_are_not_numbers(value):
+    with pytest.raises(ValueError, match=r"e2e\.episodes must be an integer"):
+        cli.apply_overrides(harness.E2eTrainConfig(), {"episodes": value})
+    with pytest.raises(ValueError, match=r"search\.beta must be a number"):
+        cli.apply_overrides(monitor.SearchConfig(), {"beta": value})
+
+
+def test_wrongly_typed_setting_is_a_command_error(tmp_path, no_work, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"train": {"episodes": "5"}}))
+    out = tmp_path / "out"
+    assert cli.main(["train", "--robot", "sweeping", "--out", str(out), "--config", str(cfg)]) == 1
+    assert capsys.readouterr().err == 'error: config setting train.episodes must be an integer, got "5"\n'

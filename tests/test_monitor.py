@@ -6,7 +6,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyapnav import cli, envs, harness, monitor, nn
+from lyapnav import cli, envs, harness, monitor, nn, planner
 from lyapnav.envs import RobotKind
 
 
@@ -194,6 +194,106 @@ def test_select_sink_tie_at_shared_waypoint_keeps_earlier_segment():
     choice = monitor.select_sink(RobotKind.SWEEPING, state, path, 0, world, value, lut)
     assert (choice.segment, choice.fraction) == (0, 1.0)
     _assert_same_choice(choice, reference_select_sink(state, path, 0, world, value, lut, monitor.MonitorConfig()))
+
+
+def _oracle_checked_tracker(log):
+    """SinkTracker whose every selection is compared with
+    reference_select_sink, and whose every advance is compared with a scan of
+    the window's segments; ``log`` counts the selections and those where the
+    hazards changed the oracle's choice."""
+    no_hazards = envs.empty_world()
+
+    def oracle(state, path, seg_idx, world, value_fn, lut, cfg):
+        try:
+            return reference_select_sink(state, path, seg_idx, world, value_fn, lut, cfg)
+        except monitor.MonitorStall:
+            return None
+
+    class Checked(monitor.SinkTracker):
+        def select(self, state, seg_idx):
+            args = (state, self.path, seg_idx, self.world, self.value_fn, self.lut, self.cfg)
+            want = oracle(*args)
+            free = oracle(state, self.path, seg_idx, no_hazards, self.value_fn, self.lut, self.cfg)
+            log["selections"] += 1
+            log["hazard_decided"] += want is None or free is None or want.progress != free.progress
+            if want is None:
+                with pytest.raises(monitor.MonitorStall):
+                    super().select(state, seg_idx)
+                raise monitor.MonitorStall("no safe sink")
+            got = super().select(state, seg_idx)
+            _assert_same_choice(got, want)
+            return got
+
+        def advance(self, state):
+            lo = self.seg_idx
+            super().advance(state)
+            last = len(self.path) - 1
+            dists = [
+                planner.point_segment_distance(state.pos, self.path[seg], self.path[min(seg + 1, last)])
+                for seg in range(lo, min(lo + self.cfg.window + 1, max(last, 1)))
+            ]
+            assert self.seg_idx == lo + int(np.argmin(dists))
+
+    return Checked
+
+
+def _two_radius_world():
+    world = envs.empty_world()
+    world.hazards = np.array(
+        [[1.6, 1.4, 0.2], [2.4, 2.6, 0.35], [1.0, 2.4, 0.35], [3.0, 1.6, 0.2], [2.0, 2.0, 0.2]]
+    )
+    return world
+
+
+@pytest.mark.parametrize(
+    "make_world, radii",
+    [(lambda: envs.make_world(3, 0), 1), (_two_radius_world, 2), (envs.empty_world, 0)],
+    ids=["level3", "two-radii", "empty"],
+)
+def test_sink_tracker_matches_oracle_at_every_step(monkeypatch, sweeping_agent, sweeping_lut, make_world, radii):
+    # the per-path table must choose exactly what the per-candidate oracle
+    # chooses at every step of a whole monitored episode; V is evaluated one
+    # row at a time so the tracker's batch and the oracle's rows give the same
+    # bits
+    world = make_world()
+    assert np.unique(world.hazards[:, 2]).size == radii
+    value = sweeping_agent.v.value
+    agent = SimpleNamespace(
+        kind=sweeping_agent.kind,
+        v=SimpleNamespace(value=lambda x: np.concatenate([value(row[None]) for row in x]), net=sweeping_agent.v.net),
+        act=sweeping_agent.act,
+    )
+    log = {"selections": 0, "hazard_decided": 0}
+    monkeypatch.setattr(monitor, "SinkTracker", _oracle_checked_tracker(log))
+    rep = harness.run_episode("monitored", agent, world, lut=sweeping_lut, plan_seed=0)
+    assert rep.outcome == "reached"
+    assert log["selections"] == rep.steps
+    assert (log["hazard_decided"] > 0) == (radii > 0), log
+
+
+def test_sink_tracker_computes_each_clearance_row_once(monkeypatch, sweeping_agent, sweeping_lut):
+    computed = []
+    clearance = monitor.SinkTracker._clearance
+
+    def counting(self, seg):
+        computed.append(seg)
+        return clearance(self, seg)
+
+    monkeypatch.setattr(monitor.SinkTracker, "_clearance", counting)
+    rep = harness.run_episode("monitored", sweeping_agent, envs.make_world(3, 0), lut=sweeping_lut, plan_seed=0)
+    assert rep.outcome == "reached"
+    # each segment at most once, in the order the window reached them
+    assert computed == list(range(len(computed)))
+    assert len(computed) > 10
+
+
+def test_sink_tracker_advance_scans_window_plus_one_segments():
+    path = np.column_stack([np.arange(6.0), np.zeros(6)])
+    cfg = monitor.MonitorConfig(window=2)
+    tracker = monitor.SinkTracker(RobotKind.SWEEPING, path, envs.empty_world(), None, None, cfg)
+    for pos, seg in [((2.6, 0.1), 2), ((1.0, 0.1), 2), ((4.9, 0.1), 4), ((9.0, 0.0), 4)]:
+        tracker.advance(envs.initial_state(RobotKind.SWEEPING, pos=pos))
+        assert tracker.seg_idx == seg
 
 
 def test_lut_query_array_matches_scalar_queries():

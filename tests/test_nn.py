@@ -75,6 +75,11 @@ def test_forward_cache_and_backward_match_forward_and_gradients(act, shape):
         assert input_grad.shape == x.shape
         assert input_grad.tobytes() == ref_input_grad.tobytes()
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
+        # the input gradient alone, without the parameter gradients
+        no_grads, input_grad = net.backward(cache, u, params=False)
+        assert no_grads is None
+        assert input_grad.tobytes() == ref_input_grad.tobytes()
+        assert net.input_gradients(x, u).tobytes() == ref_input_grad.tobytes()
     with pytest.raises(nn.ShapeError):
         net.backward(cache, np.zeros(shape[:-1] + (3,)))
 
@@ -161,6 +166,18 @@ def test_checkpoint_rejects_unknown_activation(tmp_path, field, value):
     for target in (None, net):
         with pytest.raises(nn.CheckpointError, match=value):
             nn.load_params(path, target)
+
+
+@pytest.mark.parametrize("layer_sizes", [[3], [], [3, 0], ["3", 1]])
+def test_checkpoint_without_network_rejects_bad_layer_sizes(tmp_path, layer_sizes):
+    net = nn.Mlp([3, 1], "identity", np.random.default_rng(0))
+    path = tmp_path / "net.json"
+    nn.save_params(net, path)
+    doc = json.loads(path.read_text())
+    doc["layer_sizes"] = layer_sizes
+    path.write_text(json.dumps(doc))
+    with pytest.raises(nn.CheckpointError, match="layer sizes"):
+        nn.load_params(path)
 
 
 def test_params_digest_detects_change():
