@@ -211,8 +211,7 @@ def _oracle_checked_tracker(log):
 
     class Checked(monitor.SinkTracker):
         def select(self, state, seg_idx):
-            args = (state, self.path, seg_idx, self.world, self.value_fn, self.lut, self.cfg)
-            want = oracle(*args)
+            want = oracle(state, self.path, seg_idx, self.world, self.value_fn, self.lut, self.cfg)
             free = oracle(state, self.path, seg_idx, no_hazards, self.value_fn, self.lut, self.cfg)
             log["selections"] += 1
             log["hazard_decided"] += want is None or free is None or want.progress != free.progress
