@@ -79,18 +79,20 @@ def _heading_angle(intr):
 
 def step(kind, s, a, dt=DT):
     """Advance the dynamics by one Euler step. Actions clamp to [-1, 1]."""
-    a = np.clip(np.asarray(a, dtype=float), -1.0, 1.0)
+    # np.clip as maximum then minimum; the scalar clamps take the value first
+    # so that NaN propagates as it does through np.clip
+    a = np.minimum(np.maximum(np.asarray(a, dtype=float), -1.0), 1.0)
     if kind is RobotKind.SWEEPING:
         return PhysState(s.pos + SWEEP_A_MAX * a * dt, s.intrinsic.copy())
     if kind is RobotKind.POINT:
-        v = np.clip(s.intrinsic[2] + POINT_ACCEL * a[0] * dt, -POINT_V_MAX, POINT_V_MAX)
+        v = min(max(s.intrinsic[2] + POINT_ACCEL * a[0] * dt, -POINT_V_MAX), POINT_V_MAX)
         theta = _heading_angle(s.intrinsic) + POINT_TURN_RATE * a[1] * dt
         heading = np.array([np.sin(theta), np.cos(theta)])
         pos = s.pos + v * np.array([heading[1], heading[0]]) * dt  # (cos, sin)
         return PhysState(pos, np.array([heading[0], heading[1], v]))
     # car: differential drive
-    vl = np.clip(s.intrinsic[2] + CAR_WHEEL_ACCEL * a[0] * dt, -CAR_WHEEL_V_MAX, CAR_WHEEL_V_MAX)
-    vr = np.clip(s.intrinsic[3] + CAR_WHEEL_ACCEL * a[1] * dt, -CAR_WHEEL_V_MAX, CAR_WHEEL_V_MAX)
+    vl = min(max(s.intrinsic[2] + CAR_WHEEL_ACCEL * a[0] * dt, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
+    vr = min(max(s.intrinsic[3] + CAR_WHEEL_ACCEL * a[1] * dt, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
     v = 0.5 * (vl + vr)
     omega = (vr - vl) / CAR_TRACK_WIDTH
     theta = _heading_angle(s.intrinsic) + omega * dt
@@ -123,9 +125,10 @@ def featurize(kind, x):
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
-    x2 = np.atleast_2d(x)
+    x2 = x[None] if squeeze else x
     d = x2[:, :2]
-    n = np.linalg.norm(d, axis=1, keepdims=True)
+    dx, dy = x2[:, 0:1], x2[:, 1:2]
+    n = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(d, axis=1, keepdims=True)
     dhat = d / (n + 0.05)
     cols = [d, dhat, n, x2[:, 2:]]
     if x2.shape[1] >= 5:
@@ -134,8 +137,8 @@ def featurize(kind, x):
         hx, hy = x2[:, 3], x2[:, 2]
         align = hx * dhat[:, 0] + hy * dhat[:, 1]
         cross = hx * dhat[:, 1] - hy * dhat[:, 0]
-        cols.append(np.column_stack([align, cross]))
-    out = np.hstack(cols)
+        cols += [align[:, None], cross[:, None]]
+    out = np.concatenate(cols, axis=1)
     return out[0] if squeeze else out
 
 
@@ -220,8 +223,10 @@ def in_hazard(p, world):
     if len(world.hazards) == 0:
         return False
     p = np.asarray(p, dtype=float)
-    d = np.linalg.norm(world.hazards[:, :2] - p, axis=1)
-    return bool(np.any(d <= world.hazards[:, 2]))
+    hz = world.hazards
+    dx = hz[:, 0] - p[0]
+    dy = hz[:, 1] - p[1]
+    return bool((np.sqrt(dx * dx + dy * dy) <= hz[:, 2]).any())
 
 
 def hazard_observation(s, world):
@@ -231,10 +236,9 @@ def hazard_observation(s, world):
     if n == 0:
         return obs
     vecs = world.hazards[:, :2] - s.pos
-    d = np.linalg.norm(vecs, axis=1)
-    order = np.argsort(d, kind="stable")[:8]
-    for slot, idx in enumerate(order):
-        obs[2 * slot : 2 * slot + 2] = vecs[idx]
+    vx, vy = vecs[:, 0], vecs[:, 1]
+    order = np.argsort(np.sqrt(vx * vx + vy * vy), kind="stable")[:8]
+    obs[: 2 * len(order)] = vecs[order].ravel()
     return obs
 
 

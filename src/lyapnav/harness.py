@@ -157,6 +157,13 @@ def _episode(method, robot, level, world, outcome, steps):
     return EpisodeReport(method, robot.value, level, world.seed, outcome, steps)
 
 
+def _distance(p, q):
+    """np.linalg.norm(p - q) for 2-vectors, bit for bit: norm takes the
+    square root of the vector's dot product with itself."""
+    d = p - q
+    return math.sqrt(d.dot(d))
+
+
 class _WaypointChaser:
     """Steering of e2e, h-e2e and direct: each waypoint in turn, moving on
     once the robot is within envs.REACH_TOL of it."""
@@ -170,7 +177,7 @@ class _WaypointChaser:
 
     def advance(self, state):
         last = len(self.waypoints) - 1
-        while self.wp < last and np.linalg.norm(state.pos - self.waypoints[self.wp]) < envs.REACH_TOL:
+        while self.wp < last and _distance(state.pos, self.waypoints[self.wp]) < envs.REACH_TOL:
             self.wp += 1
 
 
@@ -217,7 +224,7 @@ def run_episode(method, agent, world, config=None, lut=None, plan_seed=0):
         state = envs.step(kind, state, agent.act(state, target, world))
         if method != "direct" and envs.in_hazard(state.pos, world):
             return _episode(method, kind, level, world, "violated", t + 1)
-        if np.linalg.norm(state.pos - goal) < envs.REACH_TOL:
+        if _distance(state.pos, goal) < envs.REACH_TOL:
             return _episode(method, kind, level, world, "reached", t + 1)
         steer.advance(state)
     return _episode(method, kind, level, world, "timeout", cap)

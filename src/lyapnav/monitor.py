@@ -272,6 +272,13 @@ class SinkTracker:
         self.cfg = cfg or MonitorConfig()
         if not 0.0 < self.cfg.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
+        if self.cfg.window < 1:
+            raise ValueError(f"window must be at least 1 segment, got {self.cfg.window}")
+        if self.cfg.stall_patience < 0:
+            raise ValueError(f"stall_patience must be nonnegative, got {self.cfg.stall_patience}")
+        # below 1 the inflated circle would not cover the certified radius
+        if not self.cfg.radius_inflation >= 1.0:
+            raise ValueError(f"radius_inflation must be at least 1, got {self.cfg.radius_inflation}")
         self.seg_idx = 0
         self.stall = 0
         self.held = None

@@ -2,6 +2,7 @@
 root-to-goal path extraction over the grown tree."""
 
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,11 +38,19 @@ class Tree:
 def point_segment_distance(p, a, b):
     """Exact distance from point p to segment [a, b], broadcast over leading
     axes: many points against one segment, or one point against many."""
-    p, a, b = (np.asarray(x, dtype=float) for x in (p, a, b))
-    ab = b - a
-    denom = np.sum(ab * ab, axis=-1)
-    t = np.clip(np.sum((p - a) * ab, axis=-1) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
-    return np.linalg.norm(p - (a + t[..., None] * ab), axis=-1)
+    p, a, b = np.asarray(p, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
+    # on coordinate columns, the operations of clip(sum((p - a) * ab) /
+    # sum(ab * ab), 0, 1) and norm(p - (a + t * ab), axis=-1) in their order,
+    # so the result is theirs bit for bit without their per-call overhead
+    px, py, ax, ay = p[..., 0], p[..., 1], a[..., 0], a[..., 1]
+    abx = b[..., 0] - ax
+    aby = b[..., 1] - ay
+    denom = abx * abx + aby * aby
+    t = (px - ax) * abx + (py - ay) * aby
+    t = np.minimum(np.maximum(t / np.where(denom == 0.0, 1.0, denom), 0.0), 1.0)
+    ex = px - (ax + t * abx)
+    ey = py - (ay + t * aby)
+    return np.sqrt(ex * ex + ey * ey)
 
 
 def segment_free(p, q, world, margin):
@@ -50,7 +59,7 @@ def segment_free(p, q, world, margin):
     if margin < 0:
         raise ValueError("margin must be nonnegative")
     hz = world.hazards
-    return bool(np.all(point_segment_distance(hz[:, :2], p, q) > hz[:, 2] + margin))
+    return bool((point_segment_distance(hz[:, :2], p, q) > hz[:, 2] + margin).all())
 
 
 def rrt_build(world, cfg=None, seed=0):
@@ -61,17 +70,20 @@ def rrt_build(world, cfg=None, seed=0):
     start = np.asarray(world.start, dtype=float)
     goal = np.asarray(world.goal, dtype=float)
     tree = Tree(points=[start], parents=[-1])
-    pts = np.empty((cfg.max_iters + 1, 2))
-    pts[0] = start
+    # node coordinates as two contiguous columns for the nearest-node search
+    xs, ys = np.empty((2, cfg.max_iters + 1))
+    xs[0], ys[0] = start
     n = 1
     for _ in range(cfg.max_iters):
         if rng.random() < cfg.goal_bias:
             sample = goal.copy()
         else:
             sample = rng.uniform(0.0, world.size, size=2)
-        d = np.linalg.norm(pts[:n] - sample, axis=1)
-        nearest = int(np.argmin(d))
-        base = pts[nearest]
+        dx = xs[:n] - sample[0]
+        dy = ys[:n] - sample[1]
+        d = np.sqrt(dx * dx + dy * dy)
+        nearest = int(d.argmin())
+        base = tree.points[nearest]
         dist = d[nearest]
         if dist == 0.0:
             continue
@@ -80,9 +92,11 @@ def rrt_build(world, cfg=None, seed=0):
             continue
         tree.points.append(new.copy())
         tree.parents.append(nearest)
-        pts[n] = new
+        xs[n], ys[n] = new
         n += 1
-        if np.linalg.norm(new - goal) <= cfg.goal_tol and segment_free(new, goal, world, cfg.margin):
+        # sqrt of the dot product is np.linalg.norm of a vector exactly
+        to_goal = new - goal
+        if math.sqrt(to_goal.dot(to_goal)) <= cfg.goal_tol and segment_free(new, goal, world, cfg.margin):
             tree.goal_node = n - 1
             return tree
     raise PlanNotFound(f"no path after {cfg.max_iters} iterations")

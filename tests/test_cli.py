@@ -1,6 +1,7 @@
 """Config files: every section and key names a setting that a command reads."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -82,3 +83,14 @@ def test_wrongly_typed_setting_is_a_command_error(tmp_path, no_work, capsys):
     out = tmp_path / "out"
     assert cli.main(["train", "--robot", "sweeping", "--out", str(out), "--config", str(cfg)]) == 1
     assert capsys.readouterr().err == 'error: config setting train.episodes must be an integer, got "5"\n'
+
+
+def test_bench_with_empty_sink_window_is_a_command_error(tmp_path, sweeping_agent, sweeping_lut, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"monitor": {"window": 0}}))
+    cache = Path(__file__).parent / "_agent_cache"
+    argv = ["bench", "--method", "monitored", "--agent", str(cache / "sweeping"), "--lut", str(cache / "sweeping_lut.json")]
+    argv += ["--level", "1", "--episodes", "1", "--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: window must be at least 1 segment, got 0\n"
+    assert not (tmp_path / "out").exists()
