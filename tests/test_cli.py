@@ -1,7 +1,6 @@
 """Config files: every section and key names a setting that a command reads."""
 
 import json
-from pathlib import Path
 
 import pytest
 
@@ -88,8 +87,9 @@ def test_wrongly_typed_setting_is_a_command_error(tmp_path, no_work, capsys):
 def test_bench_with_empty_sink_window_is_a_command_error(tmp_path, sweeping_agent, sweeping_lut, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"monitor": {"window": 0}}))
-    cache = Path(__file__).parent / "_agent_cache"
-    argv = ["bench", "--method", "monitored", "--agent", str(cache / "sweeping"), "--lut", str(cache / "sweeping_lut.json")]
+    from conftest import CACHE
+
+    argv = ["bench", "--method", "monitored", "--agent", str(CACHE / "sweeping"), "--lut", str(CACHE / "sweeping_lut.json")]
     argv += ["--level", "1", "--episodes", "1", "--config", str(cfg), "--out", str(tmp_path / "out")]
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: window must be at least 1 segment, got 0\n"

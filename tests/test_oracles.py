@@ -142,9 +142,13 @@ def test_in_hazard_matches_oracle_including_the_boundary():
     for n in (0, 1, 8, 128):
         world = _world(np.column_stack([rng.uniform(0, 16, size=(n, 2)), rng.uniform(0.05, 0.5, size=n)]))
         pts = list(rng.uniform(0, 16, size=(200, 2)))
-        for cx, cy, r in world.hazards[:4]:
-            # on the closed disk's boundary along the axes, and just outside
+        for cx, cy, r in world.hazards:
+            # on the closed disk's boundary along the axes, just outside, and
+            # within rounding of it at random angles, where a squared-distance
+            # test would decide some points differently
             pts += [np.array([cx + r, cy]), np.array([cx, cy - r]), np.array([cx, np.nextafter(cy + r, np.inf)])]
+            theta = rng.uniform(0.0, 2 * np.pi, size=10)
+            pts += list(np.column_stack([cx + r * np.cos(theta), cy + r * np.sin(theta)]))
         pts += [np.array([np.nan, 1.0]), [1, 2], (0.5, 0.5)]
         for p in pts:
             assert envs.in_hazard(p, world) is oracle_in_hazard(p, world), (n, p)
