@@ -139,7 +139,8 @@ def cmd_plan(args):
 
 
 def cmd_bench(args):
-    doc = load_config(args.config)
+    # a bad monitor section fails before any artifact is read
+    mon_cfg = apply_overrides(monitor.MonitorConfig(), load_config(args.config).get("monitor"))
     seed = resolve_seed(args)
     method = args.method
     if method in ("monitored", "direct"):
@@ -153,7 +154,6 @@ def cmd_bench(args):
             return 1
         with open(args.lut) as f:
             lut = monitor.RoaLut.from_json(f.read())
-    mon_cfg = apply_overrides(monitor.MonitorConfig(), doc.get("monitor"))
     summary, episodes = harness.run_benchmark(method, agent, args.level, args.episodes, seed, lut=lut, config=mon_cfg)
     harness.write_reports([summary], episodes, args.out)
     print(harness.render_table([summary]))

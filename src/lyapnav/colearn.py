@@ -59,7 +59,7 @@ class TrainConfig:
     warmup_episodes: int = 10  # uniform random actions to seed the replay
     hindsight_relabels: int = 4  # extra buffer copies per transition with future achieved goals
 
-    def validate(self):
+    def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
         if not 0.0 < self.tau <= 1.0:
@@ -217,7 +217,7 @@ class Agent:
 def make_agent(kind, seed=0):
     """Fresh agent with targets initialized to the online networks."""
     d = envs.feature_dim(kind)
-    na = envs.action_dim(kind)
+    na = envs.ACTION_DIM
     ss = np.random.SeedSequence(seed)
     rngs = [np.random.default_rng(s) for s in ss.spawn(4)]
     pi = nn.Mlp([d, *HIDDEN, na], "tanh", rngs[0])
@@ -359,26 +359,24 @@ def sample_goal(cfg, rng):
     return r * np.array([np.cos(phi), np.sin(phi)])
 
 
-def collect_episode(kind, policy, cfg, rng, goal=None, random_actions=False, noise=None):
+def collect_episode(kind, policy, cfg, rng, random_actions=False, noise=None):
     """Roll out the (target) policy with Gaussian exploration noise.
 
     Returns (transitions, episode_reward, start_distance). The arena is
     hazard-free; the episode ends at the horizon or when the goal is reached.
     """
-    if goal is None:
-        goal = sample_goal(cfg, rng)
+    goal = sample_goal(cfg, rng)
     state = envs.initial_state(kind, heading=rng.uniform(0.0, 2 * np.pi))
     transitions = []
     total = 0.0
-    d0 = float(np.linalg.norm(goal - state.pos))
-    na = envs.action_dim(kind)
+    d0 = envs.distance(goal, state.pos)
     if noise is None:
         noise = cfg.noise
     states = [state]
     for _ in range(cfg.horizon):
         sg = envs.goal_condition(state, goal)
         if random_actions:
-            a = rng.uniform(-1.0, 1.0, size=na)
+            a = rng.uniform(-1.0, 1.0, size=envs.ACTION_DIM)
         else:
             a = policy.forward(sg)
             if noise > 0.0:
@@ -387,7 +385,7 @@ def collect_episode(kind, policy, cfg, rng, goal=None, random_actions=False, noi
         nxt = envs.step(kind, state, a)
         r = envs.reward(goal, state, nxt)
         sg1 = envs.goal_condition(nxt, goal)
-        done = np.linalg.norm(goal - nxt.pos) < envs.REACH_TOL
+        done = envs.distance(goal, nxt.pos) < envs.REACH_TOL
         transitions.append((sg, a, r, sg1, done))
         states.append(nxt)
         total += r
@@ -416,7 +414,7 @@ def store_episode(buffer, transitions, states, cfg, rng):
             sg = envs.goal_condition(s_t, g)
             sg1 = envs.goal_condition(s_t1, g)
             r = envs.reward(g, s_t, s_t1)
-            done = np.linalg.norm(g - s_t1.pos) < envs.REACH_TOL
+            done = envs.distance(g, s_t1.pos) < envs.REACH_TOL
             buffer.add(sg, a, r, sg1, done)
 
 
@@ -427,10 +425,9 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
     phases of (Q update, V and LQ updates, actor update, Polyak averaging).
     """
     cfg = cfg or TrainConfig()
-    cfg.validate()
     agent = make_agent(kind, seed=seed)
     trainer = Trainer(agent, cfg)
-    buffer = ReplayBuffer(cfg.replay_capacity, envs.state_dim(kind), envs.action_dim(kind))
+    buffer = ReplayBuffer(cfg.replay_capacity, envs.state_dim(kind), envs.ACTION_DIM)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
     log_rows = []
     for ep in range(cfg.episodes):

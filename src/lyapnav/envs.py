@@ -5,16 +5,18 @@ differs per kind:
   sweeping: none (single integrator on position)
   point:    heading unit vector (sin, cos) and forward speed
   car:      heading unit vector and left/right wheel speeds
-All dynamics are Euler-integrated at a fixed dt and deterministic.
+All dynamics are Euler-integrated at the fixed step DT and deterministic.
 """
 
 import enum
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 DT = 0.1
+ACTION_DIM = 2  # every robot takes two actions in [-1, 1]
 SWEEP_A_MAX = 1.0
 POINT_ACCEL = 2.0
 POINT_TURN_RATE = 4.0
@@ -42,10 +44,6 @@ _INTRINSIC_DIM = {RobotKind.SWEEPING: 0, RobotKind.POINT: 3, RobotKind.CAR: 4}
 
 def intrinsic_dim(kind):
     return _INTRINSIC_DIM[kind]
-
-
-def action_dim(kind):
-    return 2
 
 
 def state_dim(kind):
@@ -77,27 +75,27 @@ def _heading_angle(intr):
     return np.arctan2(intr[0], intr[1])
 
 
-def step(kind, s, a, dt=DT):
-    """Advance the dynamics by one Euler step. Actions clamp to [-1, 1]."""
+def step(kind, s, a):
+    """Advance the dynamics by one Euler step of DT. Actions clamp to [-1, 1]."""
     # np.clip as maximum then minimum; the scalar clamps take the value first
     # so that NaN propagates as it does through np.clip
     a = np.minimum(np.maximum(np.asarray(a, dtype=float), -1.0), 1.0)
     if kind is RobotKind.SWEEPING:
-        return PhysState(s.pos + SWEEP_A_MAX * a * dt, s.intrinsic.copy())
+        return PhysState(s.pos + SWEEP_A_MAX * a * DT, s.intrinsic.copy())
     if kind is RobotKind.POINT:
-        v = min(max(s.intrinsic[2] + POINT_ACCEL * a[0] * dt, -POINT_V_MAX), POINT_V_MAX)
-        theta = _heading_angle(s.intrinsic) + POINT_TURN_RATE * a[1] * dt
+        v = min(max(s.intrinsic[2] + POINT_ACCEL * a[0] * DT, -POINT_V_MAX), POINT_V_MAX)
+        theta = _heading_angle(s.intrinsic) + POINT_TURN_RATE * a[1] * DT
         heading = np.array([np.sin(theta), np.cos(theta)])
-        pos = s.pos + v * np.array([heading[1], heading[0]]) * dt  # (cos, sin)
+        pos = s.pos + v * np.array([heading[1], heading[0]]) * DT  # (cos, sin)
         return PhysState(pos, np.array([heading[0], heading[1], v]))
     # car: differential drive
-    vl = min(max(s.intrinsic[2] + CAR_WHEEL_ACCEL * a[0] * dt, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
-    vr = min(max(s.intrinsic[3] + CAR_WHEEL_ACCEL * a[1] * dt, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
+    vl = min(max(s.intrinsic[2] + CAR_WHEEL_ACCEL * a[0] * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
+    vr = min(max(s.intrinsic[3] + CAR_WHEEL_ACCEL * a[1] * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
     v = 0.5 * (vl + vr)
     omega = (vr - vl) / CAR_TRACK_WIDTH
-    theta = _heading_angle(s.intrinsic) + omega * dt
+    theta = _heading_angle(s.intrinsic) + omega * DT
     heading = np.array([np.sin(theta), np.cos(theta)])
-    pos = s.pos + v * np.array([heading[1], heading[0]]) * dt
+    pos = s.pos + v * np.array([heading[1], heading[0]]) * DT
     return PhysState(pos, np.array([heading[0], heading[1], vl, vr]))
 
 
@@ -160,10 +158,19 @@ def sink_mask(kind):
     return np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
 
 
+def distance(p, q):
+    """Euclidean distance between two 2-vectors. Bit for bit it is
+    np.linalg.norm(p - q), which takes the square root of the difference's
+    dot product with itself; that dot product is the one place a 2-vector
+    distance meets BLAS."""
+    d = p - q
+    return math.sqrt(d.dot(d))
+
+
 def reward(g, s_t, s_next):
     """Progress toward the goal: previous distance minus new distance."""
     g = np.asarray(g, dtype=float)
-    return float(np.linalg.norm(g - s_t.pos) - np.linalg.norm(g - s_next.pos))
+    return distance(g, s_t.pos) - distance(g, s_next.pos)
 
 
 def e2e_reward(g, s_t, s_next, world, penalty=10.0):
@@ -246,7 +253,7 @@ class WorldGenerationError(RuntimeError):
     """Hazard sampling could not satisfy the clearance constraints."""
 
 
-def make_world(level, seed, hazard_radius=HAZARD_RADIUS, max_attempts=1000):
+def make_world(level, seed):
     """Random world at the given difficulty level, deterministic per seed."""
     if level not in LEVELS:
         raise ValueError(f"level must be one of {sorted(LEVELS)}, got {level}")
@@ -254,13 +261,13 @@ def make_world(level, seed, hazard_radius=HAZARD_RADIUS, max_attempts=1000):
     rng = np.random.default_rng(seed)
     start = np.array([0.5, 0.5])
     goal = np.array([size - 0.5, size - 0.5])
-    clearance = hazard_radius + START_GOAL_CLEARANCE
+    clearance = HAZARD_RADIUS + START_GOAL_CLEARANCE
     hazards = np.zeros((n_hazards, 3))
     for i in range(n_hazards):
-        for _ in range(max_attempts):
-            c = rng.uniform(hazard_radius, size - hazard_radius, size=2)
-            if np.linalg.norm(c - start) >= clearance and np.linalg.norm(c - goal) >= clearance:
-                hazards[i] = (c[0], c[1], hazard_radius)
+        for _ in range(1000):
+            c = rng.uniform(HAZARD_RADIUS, size - HAZARD_RADIUS, size=2)
+            if distance(c, start) >= clearance and distance(c, goal) >= clearance:
+                hazards[i] = (c[0], c[1], HAZARD_RADIUS)
                 break
         else:
             raise WorldGenerationError(f"could not place hazard {i} (seed {seed})")

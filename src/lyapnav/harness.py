@@ -86,7 +86,7 @@ def e2e_obs_dim(kind):
 
 def make_e2e_policy(kind, seed=0):
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE2]))
-    net = nn.Mlp([e2e_obs_dim(kind), *colearn.HIDDEN, envs.action_dim(kind)], "tanh", rng)
+    net = nn.Mlp([e2e_obs_dim(kind), *colearn.HIDDEN, envs.ACTION_DIM], "tanh", rng)
     return E2ePolicy(kind, net)
 
 
@@ -114,7 +114,7 @@ def train_e2e(kind, cfg=None, seed=0):
     policy = make_e2e_policy(kind, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE3]))
     q_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE4]))
-    na = envs.action_dim(kind)
+    na = envs.ACTION_DIM
     obs_dim = e2e_obs_dim(kind)
     q = nn.Mlp([obs_dim + na, *colearn.HIDDEN, 1], "identity", q_rng)
     pi_t, q_t = policy.net.copy(), q.copy()
@@ -134,7 +134,7 @@ def train_e2e(kind, cfg=None, seed=0):
             nxt = envs.step(kind, state, a)
             r = envs.e2e_reward(goal, state, nxt, world, cfg.penalty)
             o1 = policy.observe(nxt, goal, world)
-            done = np.linalg.norm(goal - nxt.pos) < envs.REACH_TOL
+            done = envs.distance(goal, nxt.pos) < envs.REACH_TOL
             buffer.add(o, a, r, o1, done)
             state = nxt
             if done:
@@ -157,13 +157,6 @@ def _episode(method, robot, level, world, outcome, steps):
     return EpisodeReport(method, robot.value, level, world.seed, outcome, steps)
 
 
-def _distance(p, q):
-    """np.linalg.norm(p - q) for 2-vectors, bit for bit: norm takes the
-    square root of the vector's dot product with itself."""
-    d = p - q
-    return math.sqrt(d.dot(d))
-
-
 class _WaypointChaser:
     """Steering of e2e, h-e2e and direct: each waypoint in turn, moving on
     once the robot is within envs.REACH_TOL of it."""
@@ -177,7 +170,7 @@ class _WaypointChaser:
 
     def advance(self, state):
         last = len(self.waypoints) - 1
-        while self.wp < last and _distance(state.pos, self.waypoints[self.wp]) < envs.REACH_TOL:
+        while self.wp < last and envs.distance(state.pos, self.waypoints[self.wp]) < envs.REACH_TOL:
             self.wp += 1
 
 
@@ -210,7 +203,7 @@ def run_episode(method, agent, world, config=None, lut=None, plan_seed=0):
         except planner.PlanNotFound:
             return _episode(method, kind, level, world, "plan_failed", 0)
     if method == "monitored":
-        steer = monitor.SinkTracker(kind, path, world, agent.v.value, lut, config)
+        steer = monitor.SinkTracker(path, world, agent.v.value, lut, config)
     elif method == "h-e2e":
         steer = _WaypointChaser(list(path))
     else:  # e2e and direct drive straight at the goal
@@ -224,7 +217,7 @@ def run_episode(method, agent, world, config=None, lut=None, plan_seed=0):
         state = envs.step(kind, state, agent.act(state, target, world))
         if method != "direct" and envs.in_hazard(state.pos, world):
             return _episode(method, kind, level, world, "violated", t + 1)
-        if _distance(state.pos, goal) < envs.REACH_TOL:
+        if envs.distance(state.pos, goal) < envs.REACH_TOL:
             return _episode(method, kind, level, world, "reached", t + 1)
         steer.advance(state)
     return _episode(method, kind, level, world, "timeout", cap)

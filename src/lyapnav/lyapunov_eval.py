@@ -35,10 +35,10 @@ class LyapunovReport:
         )
 
 
-def sample_transitions(kind, policy, n, cfg=None, seed=0):
+def sample_transitions(kind, policy, n, seed=0):
     """On-policy (state, next-state) pairs from deterministic rollouts toward
     random goals in hazard-free space. Returns two (n, dim) arrays."""
-    cfg = cfg or colearn.TrainConfig(noise=0.0)
+    cfg = colearn.TrainConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7]))
     S, S1 = [], []
     while len(S) < n:
@@ -54,26 +54,26 @@ def sample_transitions(kind, policy, n, cfg=None, seed=0):
     return np.array(S), np.array(S1)
 
 
-def sink_residual(value_fn, kind, n_headings=64):
+def sink_residual(value_fn, kind):
     """Max |V| over a probe set of sink states (zero goal vector and speeds,
     headings swept over the circle)."""
     d = envs.state_dim(kind)
     if kind is envs.RobotKind.SWEEPING:
         probes = np.zeros((1, d))
     else:
-        thetas = np.linspace(0.0, 2 * np.pi, n_headings, endpoint=False)
-        probes = np.zeros((n_headings, d))
+        thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
+        probes = np.zeros((64, d))
         probes[:, 2] = np.sin(thetas)
         probes[:, 3] = np.cos(thetas)
     return float(np.max(np.abs(value_fn(probes))))
 
 
-def satisfaction_rates(value_fn, S, S1, kind=None):
-    """Fraction of transitions satisfying positivity and strict decrease.
+def satisfaction_rates(value_fn, S, S1, kind):
+    """Fraction of transitions satisfying positivity and strict decrease,
+    with the sink residual over kind's probe states.
 
     Values exactly at the boundary (V = 0 or zero decrease) count as
-    violations. When kind is given the sink residual over probe states is
-    included; otherwise it is reported as 0.
+    violations.
     """
     S = np.asarray(S, dtype=float)
     S1 = np.asarray(S1, dtype=float)
@@ -83,18 +83,17 @@ def satisfaction_rates(value_fn, S, S1, kind=None):
     vs1 = value_fn(S1)
     pos = (vs > 0.0) & (vs1 > 0.0)
     lie = (vs1 - vs) < 0.0
-    residual = sink_residual(value_fn, kind) if kind is not None else 0.0
     return LyapunovReport(
         n_samples=len(S),
         positivity_rate=float(np.mean(pos)),
         lie_rate=float(np.mean(lie)),
         joint_rate=float(np.mean(pos & lie)),
-        max_sink_abs=residual,
+        max_sink_abs=sink_residual(value_fn, kind),
     )
 
 
-def evaluate(agent, n=100_000, seed=0, cfg=None):
+def evaluate(agent, n=100_000, seed=0):
     """Full evaluation protocol: sample transitions with the trained policy
     and score them with the agent's Lyapunov function."""
-    S, S1 = sample_transitions(agent.kind, agent.policy, n, cfg, seed)
-    return satisfaction_rates(agent.v.value, S, S1, kind=agent.kind)
+    S, S1 = sample_transitions(agent.kind, agent.policy, n, seed)
+    return satisfaction_rates(agent.v.value, S, S1, agent.kind)

@@ -94,12 +94,12 @@ def _ascend(value_fn, grad_fn, levels, box, cfg, rng, project=None):
     return best
 
 
-def overapprox_radius(value_fn, grad_fn, level, box, cfg=None, seed=0, project=None):
+def overapprox_radius(value_fn, grad_fn, level, box, seed=0):
     """Radius of the circle over-approximating the 2D projection of the
     sublevel set {V <= level}, centered at the sink."""
     if level <= 0:
         raise ValueError("level constant must be positive")
-    radius = float(batch_radii(value_fn, grad_fn, [level], box, cfg, seed, project)[0])
+    radius = float(batch_radii(value_fn, grad_fn, [level], box, seed=seed)[0])
     if np.isnan(radius):
         raise InfeasibleLevelError(f"no feasible start for level {level}")
     return radius
@@ -240,11 +240,16 @@ class MonitorConfig:
     radius_inflation: float = 1.05  # absorbs optimizer under-estimation
     stall_patience: int = 50
 
-
-def select_sink(kind, state, path, seg_idx, world, value_fn, lut, cfg=None):
-    """Farthest safe sink in the window starting at path segment seg_idx:
-    one ``SinkTracker.select`` on a fresh tracker for this path."""
-    return SinkTracker(kind, path, world, value_fn, lut, cfg).select(state, seg_idx)
+    def __post_init__(self):
+        if not 0.0 < self.delta <= 1.0:
+            raise ValueError("delta must be in (0, 1]")
+        if self.window < 1:
+            raise ValueError(f"window must be at least 1 segment, got {self.window}")
+        if self.stall_patience < 0:
+            raise ValueError(f"stall_patience must be nonnegative, got {self.stall_patience}")
+        # below 1 the inflated circle would not cover the certified radius
+        if not self.radius_inflation >= 1.0:
+            raise ValueError(f"radius_inflation must be at least 1, got {self.radius_inflation}")
 
 
 class SinkTracker:
@@ -263,22 +268,12 @@ class SinkTracker:
     re-anchors the path segment on the robot's new position.
     """
 
-    def __init__(self, kind, path, world, value_fn, lut, cfg=None):
-        self.kind = kind
+    def __init__(self, path, world, value_fn, lut, cfg=None):
         self.path = path
         self.world = world
         self.value_fn = value_fn
         self.lut = lut
         self.cfg = cfg or MonitorConfig()
-        if not 0.0 < self.cfg.delta <= 1.0:
-            raise ValueError("delta must be in (0, 1]")
-        if self.cfg.window < 1:
-            raise ValueError(f"window must be at least 1 segment, got {self.cfg.window}")
-        if self.cfg.stall_patience < 0:
-            raise ValueError(f"stall_patience must be nonnegative, got {self.cfg.stall_patience}")
-        # below 1 the inflated circle would not cover the certified radius
-        if not self.cfg.radius_inflation >= 1.0:
-            raise ValueError(f"radius_inflation must be at least 1, got {self.cfg.radius_inflation}")
         self.seg_idx = 0
         self.stall = 0
         self.held = None

@@ -12,6 +12,11 @@ import numpy as np
 
 CHECKPOINT_VERSION = 1
 
+# Adam's moment decay rates and denominator guard
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
+
 HIDDEN_ACTIVATION = "tanh"
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
@@ -133,11 +138,8 @@ class Mlp:
 class AdamState:
     """Per-network Adam moments; step counter increments on every update."""
 
-    def __init__(self, params, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
+    def __init__(self, params, lr=1e-3):
         self.lr = lr
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.t = 0
         self.m = [np.zeros_like(p) for p in params]
         self.v = [np.zeros_like(p) for p in params]
@@ -148,7 +150,7 @@ def adam_step(state, params, grads):
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ShapeError("adam_step: parameter/gradient count mismatch")
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
     for i, (p, g) in enumerate(zip(params, grads)):
         if p.shape != g.shape:
             raise ShapeError(f"adam_step: grad {i} shape {g.shape} != {p.shape}")
@@ -156,7 +158,7 @@ def adam_step(state, params, grads):
         state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
         m_hat = state.m[i] / (1 - b1 ** state.t)
         v_hat = state.v[i] / (1 - b2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     return params
 
 
@@ -190,8 +192,8 @@ def save_params(net, path):
         json.dump(doc, f)
 
 
-def load_params(path, net=None):
-    """Load a checkpoint. If net is given, its architecture must match."""
+def load_params(path, net):
+    """Load a checkpoint into net, whose architecture must match."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -207,12 +209,7 @@ def load_params(path, net=None):
             f"checkpoint {path} has activations {hidden_activation}/{output_activation}; "
             f"networks have {HIDDEN_ACTIVATION} hidden layers and one of {OUTPUT_ACTIVATIONS} outputs"
         )
-    if net is None:
-        try:
-            net = Mlp(layer_sizes, output_activation)
-        except (TypeError, ValueError) as exc:
-            raise CheckpointError(f"checkpoint {path} has bad layer sizes {layer_sizes}") from exc
-    elif net.layer_sizes != layer_sizes or net.output_activation != output_activation:
+    if net.layer_sizes != layer_sizes or net.output_activation != output_activation:
         raise CheckpointError(
             f"checkpoint architecture {layer_sizes}/{output_activation} does not "
             f"match network {net.layer_sizes}/{net.output_activation}"

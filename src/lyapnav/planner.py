@@ -1,11 +1,12 @@
-"""RRT over the 2D plane with exact segment-disc collision checks, plus
-root-to-goal path extraction over the grown tree."""
+"""RRT over the 2D plane with exact segment-disc collision checks; a plan is
+the grown tree's root-to-goal chain."""
 
 import json
-import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
+
+from . import envs
 
 
 class PlanNotFound(RuntimeError):
@@ -26,13 +27,6 @@ class PlannerConfig:
     def for_world(cls, world):
         scale = world.size / 4.0
         return cls(step_size=0.25 * scale, goal_tol=0.25 * scale)
-
-
-@dataclass
-class Tree:
-    points: list  # list of (2,) arrays; node 0 is the start
-    parents: list  # parent index per node; -1 for the root
-    goal_node: int | None = None  # node whose segment to the goal is clear
 
 
 def point_segment_distance(p, a, b):
@@ -62,17 +56,18 @@ def segment_free(p, q, world, margin):
     return bool((point_segment_distance(hz[:, :2], p, q) > hz[:, 2] + margin).all())
 
 
-def rrt_build(world, cfg=None, seed=0):
-    """Grow a collision-free tree from world.start until it can connect the
-    final goal, or raise PlanNotFound after cfg.max_iters samples."""
+def plan_path(world, cfg=None, seed=0):
+    """Start-to-goal waypoint path: grow a collision-free RRT from world.start
+    until a node can connect the final goal, then return that node's
+    root-to-node chain followed by the goal. Raises PlanNotFound after
+    cfg.max_iters samples."""
     cfg = cfg or PlannerConfig.for_world(world)
     rng = np.random.default_rng(seed)
-    start = np.asarray(world.start, dtype=float)
     goal = np.asarray(world.goal, dtype=float)
-    tree = Tree(points=[start], parents=[-1])
     # node coordinates as two contiguous columns for the nearest-node search
     xs, ys = np.empty((2, cfg.max_iters + 1))
-    xs[0], ys[0] = start
+    xs[0], ys[0] = world.start
+    parents = [-1]  # parent index per node; node 0 is the start
     n = 1
     for _ in range(cfg.max_iters):
         if rng.random() < cfg.goal_bias:
@@ -83,56 +78,30 @@ def rrt_build(world, cfg=None, seed=0):
         dy = ys[:n] - sample[1]
         d = np.sqrt(dx * dx + dy * dy)
         nearest = int(d.argmin())
-        base = tree.points[nearest]
         dist = d[nearest]
         if dist == 0.0:
             continue
+        base = np.array([xs[nearest], ys[nearest]])
         new = sample if dist <= cfg.step_size else base + (sample - base) * (cfg.step_size / dist)
         if not segment_free(base, new, world, cfg.margin):
             continue
-        tree.points.append(new.copy())
-        tree.parents.append(nearest)
+        parents.append(nearest)
         xs[n], ys[n] = new
         n += 1
-        # sqrt of the dot product is np.linalg.norm of a vector exactly
-        to_goal = new - goal
-        if math.sqrt(to_goal.dot(to_goal)) <= cfg.goal_tol and segment_free(new, goal, world, cfg.margin):
-            tree.goal_node = n - 1
-            return tree
+        if envs.distance(new, goal) <= cfg.goal_tol and segment_free(new, goal, world, cfg.margin):
+            chain = [n - 1]
+            while parents[chain[-1]] != -1:
+                chain.append(parents[chain[-1]])
+            chain.reverse()
+            return np.vstack([np.column_stack([xs[chain], ys[chain]]), goal])
     raise PlanNotFound(f"no path after {cfg.max_iters} iterations")
-
-
-def extract_path(tree, world):
-    """Start-to-goal waypoint path: the tree's unique root-to-goal-node chain,
-    followed by the goal itself."""
-    if tree.goal_node is None:
-        raise PlanNotFound("tree does not reach the goal region")
-    path = [np.asarray(world.goal, dtype=float)]
-    u = tree.goal_node
-    while u != -1:
-        path.append(tree.points[u])
-        u = tree.parents[u]
-    path.reverse()
-    return np.array(path)
-
-
-def plan_path(world, cfg=None, seed=0):
-    cfg = cfg or PlannerConfig.for_world(world)
-    tree = rrt_build(world, cfg, seed)
-    return extract_path(tree, world)
 
 
 def path_to_json(path, cfg, seed):
     return json.dumps(
         {
             "waypoints": np.asarray(path).tolist(),
-            "planner": {
-                "margin": cfg.margin,
-                "step_size": cfg.step_size,
-                "goal_bias": cfg.goal_bias,
-                "max_iters": cfg.max_iters,
-                "goal_tol": cfg.goal_tol,
-            },
+            "planner": asdict(cfg),
             "seed": seed,
         }
     )

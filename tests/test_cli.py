@@ -94,3 +94,15 @@ def test_bench_with_empty_sink_window_is_a_command_error(tmp_path, sweeping_agen
     assert cli.main(argv) == 1
     assert capsys.readouterr().err == "error: window must be at least 1 segment, got 0\n"
     assert not (tmp_path / "out").exists()
+
+
+def test_bench_checks_monitor_section_before_loading_the_agent(tmp_path, no_work, capsys):
+    # the monitor section is checked when its config is built, so a bad
+    # setting is reported even when the agent path does not exist
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"monitor": {"window": 0}}))
+    argv = ["bench", "--method", "monitored", "--agent", str(tmp_path / "no-agent"), "--lut", str(tmp_path / "no-lut")]
+    argv += ["--config", str(cfg), "--out", str(tmp_path / "out")]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: window must be at least 1 segment, got 0\n"
+    assert not (tmp_path / "out").exists()

@@ -226,7 +226,7 @@ def test_policy_loss_formula_oracle():
 
 
 def _random_batch(kind, n, rng):
-    d, na = envs.state_dim(kind), envs.action_dim(kind)
+    d, na = envs.state_dim(kind), envs.ACTION_DIM
     return {
         "s": rng.uniform(-2, 2, size=(n, d)),
         "a": rng.uniform(-1, 1, size=(n, na)),
@@ -297,20 +297,19 @@ def test_actor_step_single_critic_matches_finite_differences(monkeypatch):
 
 
 def test_train_config_validation():
-    cfg = colearn.TrainConfig(gamma=1.5)
     with pytest.raises(ValueError):
-        cfg.validate()
+        colearn.TrainConfig(gamma=1.5)
 
 
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: colearn.TrainConfig(gamma=-0.1).validate(),
-        lambda: colearn.TrainConfig(tau=0.0).validate(),
-        lambda: colearn.TrainConfig(alpha=-1.0).validate(),
-        lambda: colearn.TrainConfig(batch_size=0).validate(),
-        lambda: colearn.TrainConfig(horizon=0).validate(),
-        lambda: colearn.TrainConfig(goal_min=0.05).validate(),
+        lambda: colearn.TrainConfig(gamma=-0.1),
+        lambda: colearn.TrainConfig(tau=0.0),
+        lambda: colearn.TrainConfig(alpha=-1.0),
+        lambda: colearn.TrainConfig(batch_size=0),
+        lambda: colearn.TrainConfig(horizon=0),
+        lambda: colearn.TrainConfig(goal_min=0.05),
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, -0.1, 0.5, 5.0),
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, 0.1, 1.5, 5.0),
         lambda: lyapunov_eval.LyapunovReport(10, 0.5, -0.1, 0.0, 0.0),

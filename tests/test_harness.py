@@ -105,12 +105,11 @@ def test_run_episode_monitored_refuses_lut_of_another_v(sweeping_agent, point_lu
     ],
     ids=["window=0", "window=-1", "stall_patience=-1", "radius_inflation=0.99", "radius_inflation=nan"],
 )
-def test_run_episode_monitored_rejects_bad_monitor_settings(sweeping_agent, sweeping_lut, setting, match):
-    # window 0 used to end every episode as "stalled" after 0 steps
-    world = envs.make_world(1, 0)
-    cfg = monitor.MonitorConfig(**setting)
+def test_run_episode_monitored_rejects_bad_monitor_settings(setting, match):
+    # window 0 used to end every episode as "stalled" after 0 steps; a bad
+    # setting now fails when the config is built, before any plan or episode
     with pytest.raises(ValueError, match=match):
-        harness.run_episode("monitored", sweeping_agent, world, cfg, lut=sweeping_lut)
+        monitor.MonitorConfig(**setting)
 
 
 class _IdlePolicy:
@@ -120,7 +119,7 @@ class _IdlePolicy:
         self.kind = kind
 
     def act(self, state, goal, world):
-        return np.zeros(envs.action_dim(self.kind))
+        return np.zeros(envs.ACTION_DIM)
 
 
 def test_run_episode_e2e_times_out_at_level_cap():

@@ -64,6 +64,81 @@ def test_unreferenced_definitions_finds_dead_code():
     assert unreferenced_definitions([source], [source, "A().used()\n"]) == ["dead"]
 
 
+def _referencing_sources():
+    return [p.read_text() for d in ("src", "tests", "bench") for p in sorted((REPO / d).rglob("*.py"))]
+
+
 def test_every_definition_is_referenced():
-    referencing = [p.read_text() for d in ("src", "tests", "bench") for p in sorted((REPO / d).rglob("*.py"))]
-    assert unreferenced_definitions([p.read_text() for p in SOURCES], referencing) == []
+    assert unreferenced_definitions([p.read_text() for p in SOURCES], _referencing_sources()) == []
+
+
+def _defaulted_parameters(tree):
+    """(callable name, parameter name, position among the positional
+    parameters a caller passes, or None if keyword-only) for every defaulted
+    parameter of every function in ``tree``. A method's ``self`` is not
+    counted, and ``__init__`` is called by its class name."""
+    out = []
+    for owner in ast.walk(tree):
+        for node in ast.iter_child_nodes(owner):
+            if not isinstance(node, ast.FunctionDef):
+                continue
+            method = isinstance(owner, ast.ClassDef) and not any(
+                isinstance(d, ast.Name) and d.id == "staticmethod" for d in node.decorator_list
+            )
+            name = owner.name if method and node.name == "__init__" else node.name
+            positional = node.args.posonlyargs + node.args.args
+            first_default = len(positional) - len(node.args.defaults)
+            for i, arg in enumerate(positional[first_default:], first_default):
+                out.append((name, arg.arg, i - method))
+            for arg, default in zip(node.args.kwonlyargs, node.args.kw_defaults):
+                if default is not None:
+                    out.append((name, arg.arg, None))
+    return out
+
+
+def never_passed_defaults(defining, calling):
+    """``name(parameter)`` for every defaulted parameter of a function in the
+    ``defining`` sources that no call in the ``calling`` sources to a
+    function of that name passes, by keyword or by position. A call that
+    spreads ``*args`` or ``**kwargs`` passes nothing."""
+    keywords = set()  # (callee name, keyword)
+    most = {}  # callee name -> most positional arguments in one call
+    for source in calling:
+        for node in ast.walk(ast.parse(source)):
+            if not isinstance(node, ast.Call):
+                continue
+            func = node.func
+            callee = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            positional = 0
+            for arg in node.args:
+                if isinstance(arg, ast.Starred):
+                    break
+                positional += 1
+            most[callee] = max(most.get(callee, 0), positional)
+            keywords.update((callee, kw.arg) for kw in node.keywords if kw.arg is not None)
+    missing = []
+    for source in defining:
+        for name, param, position in _defaulted_parameters(ast.parse(source)):
+            by_position = position is not None and most.get(name, 0) > position
+            if not by_position and (name, param) not in keywords:
+                missing.append(f"{name}({param})")
+    return sorted(set(missing))
+
+
+def test_never_passed_defaults_finds_unused_parameters():
+    source = (
+        "def f(a, b=1, c=2, *, d=3):\n    pass\n"
+        "class K:\n"
+        "    def __init__(self, x, y=0):\n        pass\n"
+        "    def m(self, z=0):\n        pass\n"
+        "    @staticmethod\n"
+        "    def s(w=0):\n        pass\n"
+    )
+    calls = "f(0, 1)\nK(1)\nK(*xs)\nobj.m(z=2)\nK.s(5)\nf(*args, c=4)\n"
+    assert never_passed_defaults([source], [source, calls]) == ["K(y)", "f(d)"]
+    assert never_passed_defaults([source], [calls, "f(0, 1, 2, d=0)\nK(1, 2)\n"]) == []
+
+
+def test_every_default_is_passed_somewhere():
+    # a default no caller overrides is a constant in disguise
+    assert never_passed_defaults([p.read_text() for p in SOURCES], _referencing_sources()) == []

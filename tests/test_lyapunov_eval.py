@@ -24,7 +24,7 @@ def test_satisfaction_rates_hand_counted():
     # positivity (V>0 at both ends): rows 0,1,3 -> 3/4; row 2 has V(s)=0
     # decrease: rows 0,3 -> 2/4
     # joint: rows 0,3 -> 2/4
-    rep = lyapunov_eval.satisfaction_rates(value_fn, S, S1)
+    rep = lyapunov_eval.satisfaction_rates(value_fn, S, S1, RobotKind.SWEEPING)
     assert rep.positivity_rate == pytest.approx(0.75)
     assert rep.lie_rate == pytest.approx(0.5)
     assert rep.joint_rate == pytest.approx(0.5)
@@ -34,14 +34,14 @@ def test_boundary_counts_as_violation():
     value_fn = lambda x: np.linalg.norm(np.atleast_2d(x)[:, :2], axis=1)
     S = np.array([[1.0, 0.0]])
     S1 = np.array([[1.0, 0.0]])  # zero decrease
-    rep = lyapunov_eval.satisfaction_rates(value_fn, S, S1)
+    rep = lyapunov_eval.satisfaction_rates(value_fn, S, S1, RobotKind.SWEEPING)
     assert rep.lie_rate == 0.0
 
 
 def test_empty_transition_set_rejected():
     value_fn = lambda x: np.atleast_2d(x)[:, 0]
     with pytest.raises(ValueError):
-        lyapunov_eval.satisfaction_rates(value_fn, np.zeros((0, 2)), np.zeros((0, 2)))
+        lyapunov_eval.satisfaction_rates(value_fn, np.zeros((0, 2)), np.zeros((0, 2)), RobotKind.SWEEPING)
 
 
 def test_sink_residual_zero_for_difference_parametrization():

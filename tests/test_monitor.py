@@ -97,7 +97,7 @@ def test_level_grid_from_values():
 
 
 def test_candidate_sinks_span_segment():
-    # the candidates select_sink hands to V, in one call, are the segment at
+    # the candidates a selection hands to V, in one call, are the segment at
     # fractions 0, delta, ..., 1
     value, _ = quad_v(1.0)
     calls = []
@@ -110,12 +110,11 @@ def test_candidate_sinks_span_segment():
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.0, 0.0))
     path = np.array([[0.0, 0.0], [1.0, 0.0]])
     cfg = monitor.MonitorConfig(delta=0.25, window=1)
-    monitor.select_sink(RobotKind.SWEEPING, state, path, 0, envs.empty_world(), recording_value, lut, cfg)
+    monitor.SinkTracker(path, envs.empty_world(), recording_value, lut, cfg).select(state, 0)
     assert len(calls) == 1
     assert np.allclose(calls[0], [[0, 0], [0.25, 0], [0.5, 0], [0.75, 0], [1.0, 0]])
-    cfg = monitor.MonitorConfig(delta=0.0)
-    with pytest.raises(ValueError):
-        monitor.select_sink(RobotKind.SWEEPING, state, path, 0, envs.empty_world(), value, lut, cfg)
+    with pytest.raises(ValueError, match="delta"):
+        monitor.MonitorConfig(delta=0.0)
 
 
 def reference_select_sink(state, path, seg_idx, world, value_fn, lut, cfg):
@@ -174,10 +173,10 @@ def test_select_sink_matches_per_candidate_oracle():
         except monitor.MonitorStall:
             kinds["stalled"] += 1
             with pytest.raises(monitor.MonitorStall):
-                monitor.select_sink(RobotKind.SWEEPING, state, path, seg_idx, world, value, lut, cfg)
+                monitor.SinkTracker(path, world, value, lut, cfg).select(state, seg_idx)
             continue
         kinds["chosen"] += 1
-        _assert_same_choice(monitor.select_sink(RobotKind.SWEEPING, state, path, seg_idx, world, value, lut, cfg), want)
+        _assert_same_choice(monitor.SinkTracker(path, world, value, lut, cfg).select(state, seg_idx), want)
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -191,7 +190,7 @@ def test_select_sink_tie_at_shared_waypoint_keeps_earlier_segment():
     world.hazards = np.array([[1.5, 1.9, 1.3]])
     path = np.array([[0.5, 0.5], [1.5, 0.5], [1.5, 1.5]])
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.5, 0.5))
-    choice = monitor.select_sink(RobotKind.SWEEPING, state, path, 0, world, value, lut)
+    choice = monitor.SinkTracker(path, world, value, lut).select(state, 0)
     assert (choice.segment, choice.fraction) == (0, 1.0)
     _assert_same_choice(choice, reference_select_sink(state, path, 0, world, value, lut, monitor.MonitorConfig()))
 
@@ -289,7 +288,7 @@ def test_sink_tracker_computes_each_clearance_row_once(monkeypatch, sweeping_age
 def test_sink_tracker_advance_scans_window_plus_one_segments():
     path = np.column_stack([np.arange(6.0), np.zeros(6)])
     cfg = monitor.MonitorConfig(window=2)
-    tracker = monitor.SinkTracker(RobotKind.SWEEPING, path, envs.empty_world(), None, None, cfg)
+    tracker = monitor.SinkTracker(path, envs.empty_world(), None, None, cfg)
     for pos, seg in [((2.6, 0.1), 2), ((1.0, 0.1), 2), ((4.9, 0.1), 4), ((9.0, 0.0), 4)]:
         tracker.advance(envs.initial_state(RobotKind.SWEEPING, pos=pos))
         assert tracker.seg_idx == seg
@@ -311,7 +310,7 @@ def test_select_sink_prefers_progress_on_clear_ground():
     world = envs.empty_world()
     path = np.array([[0.5, 0.5], [1.5, 0.5], [2.5, 0.5]])
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.5, 0.5))
-    choice = monitor.select_sink(RobotKind.SWEEPING, state, path, 0, world, value, lut)
+    choice = monitor.SinkTracker(path, world, value, lut).select(state, 0)
     assert choice.segment == 1
     assert choice.fraction == pytest.approx(1.0)
 
@@ -323,7 +322,7 @@ def test_select_sink_rejects_uncertified_candidates():
     world = envs.empty_world()
     path = np.array([[0.5, 0.5], [3.5, 3.5]])
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.5, 0.5))
-    choice = monitor.select_sink(RobotKind.SWEEPING, state, path, 0, world, value, lut)
+    choice = monitor.SinkTracker(path, world, value, lut).select(state, 0)
     # the chosen sink must be within sqrt(0.04) of the robot
     assert np.linalg.norm(choice.pos - state.pos) <= 0.2 + 1e-6
 
@@ -335,7 +334,7 @@ def test_select_sink_skips_hazard_overlapping_circles():
     world.hazards = np.array([[2.0, 0.5, 0.2]])
     path = np.array([[0.5, 0.5], [1.5, 0.5]])
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.5, 0.5))
-    choice = monitor.select_sink(RobotKind.SWEEPING, state, path, 0, world, value, lut)
+    choice = monitor.SinkTracker(path, world, value, lut).select(state, 0)
     r_inf = choice.radius * monitor.MonitorConfig().radius_inflation
     assert np.linalg.norm(world.hazards[0, :2] - choice.pos) >= r_inf + 0.2
 
@@ -348,7 +347,7 @@ def test_select_sink_stalls_when_nothing_safe():
     path = np.array([[0.5, 0.5], [1.5, 0.5]])
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.5, 0.5))
     with pytest.raises(monitor.MonitorStall):
-        monitor.select_sink(RobotKind.SWEEPING, state, path, 0, world, value, lut)
+        monitor.SinkTracker(path, world, value, lut).select(state, 0)
 
 
 class QuadAgent:

@@ -2,11 +2,11 @@
 
 ``planner.point_segment_distance``, ``envs.in_hazard``, ``envs.featurize``,
 ``envs.step`` and ``envs.hazard_observation`` run once per RRT sample or once
-per episode step, so they work on coordinate columns with bare ufuncs. The
-oracles below are the straightforward ``np.linalg.norm`` / ``np.clip`` /
-``np.sum`` / ``np.hstack`` versions; the fast versions must agree with them
-bit for bit, NaN included, because plans and episodes are compared bitwise
-across changes.
+per episode step, so they work on coordinate columns with bare ufuncs, and
+``envs.distance`` is the square root of a dot product. The oracles below are
+the straightforward ``np.linalg.norm`` / ``np.clip`` / ``np.sum`` /
+``np.hstack`` versions; the fast versions must agree with them bit for bit,
+NaN included, because plans and episodes are compared bitwise across changes.
 """
 
 import numpy as np
@@ -236,3 +236,17 @@ def test_hazard_observation_matches_slot_loop_on_tied_distances():
     assert len(ring) == 12
     assert same_bits(obs, oracle_hazard_observation(s, world))
     assert obs.reshape(8, 2).tolist() == [list(v) for v in ring[:8]]
+
+
+def test_distance_matches_norm_of_either_difference_bitwise():
+    rng = np.random.default_rng(4)
+    pairs = [tuple(rng.uniform(-20.0, 20.0, size=(2, 2))) for _ in range(2000)]
+    pairs += [(p, p.copy()) for p, _ in pairs[:20]]  # equal points
+    for scale in (1e150, 1e-150, 1e200, 1e-200):  # squares near and past the float range
+        pairs += [tuple(scale * rng.normal(size=(2, 2))) for _ in range(20)]
+    nan = np.array([np.nan, 1.0])
+    pairs += [(nan, np.zeros(2)), (np.zeros(2), nan), (np.array([np.inf, 0.0]), np.array([np.inf, 0.0]))]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for p, q in pairs:
+            d = envs.distance(p, q)
+            assert same_bits(d, np.linalg.norm(p - q)) and same_bits(d, np.linalg.norm(q - p)), (p, q)

@@ -1,4 +1,4 @@
-"""Waypoint planning: collision predicates, tree growth, path extraction."""
+"""Waypoint planning: collision predicates and the planned paths."""
 
 import hashlib
 from dataclasses import replace
@@ -109,19 +109,6 @@ def test_plan_deterministic_per_seed():
     p1 = planner.plan_path(world, seed=11)
     p2 = planner.plan_path(world, seed=11)
     assert np.array_equal(p1, p2)
-
-
-def test_extract_path_is_root_to_goal_chain():
-    # hand-built tree: start -> A -> B with goal connection at B
-    tree = planner.Tree(
-        points=[np.array([0.0, 0.0]), np.array([1.0, 0.0]), np.array([2.0, 0.0])],
-        parents=[-1, 0, 1],
-        goal_node=2,
-    )
-    world = envs.empty_world()
-    world.goal = np.array([3.0, 0.0])
-    path = planner.extract_path(tree, world)
-    assert np.allclose(path, [[0, 0], [1, 0], [2, 0], [3, 0]])
 
 
 def test_path_json_roundtrip():
