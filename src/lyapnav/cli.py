@@ -6,9 +6,11 @@ certificate lookup table, plan paths, run benchmarks, and re-render reports.
 
 Every dataclass default can be overridden from a single JSON config file with
 top-level sections {"train", "e2e", "planner", "monitor", "search"}; an unknown
-section or key is an error. Network width (colearn.HIDDEN) and reach tolerance
-(envs.REACH_TOL) are fixed. The LYAPNAV_SEED environment variable overrides
-every --seed argument.
+section or key is an error. Network width (colearn.HIDDEN), reach tolerance
+(envs.REACH_TOL), the hazard penalty (envs.HAZARD_PENALTY), the shared DDPG
+settings (colearn.TAU, BATCH_SIZE, REPLAY_CAPACITY, LR, ACTOR_LR) and the e2e
+baseline's level, discount and noise (harness.E2E_LEVEL, E2E_GAMMA, E2E_NOISE)
+are fixed. Every command that draws random numbers takes its seed from --seed.
 """
 
 import argparse
@@ -61,33 +63,27 @@ def apply_overrides(obj, overrides):
     return replace(obj, **overrides)
 
 
-def resolve_seed(args):
-    env = os.environ.get("LYAPNAV_SEED")
-    return int(env) if env else args.seed
-
-
 def cmd_train(args):
     cfg = apply_overrides(colearn.TrainConfig(), load_config(args.config).get("train"))
-    seed = resolve_seed(args)
     os.makedirs(args.out, exist_ok=True)
-    agent, _ = colearn.colearn(RobotKind(args.robot), cfg, seed=seed, log_path=os.path.join(args.out, "train_log.csv"))
+    log_path = os.path.join(args.out, "train_log.csv")
+    agent, _ = colearn.colearn(RobotKind(args.robot), cfg, seed=args.seed, log_path=log_path)
     agent.save(args.out)
-    print(f"trained {args.robot} agent (seed {seed}) -> {args.out}")
+    print(f"trained {args.robot} agent (seed {args.seed}) -> {args.out}")
     return 0
 
 
 def cmd_train_e2e(args):
     cfg = apply_overrides(harness.E2eTrainConfig(), load_config(args.config).get("e2e"))
-    seed = resolve_seed(args)
-    policy = harness.train_e2e(RobotKind(args.robot), cfg, seed=seed)
+    policy = harness.train_e2e(RobotKind(args.robot), cfg, seed=args.seed)
     policy.save(args.out)
-    print(f"trained {args.robot} e2e baseline (seed {seed}) -> {args.out}")
+    print(f"trained {args.robot} e2e baseline (seed {args.seed}) -> {args.out}")
     return 0
 
 
 def cmd_eval_nlf(args):
     agent = colearn.Agent.load(args.agent)
-    report = lyapunov_eval.evaluate(agent, n=args.n, seed=resolve_seed(args))
+    report = lyapunov_eval.evaluate(agent, n=args.n, seed=args.seed)
     if args.out:
         with open(args.out, "w") as f:
             f.write(report.to_json())
@@ -98,9 +94,8 @@ def cmd_eval_nlf(args):
 def cmd_build_lut(args):
     doc = load_config(args.config)
     agent = colearn.Agent.load(args.agent)
-    seed = resolve_seed(args)
     search = apply_overrides(monitor.SearchConfig(), doc.get("search"))
-    S, _ = lyapunov_eval.sample_transitions(agent.kind, agent.policy, args.n_samples, seed=seed)
+    S, _ = lyapunov_eval.sample_transitions(agent.kind, agent.policy, args.n_samples, seed=args.seed)
     grid = monitor.level_grid_from_values(agent.v.value(S))
     box = monitor.state_box(agent.kind, args.reach)
     lut = monitor.build_lut(
@@ -109,7 +104,7 @@ def cmd_build_lut(args):
         grid,
         box,
         search,
-        seed=seed,
+        seed=args.seed,
         v_digest=nn.params_digest(agent.v.net),
         project=monitor.heading_projection(agent.kind),
     )
@@ -120,20 +115,19 @@ def cmd_build_lut(args):
 
 
 def cmd_plan(args):
-    seed = resolve_seed(args)
     if args.world:
         with open(args.world) as f:
             world = envs.World.from_json(f.read())
     else:
-        world = envs.make_world(args.level, seed)
+        world = envs.make_world(args.level, args.seed)
     cfg = apply_overrides(planner.PlannerConfig.for_world(world), load_config(args.config).get("planner"))
     try:
-        path = planner.plan_path(world, cfg, seed)
+        path = planner.plan_path(world, cfg, args.seed)
     except planner.PlanNotFound as exc:
         print(f"plan failed: {exc}", file=sys.stderr)
         return 1
     with open(args.out, "w") as f:
-        f.write(planner.path_to_json(path, cfg, seed))
+        f.write(planner.path_to_json(path, cfg, args.seed))
     print(f"path with {len(path)} waypoints -> {args.out}")
     return 0
 
@@ -141,7 +135,6 @@ def cmd_plan(args):
 def cmd_bench(args):
     # a bad monitor section fails before any artifact is read
     mon_cfg = apply_overrides(monitor.MonitorConfig(), load_config(args.config).get("monitor"))
-    seed = resolve_seed(args)
     method = args.method
     if method in ("monitored", "direct"):
         agent = colearn.Agent.load(args.agent)
@@ -154,7 +147,9 @@ def cmd_bench(args):
             return 1
         with open(args.lut) as f:
             lut = monitor.RoaLut.from_json(f.read())
-    summary, episodes = harness.run_benchmark(method, agent, args.level, args.episodes, seed, lut=lut, config=mon_cfg)
+    summary, episodes = harness.run_benchmark(
+        method, agent, args.level, args.episodes, args.seed, lut=lut, config=mon_cfg
+    )
     harness.write_reports([summary], episodes, args.out)
     print(harness.render_table([summary]))
     return 0

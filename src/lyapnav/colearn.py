@@ -10,8 +10,6 @@ goal-conditioned networks generalize over goal positions.
 """
 
 import csv
-import json
-import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,6 +18,13 @@ from . import envs, nn
 from .envs import RobotKind
 
 HIDDEN = (64, 64)  # hidden layer widths of every network, e2e baseline included
+
+# DDPG settings shared with the e2e baseline (Lillicrap et al. 2015)
+TAU = 0.005  # Polyak rate of the target networks
+BATCH_SIZE = 256
+REPLAY_CAPACITY = 100_000
+LR = 1e-3  # Adam step of the critics (and of V)
+ACTOR_LR = 3e-4
 
 # columns of the training log, one row per episode
 LOG_FIELDS = (
@@ -40,13 +45,10 @@ LOG_FIELDS = (
 @dataclass
 class TrainConfig:
     gamma: float = 0.99
-    tau: float = 0.005
     alpha: float = 0.5  # weight of the Lyapunov critic in the actor loss
-    batch_size: int = 256
     episodes: int = 200
     grad_steps: int = 50  # gradient phases per episode
     noise: float = 0.1  # exploration noise std, in action units
-    replay_capacity: int = 100_000
     horizon: int = 200
     # hinge margins for the V update; without them V = 0 everywhere is a
     # degenerate minimum of the plain risk and training collapses
@@ -54,22 +56,27 @@ class TrainConfig:
     lie_margin: float = 0.01  # require V to drop by at least this per step
     goal_range: float = 3.0  # goals sampled in a disk of this radius
     goal_min: float = 0.3
-    lr: float = 1e-3
-    actor_lr: float = 3e-4
     warmup_episodes: int = 10  # uniform random actions to seed the replay
     hindsight_relabels: int = 4  # extra buffer copies per transition with future achieved goals
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not 0.0 < self.tau <= 1.0:
-            raise ValueError(f"tau must be in (0, 1], got {self.tau}")
         if not self.alpha >= 0.0:
             raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
-        if not (self.batch_size > 0 and self.horizon > 0):
-            raise ValueError("batch_size and horizon must be positive")
+        check_schedule(self)
         if not self.goal_min > envs.REACH_TOL:
             raise ValueError(f"goal_min must exceed envs.REACH_TOL = {envs.REACH_TOL}, got {self.goal_min}")
+
+
+def check_schedule(cfg):
+    """Refuse a training schedule that trains nothing: episodes, grad_steps
+    and horizon below 1, or warmup_episodes below 0."""
+    for name in ("episodes", "grad_steps", "horizon"):
+        if not getattr(cfg, name) >= 1:
+            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
+    if not cfg.warmup_episodes >= 0:
+        raise ValueError(f"warmup_episodes must be nonnegative, got {cfg.warmup_episodes}")
 
 
 class LyapunovNet:
@@ -113,6 +120,10 @@ class Policy:
     def __init__(self, kind, net):
         self.kind = kind
         self.net = net
+
+    def observe(self, state, goal, world):
+        """[d_g, intrinsic]; the hazard-free policy does not read ``world``."""
+        return envs.goal_condition(state, goal)
 
     def forward(self, sg):
         return self.net.forward(envs.featurize(self.kind, sg))
@@ -171,7 +182,7 @@ class Agent:
         policy is hazard-free), kept for ``E2ePolicy.act``'s signature."""
         return self.policy.forward(envs.goal_condition(state, goal))
 
-    def _networks(self):
+    def networks(self):
         """Checkpoint name -> network, in manifest order."""
         return {
             "pi": self.pi,
@@ -184,31 +195,11 @@ class Agent:
         }
 
     def save(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        networks = self._networks()
-        for name, net in networks.items():
-            nn.save_params(net, os.path.join(out_dir, f"{name}.json"))
-        manifest = {
-            "robot": self.kind.value,
-            "v_digest": nn.params_digest(self.v.net),
-            "files": list(networks),
-        }
-        with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-            json.dump(manifest, f, indent=2)
+        nn.save_checkpoint(self, out_dir, v_digest=nn.params_digest(self.v.net))
 
     @classmethod
     def load(cls, out_dir):
-        with open(os.path.join(out_dir, "manifest.json")) as f:
-            manifest = json.load(f)
-        kind = RobotKind(manifest["robot"])
-        agent = make_agent(kind)
-        networks = agent._networks()
-        if manifest.get("files") != list(networks):
-            raise nn.CheckpointError(
-                f"manifest in {out_dir} lists files {manifest.get('files')}, expected {list(networks)}"
-            )
-        for name, net in networks.items():
-            nn.load_params(os.path.join(out_dir, f"{name}.json"), net)
+        agent, manifest = nn.load_checkpoint(out_dir, lambda robot: make_agent(RobotKind(robot)))
         if manifest["v_digest"] != nn.params_digest(agent.v.net):
             raise nn.CheckpointError(f"v.json in {out_dir} is not the V of its manifest")
         return agent
@@ -299,10 +290,10 @@ class Trainer:
     def __init__(self, agent, cfg):
         self.agent = agent
         self.cfg = cfg
-        self.adam_pi = nn.AdamState(agent.pi.params(), lr=cfg.actor_lr)
-        self.adam_q = nn.AdamState(agent.q.params(), lr=cfg.lr)
-        self.adam_v = nn.AdamState(agent.v.net.params(), lr=cfg.lr)
-        self.adam_lq = nn.AdamState(agent.lq.params(), lr=cfg.lr)
+        self.adam_pi = nn.AdamState(agent.pi.params(), lr=ACTOR_LR)
+        self.adam_q = nn.AdamState(agent.q.params(), lr=LR)
+        self.adam_v = nn.AdamState(agent.v.net.params(), lr=LR)
+        self.adam_lq = nn.AdamState(agent.lq.params(), lr=LR)
 
     def train_q(self, batch):
         ag = self.agent
@@ -346,57 +337,53 @@ class Trainer:
         return actor_step(ag.pi, self.adam_pi, s, [(ag.q_t, -1.0), (ag.lq_t, self.cfg.alpha)])
 
     def polyak(self):
-        tau = self.cfg.tau
-        nn.polyak_update(self.agent.pi_t, self.agent.pi, tau)
-        nn.polyak_update(self.agent.q_t, self.agent.q, tau)
-        nn.polyak_update(self.agent.lq_t, self.agent.lq, tau)
+        nn.polyak_update(self.agent.pi_t, self.agent.pi, TAU)
+        nn.polyak_update(self.agent.q_t, self.agent.q, TAU)
+        nn.polyak_update(self.agent.lq_t, self.agent.lq, TAU)
 
 
-def sample_goal(cfg, rng):
-    """Uniform goal in an annulus around the arena origin."""
+def sample_task(kind, cfg, rng):
+    """Start (arena origin, uniform heading) and goal (uniform in an annulus)."""
     r = np.sqrt(rng.uniform(cfg.goal_min**2, cfg.goal_range**2))
     phi = rng.uniform(0.0, 2 * np.pi)
-    return r * np.array([np.cos(phi), np.sin(phi)])
+    goal = r * np.array([np.cos(phi), np.sin(phi)])
+    return envs.initial_state(kind, heading=rng.uniform(0.0, 2 * np.pi)), goal
 
 
-def collect_episode(kind, policy, cfg, rng, random_actions=False, noise=None):
-    """Roll out the (target) policy with Gaussian exploration noise.
-
-    Returns (transitions, episode_reward, start_distance). The arena is
-    hazard-free; the episode ends at the horizon or when the goal is reached.
+def collect_episode(policy, state, goal, world, horizon, noise, rng, random_actions=False):
+    """Roll out ``policy`` from ``state`` toward ``goal`` in ``world`` with
+    Gaussian exploration noise (or uniform random actions), observing through
+    ``policy.observe`` and rewarded by ``envs.e2e_reward``. Ends at the horizon
+    or the goal. Returns (transitions, episode_reward, start_distance, states).
     """
-    goal = sample_goal(cfg, rng)
-    state = envs.initial_state(kind, heading=rng.uniform(0.0, 2 * np.pi))
     transitions = []
     total = 0.0
     d0 = envs.distance(goal, state.pos)
-    if noise is None:
-        noise = cfg.noise
     states = [state]
-    for _ in range(cfg.horizon):
-        sg = envs.goal_condition(state, goal)
+    o = policy.observe(state, goal, world)
+    for _ in range(horizon):
         if random_actions:
             a = rng.uniform(-1.0, 1.0, size=envs.ACTION_DIM)
         else:
-            a = policy.forward(sg)
+            a = policy.forward(o)
             if noise > 0.0:
                 a = a + rng.normal(0.0, noise, size=a.shape)
         a = np.clip(a, -1.0, 1.0)
-        nxt = envs.step(kind, state, a)
-        r = envs.reward(goal, state, nxt)
-        sg1 = envs.goal_condition(nxt, goal)
+        nxt = envs.step(policy.kind, state, a)
+        r = envs.e2e_reward(goal, state, nxt, world)
+        o1 = policy.observe(nxt, goal, world)
         done = envs.distance(goal, nxt.pos) < envs.REACH_TOL
-        transitions.append((sg, a, r, sg1, done))
+        transitions.append((o, a, r, o1, done))
         states.append(nxt)
         total += r
-        state = nxt
+        state, o = nxt, o1
         if done:
             break
     return transitions, total, d0, states
 
 
-def store_episode(buffer, transitions, states, cfg, rng):
-    """Push an episode into the replay, plus hindsight-relabeled copies.
+def store_episode(buffer, transitions, states, relabels, rng):
+    """Push an episode into the replay, plus ``relabels`` relabeled copies of each transition.
 
     Relabeling substitutes a future achieved position for the goal and
     recomputes reward and termination; the (state, action, next-state)
@@ -408,7 +395,7 @@ def store_episode(buffer, transitions, states, cfg, rng):
     for t in range(n):
         s_t, s_t1 = states[t], states[t + 1]
         a = transitions[t][1]
-        for _ in range(cfg.hindsight_relabels):
+        for _ in range(relabels):
             future = rng.integers(t, n)
             g = states[future + 1].pos
             sg = envs.goal_condition(s_t, g)
@@ -427,20 +414,22 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
     cfg = cfg or TrainConfig()
     agent = make_agent(kind, seed=seed)
     trainer = Trainer(agent, cfg)
-    buffer = ReplayBuffer(cfg.replay_capacity, envs.state_dim(kind), envs.ACTION_DIM)
+    buffer = ReplayBuffer(REPLAY_CAPACITY, envs.state_dim(kind), envs.ACTION_DIM)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
+    arena = envs.empty_world()  # no hazards; nothing else of it is read
     log_rows = []
     for ep in range(cfg.episodes):
+        start, goal = sample_task(kind, cfg, rng)
         transitions, ep_reward, d0, states = collect_episode(
-            kind, agent.target_policy, cfg, rng, random_actions=ep < cfg.warmup_episodes
+            agent.target_policy, start, goal, arena, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes
         )
-        store_episode(buffer, transitions, states, cfg, rng)
+        store_episode(buffer, transitions, states, cfg.hindsight_relabels, rng)
         # phase means of the four losses and the two hinge-active fractions
         means = np.zeros(6)
         phases = 0
-        if buffer.size >= cfg.batch_size:
+        if buffer.size >= BATCH_SIZE:
             for _ in range(cfg.grad_steps):
-                batch = buffer.sample(rng, cfg.batch_size)
+                batch = buffer.sample(rng, BATCH_SIZE)
                 ql = trainer.train_q(batch)
                 vl, pos_frac, lie_frac = trainer.train_v(batch)
                 ll = trainer.train_lq(batch)

@@ -28,6 +28,7 @@ CAR_TRACK_WIDTH = 0.4
 HAZARD_RADIUS = 0.2
 START_GOAL_CLEARANCE = 0.3  # extra clearance beyond the hazard radius
 REACH_TOL = 0.1  # goal (and waypoint) reach distance in training and evaluation
+HAZARD_PENALTY = 10.0  # reward subtracted per step that ends inside a hazard
 
 # level -> (map side length, hazard count)
 LEVELS = {1: (4.0, 8), 2: (8.0, 32), 3: (16.0, 128)}
@@ -173,11 +174,12 @@ def reward(g, s_t, s_next):
     return distance(g, s_t.pos) - distance(g, s_next.pos)
 
 
-def e2e_reward(g, s_t, s_next, world, penalty=10.0):
-    """Progress reward minus a fixed penalty while inside any hazard."""
+def e2e_reward(g, s_t, s_next, world):
+    """Progress reward minus HAZARD_PENALTY while inside any hazard; in a
+    world without hazards it is reward() bit for bit."""
     r = reward(g, s_t, s_next)
     if in_hazard(s_next.pos, world):
-        r -= penalty
+        r -= HAZARD_PENALTY
     return r
 
 

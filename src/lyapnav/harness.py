@@ -10,7 +10,6 @@ the goal with no monitor; it only serves as a steps-to-reach reference.
 """
 
 import csv
-import json
 import math
 import os
 from dataclasses import dataclass, asdict
@@ -62,22 +61,21 @@ class E2ePolicy:
     def observe(self, state, goal, world):
         return np.concatenate([envs.hazard_observation(state, world), envs.goal_condition(state, goal)])
 
+    def forward(self, o):
+        return self.net.forward(o)
+
     def act(self, state, goal, world):
         return self.net.forward(self.observe(state, goal, world))
 
+    def networks(self):
+        return {"e2e_pi": self.net}
+
     def save(self, out_dir):
-        os.makedirs(out_dir, exist_ok=True)
-        nn.save_params(self.net, os.path.join(out_dir, "e2e_pi.json"))
-        with open(os.path.join(out_dir, "manifest.json"), "w") as f:
-            json.dump({"robot": self.kind.value, "files": ["e2e_pi"]}, f, indent=2)
+        nn.save_checkpoint(self, out_dir)
 
     @classmethod
     def load(cls, out_dir):
-        with open(os.path.join(out_dir, "manifest.json")) as f:
-            kind = RobotKind(json.load(f)["robot"])
-        policy = make_e2e_policy(kind)
-        nn.load_params(os.path.join(out_dir, "e2e_pi.json"), policy.net)
-        return policy
+        return nn.load_checkpoint(out_dir, lambda robot: make_e2e_policy(RobotKind(robot)))[0]
 
 
 def e2e_obs_dim(kind):
@@ -90,64 +88,53 @@ def make_e2e_policy(kind, seed=0):
     return E2ePolicy(kind, net)
 
 
+# e2e training worlds, discount and exploration noise std
+E2E_LEVEL = 1
+E2E_GAMMA = 0.97
+E2E_NOISE = 0.15
+
+
 @dataclass
 class E2eTrainConfig:
-    level: int = 1
-    penalty: float = 10.0
-    gamma: float = 0.97
-    tau: float = 0.005
-    batch_size: int = 256
     episodes: int = 150
+    warmup_episodes: int = 10
     grad_steps: int = 50
     horizon: int = 300
-    noise: float = 0.15
-    replay_capacity: int = 100_000
-    lr: float = 1e-3
-    actor_lr: float = 3e-4
-    warmup_episodes: int = 10
+
+    def __post_init__(self):
+        colearn.check_schedule(self)
 
 
 def train_e2e(kind, cfg=None, seed=0):
     """DDPG training of the end-to-end baseline in randomly generated hazard
-    worlds, with the hazard-penalized progress reward."""
+    worlds, with the hazard-penalized progress reward. Episodes run through
+    ``colearn.collect_episode`` with the target actor, as co-learning's do."""
     cfg = cfg or E2eTrainConfig()
     policy = make_e2e_policy(kind, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE3]))
     q_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE4]))
-    na = envs.ACTION_DIM
     obs_dim = e2e_obs_dim(kind)
-    q = nn.Mlp([obs_dim + na, *colearn.HIDDEN, 1], "identity", q_rng)
+    q = nn.Mlp([obs_dim + envs.ACTION_DIM, *colearn.HIDDEN, 1], "identity", q_rng)
     pi_t, q_t = policy.net.copy(), q.copy()
-    adam_pi = nn.AdamState(policy.net.params(), lr=cfg.actor_lr)
-    adam_q = nn.AdamState(q.params(), lr=cfg.lr)
-    buffer = colearn.ReplayBuffer(cfg.replay_capacity, obs_dim, na)
+    adam_pi = nn.AdamState(policy.net.params(), lr=colearn.ACTOR_LR)
+    adam_q = nn.AdamState(q.params(), lr=colearn.LR)
+    buffer = colearn.ReplayBuffer(colearn.REPLAY_CAPACITY, obs_dim, envs.ACTION_DIM)
     for ep in range(cfg.episodes):
-        world = envs.make_world(cfg.level, int(rng.integers(2**31)))
-        state = envs.initial_state(kind, pos=world.start, heading=rng.uniform(0, 2 * np.pi))
-        goal = world.goal
-        for _ in range(cfg.horizon):
-            o = policy.observe(state, goal, world)
-            if ep < cfg.warmup_episodes:
-                a = rng.uniform(-1.0, 1.0, size=na)
-            else:
-                a = np.clip(pi_t.forward(o) + rng.normal(0.0, cfg.noise, size=na), -1.0, 1.0)
-            nxt = envs.step(kind, state, a)
-            r = envs.e2e_reward(goal, state, nxt, world, cfg.penalty)
-            o1 = policy.observe(nxt, goal, world)
-            done = envs.distance(goal, nxt.pos) < envs.REACH_TOL
-            buffer.add(o, a, r, o1, done)
-            state = nxt
-            if done:
-                break
-        if buffer.size < cfg.batch_size:
+        world = envs.make_world(E2E_LEVEL, int(rng.integers(2**31)))
+        start = envs.initial_state(kind, pos=world.start, heading=rng.uniform(0, 2 * np.pi))
+        transitions, _, _, states = colearn.collect_episode(
+            E2ePolicy(kind, pi_t), start, world.goal, world, cfg.horizon, E2E_NOISE, rng, ep < cfg.warmup_episodes
+        )
+        colearn.store_episode(buffer, transitions, states, 0, rng)
+        if buffer.size < colearn.BATCH_SIZE:
             continue
         for _ in range(cfg.grad_steps):
-            b = buffer.sample(rng, cfg.batch_size)
-            y = colearn.td_target(q_t, pi_t, b["r"], b["s1"], b["done"], cfg.gamma)
+            b = buffer.sample(rng, colearn.BATCH_SIZE)
+            y = colearn.td_target(q_t, pi_t, b["r"], b["s1"], b["done"], E2E_GAMMA)
             colearn.regress(q, adam_q, np.hstack([b["s"], b["a"]]), y)
             colearn.actor_step(policy.net, adam_pi, b["s"], [(q_t, -1.0)])
-            nn.polyak_update(pi_t, policy.net, cfg.tau)
-            nn.polyak_update(q_t, q, cfg.tau)
+            nn.polyak_update(pi_t, policy.net, colearn.TAU)
+            nn.polyak_update(q_t, q, colearn.TAU)
         nn.check_finite(policy.net, f"in e2e actor after episode {ep}")
         nn.check_finite(q, f"in e2e critic after episode {ep}")
     return policy

@@ -40,9 +40,11 @@ def sample_transitions(kind, policy, n, seed=0):
     random goals in hazard-free space. Returns two (n, dim) arrays."""
     cfg = colearn.TrainConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7]))
+    arena = envs.empty_world()
     S, S1 = [], []
     while len(S) < n:
-        transitions, _, _, _ = colearn.collect_episode(kind, policy, cfg, rng, noise=0.0)
+        start, goal = colearn.sample_task(kind, cfg, rng)
+        transitions, _, _, _ = colearn.collect_episode(policy, start, goal, arena, cfg.horizon, 0.0, rng)
         for sg, _, _, sg1, _ in transitions:
             S.append(sg)
             S1.append(sg1)

@@ -132,8 +132,15 @@ class RoaLut:
     def __post_init__(self):
         self.keys = np.asarray(self.keys, dtype=float)
         self.radii = np.asarray(self.radii, dtype=float)
+        if self.radii.shape != self.keys.shape:
+            raise ValueError(f"radii have shape {self.radii.shape}, keys {self.keys.shape}")
         if self.keys.size < 2:
             raise ValueError("lookup table needs at least 2 keys")
+        if not np.all(np.isfinite(self.keys)):
+            raise ValueError("keys must be finite")
+        # a negative radius would pass every clearance test
+        if not np.all(np.isfinite(self.radii) & (self.radii >= 0.0)):
+            raise ValueError("radii must be finite and nonnegative")
         if np.any(np.diff(self.keys) <= 0):
             raise ValueError("keys must be strictly increasing")
         if np.any(np.diff(self.radii) < 0):

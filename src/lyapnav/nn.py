@@ -7,6 +7,7 @@ owns a single mutable copy per network.
 
 import hashlib
 import json
+import os
 
 import numpy as np
 
@@ -197,6 +198,7 @@ def load_params(path, net):
     try:
         with open(path) as f:
             doc = json.load(f)
+        version = doc["format_version"]
         layer_sizes = list(doc["layer_sizes"])
         hidden_activation = doc["hidden_activation"]
         output_activation = doc["output_activation"]
@@ -204,6 +206,8 @@ def load_params(path, net):
         biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"cannot parse checkpoint {path}: {exc}") from exc
+    if version != CHECKPOINT_VERSION:
+        raise CheckpointError(f"checkpoint {path} has format_version {version}, expected {CHECKPOINT_VERSION}")
     if hidden_activation != HIDDEN_ACTIVATION or output_activation not in OUTPUT_ACTIVATIONS:
         raise CheckpointError(
             f"checkpoint {path} has activations {hidden_activation}/{output_activation}; "
@@ -223,6 +227,32 @@ def load_params(path, net):
     net.weights = weights
     net.biases = biases
     return net
+
+
+def save_checkpoint(obj, out_dir, **fields):
+    """``<name>.json`` per ``obj.networks()`` entry, and a manifest.json with
+    the robot ``obj.kind``, ``fields`` and the file names."""
+    os.makedirs(out_dir, exist_ok=True)
+    networks = obj.networks()
+    for name, net in networks.items():
+        save_params(net, os.path.join(out_dir, f"{name}.json"))
+    manifest = {"robot": obj.kind.value, **fields, "files": list(networks)}
+    with open(os.path.join(out_dir, "manifest.json"), "w") as f:
+        json.dump(manifest, f, indent=2)
+
+
+def load_checkpoint(out_dir, make):
+    """(object, manifest) from a save_checkpoint directory. ``make(robot)``
+    builds the object whose networks() the manifest must list, in order."""
+    with open(os.path.join(out_dir, "manifest.json")) as f:
+        manifest = json.load(f)
+    obj = make(manifest["robot"])
+    networks = obj.networks()
+    if manifest.get("files") != list(networks):
+        raise CheckpointError(f"manifest in {out_dir} lists files {manifest.get('files')}, expected {list(networks)}")
+    for name, net in networks.items():
+        load_params(os.path.join(out_dir, f"{name}.json"), net)
+    return obj, manifest
 
 
 def params_digest(net):

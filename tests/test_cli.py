@@ -27,8 +27,10 @@ def no_work(monkeypatch):
         ("train", {"train": {"reach_tol": 0.2}}, "reach_tol"),
         ("build-lut", {"lut": {"n_keys": 4}}, "lut"),
         ("train", {"trian": {}}, "trian"),
+        ("train", {"train": {"tau": 0.01}}, "tau"),
+        ("train-e2e", {"e2e": {"penalty": 0.0}}, "penalty"),
     ],
-    ids=["train.hidden", "e2e.hidden", "train.reach_tol", "lut", "trian"],
+    ids=["train.hidden", "e2e.hidden", "train.reach_tol", "lut", "trian", "train.tau", "e2e.penalty"],
 )
 def test_config_file_with_unused_setting_is_rejected(tmp_path, no_work, command, doc, match):
     cfg = tmp_path / "cfg.json"

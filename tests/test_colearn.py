@@ -112,19 +112,22 @@ def test_sample_goal_respects_annulus():
     cfg = colearn.TrainConfig()
     rng = np.random.default_rng(6)
     for _ in range(200):
-        g = colearn.sample_goal(cfg, rng)
+        start, g = colearn.sample_task(RobotKind.POINT, cfg, rng)
+        assert np.array_equal(start.pos, [0.0, 0.0])
         assert cfg.goal_min <= np.linalg.norm(g) <= cfg.goal_range
+
+
+def arena_episode(policy, cfg, rng, noise):
+    """One training-arena episode, drawn as ``colearn.colearn`` draws it."""
+    start, goal = colearn.sample_task(policy.kind, cfg, rng)
+    return colearn.collect_episode(policy, start, goal, envs.empty_world(), cfg.horizon, noise, rng)
 
 
 def test_collect_episode_deterministic_without_noise():
     cfg = colearn.TrainConfig()
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=7)
-    tr1, total1, d0, _ = colearn.collect_episode(
-        RobotKind.SWEEPING, agent.policy, cfg, np.random.default_rng(3), noise=0.0
-    )
-    tr2, total2, _, _ = colearn.collect_episode(
-        RobotKind.SWEEPING, agent.policy, cfg, np.random.default_rng(3), noise=0.0
-    )
+    tr1, total1, d0, _ = arena_episode(agent.policy, cfg, np.random.default_rng(3), 0.0)
+    tr2, total2, _, _ = arena_episode(agent.policy, cfg, np.random.default_rng(3), 0.0)
     assert total1 == total2
     assert all(np.array_equal(a[0], b[0]) for a, b in zip(tr1, tr2))
 
@@ -132,9 +135,7 @@ def test_collect_episode_deterministic_without_noise():
 def test_collect_episode_reward_telescopes():
     cfg = colearn.TrainConfig()
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=8)
-    tr, total, d0, states = colearn.collect_episode(
-        RobotKind.SWEEPING, agent.policy, cfg, np.random.default_rng(4), noise=0.0
-    )
+    tr, total, d0, states = arena_episode(agent.policy, cfg, np.random.default_rng(4), 0.0)
     d_end = np.linalg.norm(tr[-1][3][:2])
     assert total == pytest.approx(d0 - d_end)
 
@@ -144,9 +145,9 @@ def test_hindsight_relabels_consistent():
     cfg = colearn.TrainConfig(hindsight_relabels=2)
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=9)
     rng = np.random.default_rng(5)
-    tr, _, _, states = colearn.collect_episode(RobotKind.SWEEPING, agent.policy, cfg, rng)
+    tr, _, _, states = arena_episode(agent.policy, cfg, rng, cfg.noise)
     buf = colearn.ReplayBuffer(10_000, envs.state_dim(RobotKind.SWEEPING), 2)
-    colearn.store_episode(buf, tr, states, cfg, rng)
+    colearn.store_episode(buf, tr, states, cfg.hindsight_relabels, rng)
     assert buf.size == len(tr) * (1 + cfg.hindsight_relabels)
     for i in range(buf.size):
         d1 = np.linalg.norm(buf.s1[i][:2])
@@ -305,14 +306,19 @@ def test_train_config_validation():
     "make",
     [
         lambda: colearn.TrainConfig(gamma=-0.1),
-        lambda: colearn.TrainConfig(tau=0.0),
+        lambda: colearn.TrainConfig(episodes=0),
         lambda: colearn.TrainConfig(alpha=-1.0),
-        lambda: colearn.TrainConfig(batch_size=0),
+        lambda: colearn.TrainConfig(grad_steps=0),
         lambda: colearn.TrainConfig(horizon=0),
         lambda: colearn.TrainConfig(goal_min=0.05),
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, -0.1, 0.5, 5.0),
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, 0.1, 1.5, 5.0),
         lambda: lyapunov_eval.LyapunovReport(10, 0.5, -0.1, 0.0, 0.0),
+        lambda: colearn.TrainConfig(warmup_episodes=-1),
+        lambda: harness.E2eTrainConfig(episodes=0),
+        lambda: harness.E2eTrainConfig(grad_steps=0),
+        lambda: harness.E2eTrainConfig(horizon=0),
+        lambda: harness.E2eTrainConfig(warmup_episodes=-1),
     ],
 )
 def test_out_of_range_fields_raise_value_error(make):

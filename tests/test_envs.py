@@ -106,7 +106,9 @@ def test_e2e_reward_penalizes_hazard():
     s = envs.PhysState(np.array([0.5, 1.0]), np.zeros(0))
     inside = envs.PhysState(np.array([0.9, 1.0]), np.zeros(0))
     base = envs.reward(world.goal, s, inside)
-    assert envs.e2e_reward(world.goal, s, inside, world, penalty=10.0) == pytest.approx(base - 10.0)
+    assert envs.e2e_reward(world.goal, s, inside, world) == pytest.approx(base - envs.HAZARD_PENALTY)
+    # without hazards it is the co-learner's reward, bit for bit
+    assert envs.e2e_reward(world.goal, s, inside, envs.empty_world()) == base
 
 
 def test_featurize_appends_direction_distance():

@@ -1,5 +1,6 @@
 """Benchmark driver: episode protocols, aggregation, report files."""
 
+import json
 import math
 from types import SimpleNamespace
 
@@ -198,10 +199,11 @@ def test_episode_world_seed_paired_across_methods():
     assert harness.episode_world_seed(3, 5) != harness.episode_world_seed(4, 5)
 
 
-def test_train_e2e_degenerates_to_goal_reaching():
+def test_train_e2e_degenerates_to_goal_reaching(monkeypatch):
     # with zero penalty the update only sees the progress reward; a couple of
     # episodes must run without error and produce finite parameters
-    cfg = harness.E2eTrainConfig(episodes=2, warmup_episodes=1, grad_steps=2, horizon=20, penalty=0.0)
+    monkeypatch.setattr(envs, "HAZARD_PENALTY", 0.0)
+    cfg = harness.E2eTrainConfig(episodes=2, warmup_episodes=1, grad_steps=2, horizon=20)
     policy = harness.train_e2e(RobotKind.SWEEPING, cfg, seed=0)
     for p in policy.net.params():
         assert np.all(np.isfinite(p))
@@ -222,6 +224,16 @@ def test_e2e_policy_save_load(tmp_path):
     x = np.random.default_rng(0).normal(size=harness.e2e_obs_dim(RobotKind.POINT))
     assert np.array_equal(policy.net.forward(x), loaded.net.forward(x))
     assert loaded.kind is RobotKind.POINT
+
+
+@pytest.mark.parametrize("edit", [lambda files: files + ["e2e_q"], lambda files: []])
+def test_e2e_policy_load_refuses_manifest_file_list_mismatch(tmp_path, edit):
+    harness.make_e2e_policy(RobotKind.SWEEPING, seed=4).save(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    manifest["files"] = edit(manifest["files"])
+    (tmp_path / "manifest.json").write_text(json.dumps(manifest))
+    with pytest.raises(nn.CheckpointError, match="lists files"):
+        harness.E2ePolicy.load(tmp_path)
 
 
 def test_write_reports_idempotent(tmp_path):

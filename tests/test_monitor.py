@@ -64,6 +64,17 @@ def test_lut_rejects_bad_tables():
         monitor.RoaLut(keys=[2.0, 1.0], radii=[1.0, 2.0], box=BOX2)
     with pytest.raises(ValueError):
         monitor.RoaLut(keys=[1.0, 2.0], radii=[2.0, 1.0], box=BOX2)
+    bad = [
+        ([1.0, 2.0, 4.0], [1.0, 2.0]),  # a radius short
+        ([1.0, 2.0], [-5.0, -4.0]),  # negative radii pass every clearance test
+        ([1.0, 2.0], [1.0, np.inf]),
+        ([1.0, 2.0], [np.nan, 1.0]),
+        ([np.nan, 2.0], [1.0, 2.0]),
+        ([1.0, np.inf], [1.0, 2.0]),
+    ]
+    for keys, radii in bad:
+        with pytest.raises(ValueError):
+            monitor.RoaLut(keys=keys, radii=radii, box=BOX2)
 
 
 def test_lut_json_roundtrip():

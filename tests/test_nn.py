@@ -154,16 +154,18 @@ def test_checkpoint_rejects_corrupt_file(tmp_path):
         nn.load_params(path, net)
 
 
-@pytest.mark.parametrize("field, value", [("output_activation", "softplus"), ("hidden_activation", "relu")])
+@pytest.mark.parametrize(
+    "field, value", [("output_activation", "softplus"), ("hidden_activation", "relu"), ("format_version", 99)]
+)
 def test_checkpoint_rejects_unknown_activation(tmp_path, field, value):
-    # activations no network has
+    # activations no network has, and a format this code does not write
     net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(0))
     path = tmp_path / "net.json"
     nn.save_params(net, path)
     doc = json.loads(path.read_text())
     doc[field] = value
     path.write_text(json.dumps(doc))
-    with pytest.raises(nn.CheckpointError, match=value):
+    with pytest.raises(nn.CheckpointError, match=str(value)):
         nn.load_params(path, net)
 
 
