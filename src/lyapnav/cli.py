@@ -4,13 +4,15 @@ Subcommands cover the full pipeline: train the co-learning agent, train the
 end-to-end baseline, score the learned Lyapunov function, precompute the
 certificate lookup table, plan paths, run benchmarks, and re-render reports.
 
-Every dataclass default can be overridden from a single JSON config file with
-top-level sections {"train", "e2e", "planner", "monitor", "search"}; an unknown
-section or key is an error. Network width (colearn.HIDDEN), reach tolerance
-(envs.REACH_TOL), the hazard penalty (envs.HAZARD_PENALTY), the shared DDPG
-settings (colearn.TAU, BATCH_SIZE, REPLAY_CAPACITY, LR, ACTOR_LR) and the e2e
-baseline's level, discount and noise (harness.E2E_LEVEL, E2E_GAMMA, E2E_NOISE)
-are fixed. Every command that draws random numbers takes its seed from --seed.
+Only train and train-e2e take a JSON config file (--config), which holds the
+training schedules in the top-level sections {"train", "e2e"}; an unknown
+section or key is an error. Everything else is fixed: the planner, the monitor
+and the sublevel search run at their dataclass defaults, build-lut searches
+goal vectors within colearn.TrainConfig.goal_range, and network width, reach
+tolerance, hazard penalty, the DDPG settings, co-learning's loss weights and
+goal annulus, and the e2e baseline's level, discount and noise are module or
+class constants. Every command that draws random numbers takes its seed from
+--seed.
 """
 
 import argparse
@@ -23,13 +25,7 @@ from dataclasses import fields, replace
 from . import colearn, envs, harness, lyapunov_eval, monitor, nn, planner
 from .envs import RobotKind
 
-CONFIG_SECTIONS = {
-    "train": colearn.TrainConfig,
-    "e2e": harness.E2eTrainConfig,
-    "planner": planner.PlannerConfig,
-    "monitor": monitor.MonitorConfig,
-    "search": monitor.SearchConfig,
-}
+CONFIG_SECTIONS = {"train": colearn.TrainConfig, "e2e": harness.E2eTrainConfig}
 
 
 def load_config(path):
@@ -92,18 +88,15 @@ def cmd_eval_nlf(args):
 
 
 def cmd_build_lut(args):
-    doc = load_config(args.config)
     agent = colearn.Agent.load(args.agent)
-    search = apply_overrides(monitor.SearchConfig(), doc.get("search"))
     S, _ = lyapunov_eval.sample_transitions(agent.kind, agent.policy, args.n_samples, seed=args.seed)
     grid = monitor.level_grid_from_values(agent.v.value(S))
-    box = monitor.state_box(agent.kind, args.reach)
+    box = monitor.state_box(agent.kind, colearn.TrainConfig.goal_range)  # the goal radius V is trained on
     lut = monitor.build_lut(
         agent.v.value,
         agent.v.grad,
         grid,
         box,
-        search,
         seed=args.seed,
         v_digest=nn.params_digest(agent.v.net),
         project=monitor.heading_projection(agent.kind),
@@ -120,7 +113,7 @@ def cmd_plan(args):
             world = envs.World.from_json(f.read())
     else:
         world = envs.make_world(args.level, args.seed)
-    cfg = apply_overrides(planner.PlannerConfig.for_world(world), load_config(args.config).get("planner"))
+    cfg = planner.PlannerConfig.for_world(world)
     try:
         path = planner.plan_path(world, cfg, args.seed)
     except planner.PlanNotFound as exc:
@@ -133,8 +126,6 @@ def cmd_plan(args):
 
 
 def cmd_bench(args):
-    # a bad monitor section fails before any artifact is read
-    mon_cfg = apply_overrides(monitor.MonitorConfig(), load_config(args.config).get("monitor"))
     method = args.method
     if method in ("monitored", "direct"):
         agent = colearn.Agent.load(args.agent)
@@ -147,9 +138,7 @@ def cmd_bench(args):
             return 1
         with open(args.lut) as f:
             lut = monitor.RoaLut.from_json(f.read())
-    summary, episodes = harness.run_benchmark(
-        method, agent, args.level, args.episodes, args.seed, lut=lut, config=mon_cfg
-    )
+    summary, episodes = harness.run_benchmark(method, agent, args.level, args.episodes, args.seed, lut=lut)
     harness.write_reports([summary], episodes, args.out)
     print(harness.render_table([summary]))
     return 0
@@ -202,8 +191,6 @@ def build_parser():
     bl = sub.add_parser("build-lut", help="precompute the level-to-radius table")
     bl.add_argument("--agent", required=True)
     bl.add_argument("--out", required=True)
-    bl.add_argument("--config")
-    bl.add_argument("--reach", type=float, default=3.0)
     bl.add_argument("--n-samples", type=int, default=2000)
     bl.add_argument("--seed", type=int, default=0)
     bl.set_defaults(fn=cmd_build_lut)
@@ -211,7 +198,6 @@ def build_parser():
     pl = sub.add_parser("plan", help="plan a waypoint path through a world")
     pl.add_argument("--world", help="world JSON; omit to generate one")
     pl.add_argument("--level", type=int, default=1, choices=sorted(envs.LEVELS))
-    pl.add_argument("--config")
     pl.add_argument("--out", required=True)
     pl.add_argument("--seed", type=int, default=0)
     pl.set_defaults(fn=cmd_plan)
@@ -222,7 +208,6 @@ def build_parser():
     b.add_argument("--lut")
     b.add_argument("--level", type=int, default=1, choices=sorted(envs.LEVELS))
     b.add_argument("--episodes", type=int, default=100)
-    b.add_argument("--config")
     b.add_argument("--out", required=True)
     b.add_argument("--seed", type=int, default=0)
     b.set_defaults(fn=cmd_bench)

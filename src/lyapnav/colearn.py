@@ -11,6 +11,7 @@ goal-conditioned networks generalize over goal positions.
 
 import csv
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -45,28 +46,25 @@ LOG_FIELDS = (
 @dataclass
 class TrainConfig:
     gamma: float = 0.99
-    alpha: float = 0.5  # weight of the Lyapunov critic in the actor loss
     episodes: int = 200
     grad_steps: int = 50  # gradient phases per episode
     noise: float = 0.1  # exploration noise std, in action units
     horizon: int = 200
+    warmup_episodes: int = 10  # uniform random actions to seed the replay
+
+    alpha: ClassVar[float] = 0.5  # weight of the Lyapunov critic in the actor loss
     # hinge margins for the V update; without them V = 0 everywhere is a
     # degenerate minimum of the plain risk and training collapses
-    pos_margin: float = 0.1  # require V >= pos_margin * |d_g|
-    lie_margin: float = 0.01  # require V to drop by at least this per step
-    goal_range: float = 3.0  # goals sampled in a disk of this radius
-    goal_min: float = 0.3
-    warmup_episodes: int = 10  # uniform random actions to seed the replay
-    hindsight_relabels: int = 4  # extra buffer copies per transition with future achieved goals
+    pos_margin: ClassVar[float] = 0.1  # require V >= pos_margin * |d_g|
+    lie_margin: ClassVar[float] = 0.01  # require V to drop by at least this per step
+    goal_range: ClassVar[float] = 3.0  # goals sampled in a disk of this radius; build-lut's search box
+    goal_min: ClassVar[float] = 0.3  # and at least this far, beyond envs.REACH_TOL
+    hindsight_relabels: ClassVar[int] = 4  # extra buffer copies per transition with future achieved goals
 
     def __post_init__(self):
         if not 0.0 <= self.gamma <= 1.0:
             raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        if not self.alpha >= 0.0:
-            raise ValueError(f"alpha must be nonnegative, got {self.alpha}")
         check_schedule(self)
-        if not self.goal_min > envs.REACH_TOL:
-            raise ValueError(f"goal_min must exceed envs.REACH_TOL = {envs.REACH_TOL}, got {self.goal_min}")
 
 
 def check_schedule(cfg):
@@ -200,7 +198,7 @@ class Agent:
     @classmethod
     def load(cls, out_dir):
         agent, manifest = nn.load_checkpoint(out_dir, lambda robot: make_agent(RobotKind(robot)))
-        if manifest["v_digest"] != nn.params_digest(agent.v.net):
+        if manifest.get("v_digest") != nn.params_digest(agent.v.net):
             raise nn.CheckpointError(f"v.json in {out_dir} is not the V of its manifest")
         return agent
 

@@ -207,15 +207,19 @@ class World:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        hazards = np.asarray(doc["hazards"], dtype=float).reshape(-1, 3)
-        return cls(
-            size=float(doc["size"]),
-            hazards=hazards,
-            start=np.asarray(doc["start"], dtype=float),
-            goal=np.asarray(doc["goal"], dtype=float),
-            level=int(doc["level"]),
-            seed=doc["seed"],
-        )
+        try:
+            return cls(
+                size=float(doc["size"]),
+                hazards=np.asarray(doc["hazards"], dtype=float).reshape(-1, 3),
+                start=np.asarray(doc["start"], dtype=float),
+                goal=np.asarray(doc["goal"], dtype=float),
+                level=int(doc["level"]),
+                seed=doc["seed"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"world JSON has no {exc} entry") from exc
+        except TypeError as exc:
+            raise ValueError(f"malformed world JSON: {exc}") from exc
 
 
 def empty_world(size=4.0):

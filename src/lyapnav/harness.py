@@ -161,7 +161,7 @@ class _WaypointChaser:
             self.wp += 1
 
 
-def run_episode(method, agent, world, config=None, lut=None, plan_seed=0):
+def run_episode(method, agent, world, lut=None, plan_seed=0):
     """One evaluation episode of the given method on a fixed world.
 
     ``agent`` is a trained co-learning agent for ``monitored``/``direct`` and
@@ -169,9 +169,10 @@ def run_episode(method, agent, world, config=None, lut=None, plan_seed=0):
     ``act(state, target, world)``. Every method runs the same loop: take a
     target from the steering (``monitor.SinkTracker`` for ``monitored``, a
     waypoint chaser otherwise), act, step, check hazards once (never for
-    ``direct``), check the goal, advance the steering. A failed plan is
-    reported with the distinct ``plan_failed`` outcome (counts as not
-    reached, not violated).
+    ``direct``), check the goal, advance the steering. The planner and the
+    monitor run at their default settings. A failed plan is reported with
+    the distinct ``plan_failed`` outcome (counts as not reached, not
+    violated).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -190,7 +191,7 @@ def run_episode(method, agent, world, config=None, lut=None, plan_seed=0):
         except planner.PlanNotFound:
             return _episode(method, kind, level, world, "plan_failed", 0)
     if method == "monitored":
-        steer = monitor.SinkTracker(path, world, agent.v.value, lut, config)
+        steer = monitor.SinkTracker(path, world, agent.v.value, lut)
     elif method == "h-e2e":
         steer = _WaypointChaser(list(path))
     else:  # e2e and direct drive straight at the goal
@@ -232,7 +233,7 @@ def summarize(episodes):
     return BenchmarkSummary(methods.pop(), robots.pop(), levels.pop(), n, viol, reach, mean_steps)
 
 
-def run_benchmark(method, agent, level, n_episodes, seed=0, lut=None, config=None):
+def run_benchmark(method, agent, level, n_episodes, seed=0, lut=None):
     """n_episodes fresh worlds (deterministic per seed), one report each."""
     if n_episodes < 1:
         raise ValueError("n_episodes must be at least 1")
@@ -240,7 +241,7 @@ def run_benchmark(method, agent, level, n_episodes, seed=0, lut=None, config=Non
     for i in range(n_episodes):
         ws = episode_world_seed(seed, i)
         world = envs.make_world(level, ws)
-        episodes.append(run_episode(method, agent, world, config, lut=lut, plan_seed=ws))
+        episodes.append(run_episode(method, agent, world, lut=lut, plan_seed=ws))
     return summarize(episodes), episodes
 
 

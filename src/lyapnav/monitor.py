@@ -161,14 +161,19 @@ class RoaLut:
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)
-        return cls(
-            keys=np.asarray(doc["keys"]),
-            radii=np.asarray(doc["radii"]),
-            box=(np.asarray(doc["box"][0]), np.asarray(doc["box"][1])),
-            search=SearchConfig(**doc["search"]),
-            seed=doc["seed"],
-            v_digest=doc["v_digest"],
-        )
+        try:
+            return cls(
+                keys=np.asarray(doc["keys"]),
+                radii=np.asarray(doc["radii"]),
+                box=(np.asarray(doc["box"][0]), np.asarray(doc["box"][1])),
+                search=SearchConfig(**doc["search"]),
+                seed=doc["seed"],
+                v_digest=doc["v_digest"],
+            )
+        except KeyError as exc:
+            raise ValueError(f"lookup table JSON has no {exc} entry") from exc
+        except (IndexError, TypeError) as exc:
+            raise ValueError(f"malformed lookup table JSON: {exc}") from exc
 
 
 def build_lut(value_fn, grad_fn, level_grid, box, cfg=None, seed=0, v_digest=None, project=None):
@@ -262,12 +267,12 @@ class MonitorConfig:
 class SinkTracker:
     """Steering of a monitored episode: one sink per step along the path.
 
-    The path's geometry is tabulated once: the candidate sinks of every
-    segment, at fractions 0, delta, ..., 1 of it, their path progress, and
-    the segment endpoints. The first time the window reaches a segment, its
-    candidates' minimum gap to the hazard centres is stored, one minimum per
-    distinct hazard radius, so a step costs one V call, one table query and
-    one compare of those gaps against the inflated certified radii.
+    The path is tabulated once, when the tracker is built: the candidate
+    sinks of every segment, at fractions 0, delta, ..., 1 of it, their path
+    progress, the segment endpoints, and each candidate's minimum gap to the
+    hazard centres, one minimum per distinct hazard radius. A step costs one
+    V call, one table query and one compare of those gaps against the
+    inflated certified radii.
 
     ``target`` selects a sink from the current state. A stall holds the last
     safe sink for cfg.stall_patience steps; past that, or with no sink to
@@ -294,16 +299,15 @@ class SinkTracker:
         # clearance threshold R * inflation + rho, so the group's nearest
         # centre decides the whole group
         hz = world.hazards[np.argsort(world.hazards[:, 2], kind="stable")]
-        self.hz_xy = hz[:, :2]
-        self.rhos, self.rho_starts = np.unique(hz[:, 2], return_index=True)
-        self.gaps = np.empty((n_seg, self.fracs.size, self.rhos.size))
-        self.has_gaps = np.zeros(n_seg, dtype=bool)
-
-    def _clearance(self, seg):
-        """Minimum distance from each candidate of segment seg to the hazard
-        centres of each radius group."""
-        d = np.linalg.norm(self.hz_xy - self.cands[seg][:, None], axis=2)
-        return np.minimum.reduceat(d, self.rho_starts, axis=1)
+        self.rhos, rho_starts = np.unique(hz[:, 2], return_index=True)
+        # np.linalg.norm(hz[:, :2] - cands[:, :, None], axis=3) on coordinate
+        # columns, in place: the same bits with a third of the temporaries
+        dx = hz[:, 0] - self.cands[:, :, 0, None]
+        dy = hz[:, 1] - self.cands[:, :, 1, None]
+        dx *= dx
+        dy *= dy
+        dx += dy
+        self.gaps = np.minimum.reduceat(np.sqrt(dx, out=dx), rho_starts, axis=2)
 
     def select(self, state, seg_idx):
         """Farthest safe sink among the candidates of segments seg_idx to
@@ -321,13 +325,9 @@ class SinkTracker:
         ``harness.run_episode`` ends an episode at its first in-hazard step,
         and the planner raises PlanNotFound for a start inside a hazard.
         """
-        n_seg = self.has_gaps.size
+        n_seg = len(self.seg_a)
         lo = min(seg_idx, n_seg - 1)
         hi = min(lo + self.cfg.window, n_seg)
-        for seg in range(lo, hi):
-            if not self.has_gaps[seg]:
-                self.gaps[seg] = self._clearance(seg)
-                self.has_gaps[seg] = True
         cands = self.cands[lo:hi].reshape(-1, 2)
         levels = self.value_fn(envs.goal_condition(state, cands))
         radii = lut_query(self.lut, levels)
@@ -358,7 +358,7 @@ class SinkTracker:
     def advance(self, state):
         """Move seg_idx to the nearest of segments seg_idx to seg_idx +
         cfg.window (the earliest on ties)."""
-        hi = min(self.seg_idx + self.cfg.window + 1, self.has_gaps.size)
+        hi = min(self.seg_idx + self.cfg.window + 1, len(self.seg_a))
         d = planner.point_segment_distance(state.pos, self.seg_a[self.seg_idx : hi], self.seg_b[self.seg_idx : hi])
         self.seg_idx += int(np.argmin(d))
 

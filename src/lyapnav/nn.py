@@ -246,6 +246,8 @@ def load_checkpoint(out_dir, make):
     builds the object whose networks() the manifest must list, in order."""
     with open(os.path.join(out_dir, "manifest.json")) as f:
         manifest = json.load(f)
+    if not isinstance(manifest, dict) or "robot" not in manifest:
+        raise CheckpointError(f"manifest in {out_dir} is not a JSON object naming its robot")
     obj = make(manifest["robot"])
     networks = obj.networks()
     if manifest.get("files") != list(networks):

@@ -7,7 +7,7 @@ import shutil
 import numpy as np
 import pytest
 
-from lyapnav import colearn, envs, harness, lyapunov_eval, nn
+from lyapnav import colearn, envs, harness, lyapunov_eval, monitor, nn
 from lyapnav.envs import RobotKind
 
 
@@ -101,6 +101,28 @@ def test_agent_load_refuses_manifest_file_list_mismatch(tmp_path, edit):
         colearn.Agent.load(tmp_path)
 
 
+def _without(key):
+    return lambda manifest: {k: v for k, v in manifest.items() if k != key}
+
+
+@pytest.mark.parametrize(
+    "make, load, edit, match",
+    [
+        (colearn.make_agent, colearn.Agent.load, _without("robot"), "naming its robot"),
+        (colearn.make_agent, colearn.Agent.load, lambda manifest: [manifest], "naming its robot"),
+        (colearn.make_agent, colearn.Agent.load, _without("v_digest"), "not the V of its manifest"),
+        (harness.make_e2e_policy, harness.E2ePolicy.load, _without("robot"), "naming its robot"),
+    ],
+    ids=["agent-no-robot", "agent-not-an-object", "agent-no-v_digest", "e2e-no-robot"],
+)
+def test_load_refuses_malformed_manifest(tmp_path, make, load, edit, match):
+    make(RobotKind.SWEEPING, seed=4).save(tmp_path)
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    (tmp_path / "manifest.json").write_text(json.dumps(edit(manifest)))
+    with pytest.raises(nn.CheckpointError, match=match):
+        load(tmp_path)
+
+
 def test_policy_wrapper_featurizes():
     agent = colearn.make_agent(RobotKind.POINT, seed=5)
     sg = np.array([1.0, 2.0, 0.0, 1.0, 0.1])
@@ -142,13 +164,14 @@ def test_collect_episode_reward_telescopes():
 
 def test_hindsight_relabels_consistent():
     # relabeled rewards and termination flags must agree with recomputation
-    cfg = colearn.TrainConfig(hindsight_relabels=2)
+    cfg = colearn.TrainConfig()
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=9)
     rng = np.random.default_rng(5)
     tr, _, _, states = arena_episode(agent.policy, cfg, rng, cfg.noise)
     buf = colearn.ReplayBuffer(10_000, envs.state_dim(RobotKind.SWEEPING), 2)
-    colearn.store_episode(buf, tr, states, cfg.hindsight_relabels, rng)
-    assert buf.size == len(tr) * (1 + cfg.hindsight_relabels)
+    relabels = 2
+    colearn.store_episode(buf, tr, states, relabels, rng)
+    assert buf.size == len(tr) * (1 + relabels)
     for i in range(buf.size):
         d1 = np.linalg.norm(buf.s1[i][:2])
         d0 = np.linalg.norm(buf.s[i][:2])
@@ -302,15 +325,22 @@ def test_train_config_validation():
         colearn.TrainConfig(gamma=1.5)
 
 
+def test_train_constants_are_in_range():
+    # class constants, not fields: no config file or caller can set them
+    assert colearn.TrainConfig.alpha >= 0.0
+    assert colearn.TrainConfig.pos_margin > 0.0 and colearn.TrainConfig.lie_margin > 0.0
+    # a goal sampled inside the reach tolerance would end its episode at once
+    assert envs.REACH_TOL < colearn.TrainConfig.goal_min < colearn.TrainConfig.goal_range
+    assert colearn.TrainConfig.hindsight_relabels >= 0
+
+
 @pytest.mark.parametrize(
     "make",
     [
         lambda: colearn.TrainConfig(gamma=-0.1),
         lambda: colearn.TrainConfig(episodes=0),
-        lambda: colearn.TrainConfig(alpha=-1.0),
         lambda: colearn.TrainConfig(grad_steps=0),
         lambda: colearn.TrainConfig(horizon=0),
-        lambda: colearn.TrainConfig(goal_min=0.05),
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, -0.1, 0.5, 5.0),
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, 0.1, 1.5, 5.0),
         lambda: lyapunov_eval.LyapunovReport(10, 0.5, -0.1, 0.0, 0.0),
@@ -319,6 +349,8 @@ def test_train_config_validation():
         lambda: harness.E2eTrainConfig(grad_steps=0),
         lambda: harness.E2eTrainConfig(horizon=0),
         lambda: harness.E2eTrainConfig(warmup_episodes=-1),
+        lambda: colearn.TrainConfig(gamma=float("nan")),
+        lambda: monitor.MonitorConfig(delta=float("nan")),
     ],
 )
 def test_out_of_range_fields_raise_value_error(make):

@@ -1,5 +1,7 @@
 """Robot dynamics, goal conditioning, rewards, and world generation."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -200,6 +202,16 @@ def test_world_json_roundtrip():
     assert np.array_equal(w2.hazards, w.hazards)
     assert np.array_equal(w2.start, w.start)
     assert np.array_equal(w2.goal, w.goal)
+
+
+@pytest.mark.parametrize(
+    "doc, match",
+    [({"size": 4.0, "hazards": []}, "no 'start' entry"), ([4.0], "malformed world"), ({"size": [4.0]}, "malformed")],
+    ids=["without-start", "not-an-object", "list-size"],
+)
+def test_world_from_json_rejects_malformed_documents(doc, match):
+    with pytest.raises(ValueError, match=match):
+        envs.World.from_json(json.dumps(doc))
 
 
 def test_make_world_rejects_bad_level():
