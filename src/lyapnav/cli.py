@@ -16,7 +16,6 @@ class constants. Every command that draws random numbers takes its seed from
 """
 
 import argparse
-import csv
 import json
 import os
 import sys
@@ -145,14 +144,7 @@ def cmd_bench(args):
 
 
 def cmd_report(args):
-    with open(os.path.join(args.results, "episodes.csv")) as f:
-        rows = list(csv.DictReader(f))
-    episodes = [
-        harness.EpisodeReport(
-            r["method"], r["robot"], int(r["level"]), int(r["world_seed"]), r["outcome"], int(r["steps"])
-        )
-        for r in rows
-    ]
+    episodes = harness.read_episodes(os.path.join(args.results, "episodes.csv"))
     groups = {}
     for e in episodes:
         groups.setdefault((e.robot, e.level, e.method), []).append(e)

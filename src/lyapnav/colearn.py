@@ -232,7 +232,7 @@ def lyapunov_risk(vs, vs1, vo):
     return float(np.mean(vo**2 + np.maximum(0.0, -vs) + np.maximum(0.0, vs1 - vs)))
 
 
-def policy_loss(pi, q_t, lq_t, s, alpha, kind=None):
+def policy_loss(pi, q_t, lq_t, s, alpha, kind):
     """Actor loss: mean of -Q'(s, pi(s)) + alpha * LQ'(s, pi(s))."""
     s = envs.featurize(kind, np.atleast_2d(np.asarray(s, dtype=float)))
     a = np.atleast_2d(pi.forward(s))

@@ -1,7 +1,7 @@
 """Analytic 2D robot dynamics, goal conditioning, rewards, and hazard worlds.
 
 Three robot kinds share a 2D position. The intrinsic (goal-independent) state
-differs per kind:
+differs per kind, and HAS_HEADING and SPEED_LIMITS say how:
   sweeping: none (single integrator on position)
   point:    heading unit vector (sin, cos) and forward speed
   car:      heading unit vector and left/right wheel speeds
@@ -29,6 +29,7 @@ HAZARD_RADIUS = 0.2
 START_GOAL_CLEARANCE = 0.3  # extra clearance beyond the hazard radius
 REACH_TOL = 0.1  # goal (and waypoint) reach distance in training and evaluation
 HAZARD_PENALTY = 10.0  # reward subtracted per step that ends inside a hazard
+HAZARD_OBS_DIM = 16  # e2e observation: (dx, dy) toward each of the 8 nearest hazards
 
 # level -> (map side length, hazard count)
 LEVELS = {1: (4.0, 8), 2: (8.0, 32), 3: (16.0, 128)}
@@ -40,11 +41,16 @@ class RobotKind(enum.Enum):
     CAR = "car"
 
 
-_INTRINSIC_DIM = {RobotKind.SWEEPING: 0, RobotKind.POINT: 3, RobotKind.CAR: 4}
+# Each robot's intrinsic state: the heading (sin t, cos t) if it has one, then
+# one speed per limit, each kept within +-limit by step. In a goal-conditioned
+# state [d_g, intrinsic] the heading takes columns SIN and COS.
+HAS_HEADING = {RobotKind.SWEEPING: False, RobotKind.POINT: True, RobotKind.CAR: True}
+SPEED_LIMITS = {RobotKind.SWEEPING: (), RobotKind.POINT: (POINT_V_MAX,), RobotKind.CAR: (CAR_WHEEL_V_MAX,) * 2}
+SIN, COS = 2, 3
 
 
 def intrinsic_dim(kind):
-    return _INTRINSIC_DIM[kind]
+    return 2 * HAS_HEADING[kind] + len(SPEED_LIMITS[kind])
 
 
 def state_dim(kind):
@@ -62,14 +68,8 @@ class PhysState:
 
 
 def initial_state(kind, pos=(0.0, 0.0), heading=0.0):
-    pos = np.asarray(pos, dtype=float)
-    if kind is RobotKind.SWEEPING:
-        intr = np.zeros(0)
-    elif kind is RobotKind.POINT:
-        intr = np.array([np.sin(heading), np.cos(heading), 0.0])
-    else:
-        intr = np.array([np.sin(heading), np.cos(heading), 0.0, 0.0])
-    return PhysState(pos, intr)
+    head = [np.sin(heading), np.cos(heading)] if HAS_HEADING[kind] else []
+    return PhysState(np.asarray(pos, dtype=float), np.array(head + [0.0] * len(SPEED_LIMITS[kind])))
 
 
 def _heading_angle(intr):
@@ -117,10 +117,10 @@ def featurize(kind, x):
 
     Appends a softened unit goal direction and the goal distance so control
     behavior generalizes across goal ranges: [d_g, d_g/(|d_g|+eps), |d_g|,
-    intrinsic]. For robots with a heading (state width >= 5) the dot and
-    cross products of the heading direction with the goal direction are
-    appended as well; these are the polar coordinates of the classic parking
-    control law. The Lyapunov value function keeps the raw state.
+    intrinsic]. For robots with a heading the dot and cross products of the
+    heading direction with the goal direction are appended as well; these are
+    the polar coordinates of the classic parking control law. The Lyapunov
+    value function keeps the raw state.
     """
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -130,10 +130,9 @@ def featurize(kind, x):
     n = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(d, axis=1, keepdims=True)
     dhat = d / (n + 0.05)
     cols = [d, dhat, n, x2[:, 2:]]
-    if x2.shape[1] >= 5:
-        # intrinsic heading is stored as (sin t, cos t); motion direction is
-        # (cos t, sin t)
-        hx, hy = x2[:, 3], x2[:, 2]
+    if HAS_HEADING[kind]:
+        # motion direction (cos t, sin t)
+        hx, hy = x2[:, COS], x2[:, SIN]
         align = hx * dhat[:, 0] + hy * dhat[:, 1]
         cross = hx * dhat[:, 1] - hy * dhat[:, 0]
         cols += [align[:, None], cross[:, None]]
@@ -142,7 +141,7 @@ def featurize(kind, x):
 
 
 def feature_dim(kind):
-    return state_dim(kind) + (3 if kind is RobotKind.SWEEPING else 5)
+    return state_dim(kind) + 3 + 2 * HAS_HEADING[kind]
 
 
 def sink_mask(kind):
@@ -152,11 +151,10 @@ def sink_mask(kind):
     heading direction; multiplying a goal-conditioned state by this mask gives
     its sink representative.
     """
-    if kind is RobotKind.SWEEPING:
-        return np.zeros(2)
-    if kind is RobotKind.POINT:
-        return np.array([0.0, 0.0, 1.0, 1.0, 0.0])
-    return np.array([0.0, 0.0, 1.0, 1.0, 0.0, 0.0])
+    mask = np.zeros(state_dim(kind))
+    if HAS_HEADING[kind]:
+        mask[[SIN, COS]] = 1.0
+    return mask
 
 
 def distance(p, q):
@@ -243,14 +241,15 @@ def in_hazard(p, world):
 
 
 def hazard_observation(s, world):
-    """Vectors toward the 8 nearest hazard centers, nearest first, zero-padded."""
-    obs = np.zeros(16)
+    """Vectors toward the HAZARD_OBS_DIM / 2 nearest hazard centers, nearest
+    first, zero-padded."""
+    obs = np.zeros(HAZARD_OBS_DIM)
     n = len(world.hazards)
     if n == 0:
         return obs
     vecs = world.hazards[:, :2] - s.pos
     vx, vy = vecs[:, 0], vecs[:, 1]
-    order = np.argsort(np.sqrt(vx * vx + vy * vy), kind="stable")[:8]
+    order = np.argsort(np.sqrt(vx * vx + vy * vy), kind="stable")[: HAZARD_OBS_DIM // 2]
     obs[: 2 * len(order)] = vecs[order].ravel()
     return obs
 

@@ -12,7 +12,7 @@ the goal with no monitor; it only serves as a steps-to-reach reference.
 import csv
 import math
 import os
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -22,6 +22,7 @@ from .envs import RobotKind
 STEP_CAPS = {1: 1000, 2: 4000, 3: 16_000}
 
 METHODS = ("monitored", "e2e", "h-e2e", "direct")
+OUTCOMES = ("reached", "violated", "stalled", "timeout", "plan_failed")
 
 
 @dataclass
@@ -30,8 +31,11 @@ class EpisodeReport:
     robot: str
     level: int
     world_seed: int
-    outcome: str  # reached | violated | stalled | timeout | plan_failed
+    outcome: str  # one of OUTCOMES
     steps: int
+
+
+EPISODE_FIELDS = [f.name for f in fields(EpisodeReport)]
 
 
 @dataclass
@@ -79,7 +83,7 @@ class E2ePolicy:
 
 
 def e2e_obs_dim(kind):
-    return 16 + envs.state_dim(kind)
+    return envs.HAZARD_OBS_DIM + envs.state_dim(kind)
 
 
 def make_e2e_policy(kind, seed=0):
@@ -245,7 +249,6 @@ def run_benchmark(method, agent, level, n_episodes, seed=0, lut=None):
     return summarize(episodes), episodes
 
 
-EPISODE_FIELDS = ["method", "robot", "level", "world_seed", "outcome", "steps"]
 SUMMARY_FIELDS = [
     "robot",
     "level",
@@ -291,3 +294,27 @@ def write_reports(summaries, episodes, out_dir):
             w.writerow(row)
     with open(os.path.join(out_dir, "table.txt"), "w") as f:
         f.write(render_table(summaries))
+
+
+def read_episodes(path):
+    """Episode reports from an episodes.csv as write_reports writes it. A
+    missing column, a short or long row, a non-integer level, seed or step
+    count, or an unknown outcome raises ValueError naming the line."""
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        missing = [k for k in EPISODE_FIELDS if k not in (reader.fieldnames or ())]
+        if missing:
+            raise ValueError(f"{path} has no column {', '.join(missing)}")
+        episodes = []
+        for row in reader:
+            where = f"{path} line {reader.line_num}"
+            if None in row or None in row.values():
+                raise ValueError(f"{where}: expected {len(reader.fieldnames)} fields")
+            try:
+                e = EpisodeReport(**{f.name: f.type(row[f.name]) for f in fields(EpisodeReport)})
+            except ValueError as exc:
+                raise ValueError(f"{where}: {exc}") from exc
+            if e.outcome not in OUTCOMES:
+                raise ValueError(f"{where}: outcome must be one of {OUTCOMES}, got {e.outcome!r}")
+            episodes.append(e)
+    return episodes

@@ -59,14 +59,12 @@ def sample_transitions(kind, policy, n, seed=0):
 def sink_residual(value_fn, kind):
     """Max |V| over a probe set of sink states (zero goal vector and speeds,
     headings swept over the circle)."""
-    d = envs.state_dim(kind)
-    if kind is envs.RobotKind.SWEEPING:
-        probes = np.zeros((1, d))
-    else:
-        thetas = np.linspace(0.0, 2 * np.pi, 64, endpoint=False)
-        probes = np.zeros((64, d))
-        probes[:, 2] = np.sin(thetas)
-        probes[:, 3] = np.cos(thetas)
+    n = 64 if envs.HAS_HEADING[kind] else 1
+    probes = np.zeros((n, envs.state_dim(kind)))
+    if envs.HAS_HEADING[kind]:
+        thetas = np.linspace(0.0, 2 * np.pi, n, endpoint=False)
+        probes[:, envs.SIN] = np.sin(thetas)
+        probes[:, envs.COS] = np.cos(thetas)
     return float(np.max(np.abs(value_fn(probes))))
 
 

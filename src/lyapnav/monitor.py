@@ -8,6 +8,7 @@ with the first two state components being the goal vector.
 """
 
 import json
+import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -41,57 +42,16 @@ def heading_projection(kind):
     """Projection keeping heading components on the unit circle, or None for
     robots without a heading. Without it the sublevel search wanders into
     off-manifold states (non-unit headings) that inflate every radius."""
-    if envs.intrinsic_dim(kind) == 0:
+    if not envs.HAS_HEADING[kind]:
         return None
 
     def project(pts):
-        norms = np.linalg.norm(pts[:, 2:4], axis=1, keepdims=True)
-        pts[:, 2:4] /= np.maximum(norms, 1e-9)
+        heading = [envs.SIN, envs.COS]
+        norms = np.linalg.norm(pts[:, heading], axis=1, keepdims=True)
+        pts[:, heading] /= np.maximum(norms, 1e-9)
         return pts
 
     return project
-
-
-def _ascend(value_fn, grad_fn, levels, box, cfg, rng, project=None):
-    """Penalized multi-start ascent of |d_g| constrained to V <= level.
-
-    levels is one level constant per chain. Returns the best feasible |d_g|
-    per chain (NaN where a chain never visited the sublevel set). ``project``
-    is applied after every step to keep iterates on the state manifold.
-    """
-    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
-    dim = lo.size
-    m = levels.size
-    pts = rng.uniform(lo, hi, size=(m, dim))
-    if project is not None:
-        pts = project(pts)
-    best = np.full(m, np.nan)
-    span = float(np.max(hi - lo))
-    eta0 = max(cfg.step_init * span / 4.0, cfg.step_final * 10)
-    etas = np.geomspace(eta0, cfg.step_final, cfg.n_steps)
-    for eta in etas:
-        vals = value_fn(pts)
-        dn = np.linalg.norm(pts[:, :2], axis=1)
-        feas = vals <= levels + cfg.feas_tol
-        improve = feas & (np.isnan(best) | (dn > best))
-        best[improve] = dn[improve]
-        g = np.zeros_like(pts)
-        nz = dn > 1e-12
-        g[nz, :2] = pts[nz, :2] / dn[nz, None]
-        infeas = vals > levels
-        if np.any(infeas):
-            g[infeas] -= cfg.beta * grad_fn(pts[infeas])
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        norms[norms == 0.0] = 1.0
-        pts = np.clip(pts + eta * g / norms, lo, hi)
-        if project is not None:
-            pts = project(pts)
-    vals = value_fn(pts)
-    dn = np.linalg.norm(pts[:, :2], axis=1)
-    feas = vals <= levels + cfg.feas_tol
-    improve = feas & (np.isnan(best) | (dn > best))
-    best[improve] = dn[improve]
-    return best
 
 
 def overapprox_radius(value_fn, grad_fn, level, box, seed=0):
@@ -106,15 +66,43 @@ def overapprox_radius(value_fn, grad_fn, level, box, seed=0):
 
 
 def batch_radii(value_fn, grad_fn, levels, box, cfg=None, seed=0, project=None):
-    """overapprox_radius for many levels in one vectorized run.
+    """overapprox_radius for many levels in one vectorized run, NaN where no
+    chain visited the sublevel set.
 
-    Returns an array with NaN for infeasible levels.
+    Each level runs cfg.n_starts chains of a penalized ascent of |d_g| under
+    V <= level. Every iterate's feasible |d_g| is harvested before the chain
+    steps; ``project`` puts stepped iterates back on the state manifold.
     """
     cfg = cfg or SearchConfig()
     rng = np.random.default_rng(seed)
     levels = np.asarray(levels, dtype=float)
-    tiled = np.repeat(levels, cfg.n_starts)
-    best = _ascend(value_fn, grad_fn, tiled, box, cfg, rng, project)
+    chain_levels = np.repeat(levels, cfg.n_starts)
+    lo, hi = np.asarray(box[0], dtype=float), np.asarray(box[1], dtype=float)
+    pts = rng.uniform(lo, hi, size=(chain_levels.size, lo.size))
+    if project is not None:
+        pts = project(pts)
+    best = np.full(chain_levels.size, np.nan)
+    eta0 = max(cfg.step_init * float(np.max(hi - lo)) / 4.0, cfg.step_final * 10)
+    # the final None harvests the last iterates without stepping
+    for eta in [*np.geomspace(eta0, cfg.step_final, cfg.n_steps), None]:
+        vals = value_fn(pts)
+        dn = np.linalg.norm(pts[:, :2], axis=1)
+        feas = vals <= chain_levels + cfg.feas_tol
+        improve = feas & (np.isnan(best) | (dn > best))
+        best[improve] = dn[improve]
+        if eta is None:
+            break
+        g = np.zeros_like(pts)
+        nz = dn > 1e-12
+        g[nz, :2] = pts[nz, :2] / dn[nz, None]
+        infeas = vals > chain_levels
+        if np.any(infeas):
+            g[infeas] -= cfg.beta * grad_fn(pts[infeas])
+        norms = np.linalg.norm(g, axis=1, keepdims=True)
+        norms[norms == 0.0] = 1.0
+        pts = np.clip(pts + eta * g / norms, lo, hi)
+        if project is not None:
+            pts = project(pts)
     # fmax skips NaN chains and leaves NaN where every chain is; unlike
     # nanmax it does not warn on infeasible levels
     return np.fmax.reduce(best.reshape(levels.size, cfg.n_starts), axis=1)
@@ -191,8 +179,6 @@ def build_lut(value_fn, grad_fn, level_grid, box, cfg=None, seed=0, v_digest=Non
     if keep.sum() < 2:
         raise InfeasibleLevelError("fewer than 2 feasible levels in the grid")
     if not keep.all():
-        import warnings
-
         warnings.warn(f"dropping {int((~keep).sum())} infeasible lookup levels")
     keys = level_grid[keep]
     radii = np.maximum.accumulate(radii[keep])
@@ -364,16 +350,8 @@ class SinkTracker:
 
 
 def state_box(kind, reach):
-    """Search box for the sublevel-set ascent: goal vector within +-reach,
-    intrinsic components within their dynamic ranges."""
-    if kind is envs.RobotKind.SWEEPING:
-        lo = [-reach, -reach]
-        hi = [reach, reach]
-    elif kind is envs.RobotKind.POINT:
-        lo = [-reach, -reach, -1.0, -1.0, -envs.POINT_V_MAX]
-        hi = [reach, reach, 1.0, 1.0, envs.POINT_V_MAX]
-    else:
-        lo = [-reach, -reach, -1.0, -1.0, -envs.CAR_WHEEL_V_MAX, -envs.CAR_WHEEL_V_MAX]
-        hi = [reach, reach, 1.0, 1.0, envs.CAR_WHEEL_V_MAX, envs.CAR_WHEEL_V_MAX]
-    return (np.array(lo), np.array(hi))
-
+    """Search box for the sublevel-set ascent, (-hi, hi): goal vector within
+    +-reach, heading components within +-1 and speeds within their limits."""
+    heading = [1.0, 1.0] * envs.HAS_HEADING[kind]
+    hi = np.array([reach, reach, *heading, *envs.SPEED_LIMITS[kind]], dtype=float)
+    return (-hi, hi)

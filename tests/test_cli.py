@@ -166,3 +166,38 @@ def test_malformed_input_document_is_a_command_error(tmp_path, sweeping_agent, c
     assert cli.main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == message
     assert not out.exists()
+
+
+GOOD_EPISODES = "method,robot,level,world_seed,outcome,steps\nmonitored,point,1,7,reached,40\n"
+
+
+def test_report_rereads_the_episodes_it_wrote(tmp_path, capsys):
+    outcomes = [("reached", 40), ("violated", 3), ("stalled", 9), ("timeout", 1000), ("plan_failed", 0)]
+    eps = [harness.EpisodeReport("h-e2e", "car", 2, i, o, n) for i, (o, n) in enumerate(outcomes)]
+    harness.write_reports([harness.summarize(eps)], eps, tmp_path)
+    written = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+    assert cli.main(["report", "--results", str(tmp_path)]) == 0
+    assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == written
+    assert harness.read_episodes(tmp_path / "episodes.csv") == eps
+    assert harness.EPISODE_FIELDS == ["method", "robot", "level", "world_seed", "outcome", "steps"]
+    assert capsys.readouterr().out == written["table.txt"].decode() + "\n"
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (GOOD_EPISODES.replace(",steps", "").replace(",40", ""), "has no column steps"),
+        (GOOD_EPISODES + "monitored,point,1,8,reached\n", "line 3: expected 6 fields"),
+        (GOOD_EPISODES + "monitored,point,1,8,reached,40,x\n", "line 3: expected 6 fields"),
+        (GOOD_EPISODES + "monitored,point,1,8,reached,4.5\n", "line 3: invalid literal for int"),
+        (GOOD_EPISODES + "monitored,point,1,8,flying,40\n", "line 3: outcome must be one of"),
+        ("", "has no column method, robot, level, world_seed, outcome, steps"),
+    ],
+    ids=["no-steps-column", "short-row", "long-row", "non-integer-steps", "unknown-outcome", "empty-file"],
+)
+def test_report_on_malformed_episodes_is_a_command_error(tmp_path, capsys, text, message):
+    (tmp_path / "episodes.csv").write_text(text)
+    assert cli.main(["report", "--results", str(tmp_path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err, err
+    assert {p.name for p in tmp_path.iterdir()} == {"episodes.csv"}

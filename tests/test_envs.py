@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from lyapnav import envs
+from lyapnav import envs, monitor
 from lyapnav.envs import RobotKind
 
 
@@ -217,3 +217,28 @@ def test_world_from_json_rejects_malformed_documents(doc, match):
 def test_make_world_rejects_bad_level():
     with pytest.raises(ValueError):
         envs.make_world(4, seed=0)
+
+
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_layout_table_agrees_with_dynamics(kind):
+    n_head = 2 * envs.HAS_HEADING[kind]
+    limits = np.array(envs.SPEED_LIMITS[kind])
+    s = envs.initial_state(kind, heading=0.7)
+    assert s.intrinsic.size == envs.intrinsic_dim(kind) == n_head + limits.size
+    assert envs.featurize(kind, envs.goal_condition(s, [1.0, 2.0])).shape == (envs.feature_dim(kind),)
+    assert np.flatnonzero(envs.sink_mask(kind)).tolist() == list(range(2, 2 + n_head))
+    assert np.all(np.isin(envs.sink_mask(kind), [0.0, 1.0]))
+    # full throttle either way saturates every speed at exactly its limit
+    for sign in (1.0, -1.0):
+        t = s
+        for _ in range(50):
+            t = envs.step(kind, t, [sign, sign])
+        assert np.array_equal(t.intrinsic[n_head:], sign * limits)
+    # random driving stays inside the sublevel search box, on the unit circle
+    lo, hi = monitor.state_box(kind, 3.0)
+    rng = np.random.default_rng(4)
+    for _ in range(300):
+        s = envs.step(kind, s, rng.uniform(-1.0, 1.0, size=envs.ACTION_DIM))
+        assert np.all((lo[2:] <= s.intrinsic) & (s.intrinsic <= hi[2:]))
+        if n_head:
+            assert s.intrinsic[0] ** 2 + s.intrinsic[1] ** 2 == pytest.approx(1.0)
