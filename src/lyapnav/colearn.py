@@ -126,6 +126,9 @@ class Policy:
     def forward(self, sg):
         return self.net.forward(envs.featurize(self.kind, sg))
 
+    def act(self, state, goal, world):
+        return self.forward(self.observe(state, goal, world))
+
 
 class ReplayBuffer:
     def __init__(self, capacity, state_dim, action_dim):
@@ -176,9 +179,7 @@ class Agent:
         return Policy(self.kind, self.pi_t)
 
     def act(self, state, goal, world):
-        """Action of the goal policy toward ``goal``; ``world`` is unused (the
-        policy is hazard-free), kept for ``E2ePolicy.act``'s signature."""
-        return self.policy.forward(envs.goal_condition(state, goal))
+        return self.policy.act(state, goal, world)
 
     def networks(self):
         """Checkpoint name -> network, in manifest order."""
@@ -348,15 +349,22 @@ def sample_task(kind, cfg, rng):
     return envs.initial_state(kind, heading=rng.uniform(0.0, 2 * np.pi)), goal
 
 
-def collect_episode(policy, state, goal, world, horizon, noise, rng, random_actions=False):
+def _label(policy, goal, state, nxt, world):
+    """(reward, next observation, done) of the step state -> nxt toward
+    ``goal``: the one labeling of every stored transition."""
+    r = envs.reward(goal, state, nxt, world)
+    o1 = policy.observe(nxt, goal, world)
+    done = envs.distance(goal, nxt.pos) < envs.REACH_TOL
+    return r, o1, done
+
+
+def collect_episode(policy, state, goal, world, horizon, noise, rng, random_actions=False, relabels=0):
     """Roll out ``policy`` from ``state`` toward ``goal`` in ``world`` with
-    Gaussian exploration noise (or uniform random actions), observing through
-    ``policy.observe`` and rewarded by ``envs.e2e_reward``. Ends at the horizon
-    or the goal. Returns (transitions, episode_reward, start_distance, states).
-    """
+    Gaussian exploration noise (or uniform random actions) until the horizon
+    or the goal. Returns the rollout's (o, a, r, o1, done) rows and
+    ``relabels`` copies of each with the goal relabeled to a position reached
+    at or after its step; ``_label`` labels both the same way."""
     transitions = []
-    total = 0.0
-    d0 = envs.distance(goal, state.pos)
     states = [state]
     o = policy.observe(state, goal, world)
     for _ in range(horizon):
@@ -368,39 +376,20 @@ def collect_episode(policy, state, goal, world, horizon, noise, rng, random_acti
                 a = a + rng.normal(0.0, noise, size=a.shape)
         a = np.clip(a, -1.0, 1.0)
         nxt = envs.step(policy.kind, state, a)
-        r = envs.e2e_reward(goal, state, nxt, world)
-        o1 = policy.observe(nxt, goal, world)
-        done = envs.distance(goal, nxt.pos) < envs.REACH_TOL
+        r, o1, done = _label(policy, goal, state, nxt, world)
         transitions.append((o, a, r, o1, done))
         states.append(nxt)
-        total += r
         state, o = nxt, o1
         if done:
             break
-    return transitions, total, d0, states
-
-
-def store_episode(buffer, transitions, states, relabels, rng):
-    """Push an episode into the replay, plus ``relabels`` relabeled copies of each transition.
-
-    Relabeling substitutes a future achieved position for the goal and
-    recomputes reward and termination; the (state, action, next-state)
-    dynamics triple is unchanged.
-    """
-    for tr in transitions:
-        buffer.add(*tr)
+    relabeled = []
     n = len(transitions)
     for t in range(n):
-        s_t, s_t1 = states[t], states[t + 1]
-        a = transitions[t][1]
         for _ in range(relabels):
-            future = rng.integers(t, n)
-            g = states[future + 1].pos
-            sg = envs.goal_condition(s_t, g)
-            sg1 = envs.goal_condition(s_t1, g)
-            r = envs.reward(g, s_t, s_t1)
-            done = envs.distance(g, s_t1.pos) < envs.REACH_TOL
-            buffer.add(sg, a, r, sg1, done)
+            g = states[rng.integers(t, n) + 1].pos
+            o = policy.observe(states[t], g, world)
+            relabeled.append((o, transitions[t][1], *_label(policy, g, states[t], states[t + 1], world)))
+    return transitions, relabeled
 
 
 def colearn(kind, cfg=None, seed=0, log_path=None):
@@ -418,10 +407,15 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
     log_rows = []
     for ep in range(cfg.episodes):
         start, goal = sample_task(kind, cfg, rng)
-        transitions, ep_reward, d0, states = collect_episode(
-            agent.target_policy, start, goal, arena, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes
+        transitions, relabeled = collect_episode(
+            agent.target_policy, start, goal, arena, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes,
+            cfg.hindsight_relabels,
         )
-        store_episode(buffer, transitions, states, cfg.hindsight_relabels, rng)
+        ep_reward = 0.0
+        for tr in transitions:
+            ep_reward += tr[2]  # in step order; from Python 3.12 builtin sum compensates, changing mean_reward
+        for tr in transitions + relabeled:
+            buffer.add(*tr)
         # phase means of the four losses and the two hinge-active fractions
         means = np.zeros(6)
         phases = 0
@@ -438,6 +432,7 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
             means /= phases
         for net, name in ((agent.pi, "pi"), (agent.q, "q"), (agent.v.net, "v"), (agent.lq, "lq")):
             nn.check_finite(net, f"in {name} after episode {ep}")
+        d0 = envs.distance(goal, start.pos)
         row = (ep, ep_reward, *means[:4], d0, int(transitions[-1][4]), float(means[4]), float(means[5]), buffer.size)
         log_rows.append(dict(zip(LOG_FIELDS, row)))
     if log_path is not None:

@@ -1,4 +1,4 @@
-"""Analytic 2D robot dynamics, goal conditioning, rewards, and hazard worlds.
+"""Analytic 2D robot dynamics, goal conditioning, the reward, and hazard worlds.
 
 Three robot kinds share a 2D position. The intrinsic (goal-independent) state
 differs per kind, and HAS_HEADING and SPEED_LIMITS say how:
@@ -62,9 +62,6 @@ def state_dim(kind):
 class PhysState:
     pos: np.ndarray
     intrinsic: np.ndarray
-
-    def copy(self):
-        return PhysState(self.pos.copy(), self.intrinsic.copy())
 
 
 def initial_state(kind, pos=(0.0, 0.0), heading=0.0):
@@ -166,16 +163,10 @@ def distance(p, q):
     return math.sqrt(d.dot(d))
 
 
-def reward(g, s_t, s_next):
-    """Progress toward the goal: previous distance minus new distance."""
-    g = np.asarray(g, dtype=float)
-    return distance(g, s_t.pos) - distance(g, s_next.pos)
-
-
-def e2e_reward(g, s_t, s_next, world):
-    """Progress reward minus HAZARD_PENALTY while inside any hazard; in a
-    world without hazards it is reward() bit for bit."""
-    r = reward(g, s_t, s_next)
+def reward(g, s_t, s_next, world):
+    """Progress toward the goal (previous distance minus new distance), less
+    HAZARD_PENALTY when s_next is inside a hazard of ``world``."""
+    r = distance(g, s_t.pos) - distance(g, s_next.pos)
     if in_hazard(s_next.pos, world):
         r -= HAZARD_PENALTY
     return r

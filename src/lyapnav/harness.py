@@ -55,21 +55,14 @@ class BenchmarkSummary:
             raise ValueError("violation and reach rates sum above 1")
 
 
-class E2ePolicy:
-    """Hazard-aware goal policy over the raw observation [v_haz, d_g, intrinsic]."""
-
-    def __init__(self, kind, net):
-        self.kind = kind
-        self.net = net
+class E2ePolicy(colearn.Policy):
+    """Hazard-aware goal policy over the raw, unfeaturized observation [v_haz, d_g, intrinsic]."""
 
     def observe(self, state, goal, world):
         return np.concatenate([envs.hazard_observation(state, world), envs.goal_condition(state, goal)])
 
     def forward(self, o):
         return self.net.forward(o)
-
-    def act(self, state, goal, world):
-        return self.net.forward(self.observe(state, goal, world))
 
     def networks(self):
         return {"e2e_pi": self.net}
@@ -126,10 +119,11 @@ def train_e2e(kind, cfg=None, seed=0):
     for ep in range(cfg.episodes):
         world = envs.make_world(E2E_LEVEL, int(rng.integers(2**31)))
         start = envs.initial_state(kind, pos=world.start, heading=rng.uniform(0, 2 * np.pi))
-        transitions, _, _, states = colearn.collect_episode(
+        transitions, relabeled = colearn.collect_episode(
             E2ePolicy(kind, pi_t), start, world.goal, world, cfg.horizon, E2E_NOISE, rng, ep < cfg.warmup_episodes
         )
-        colearn.store_episode(buffer, transitions, states, 0, rng)
+        for tr in transitions + relabeled:
+            buffer.add(*tr)
         if buffer.size < colearn.BATCH_SIZE:
             continue
         for _ in range(cfg.grad_steps):

@@ -44,7 +44,7 @@ def sample_transitions(kind, policy, n, seed=0):
     S, S1 = [], []
     while len(S) < n:
         start, goal = colearn.sample_task(kind, cfg, rng)
-        transitions, _, _, _ = colearn.collect_episode(policy, start, goal, arena, cfg.horizon, 0.0, rng)
+        transitions, _ = colearn.collect_episode(policy, start, goal, arena, cfg.horizon, 0.0, rng)
         for sg, _, _, sg1, _ in transitions:
             S.append(sg)
             S1.append(sg1)

@@ -194,7 +194,8 @@ def save_params(net, path):
 
 
 def load_params(path, net):
-    """Load a checkpoint into net, whose architecture must match."""
+    """Load a checkpoint into net, whose architecture must match and whose
+    parameters must be finite."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -224,6 +225,8 @@ def load_params(path, net):
     for (n_in, n_out), w, b in zip(expected, weights, biases):
         if w.shape != (n_in, n_out) or b.shape != (n_out,):
             raise CheckpointError("parameter shapes inconsistent with layer_sizes")
+        if not (np.isfinite(w).all() and np.isfinite(b).all()):
+            raise CheckpointError(f"checkpoint {path} has non-finite parameters")
     net.weights = weights
     net.biases = biases
     return net

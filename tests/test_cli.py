@@ -2,6 +2,7 @@
 and only the training commands read one."""
 
 import json
+import shutil
 from dataclasses import fields
 
 import numpy as np
@@ -165,6 +166,25 @@ def test_malformed_input_document_is_a_command_error(tmp_path, sweeping_agent, c
         argv = ["plan", "--world", str(bad)]
     assert cli.main([*argv, "--out", str(out)]) == 1
     assert capsys.readouterr().err == message
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("agent, method, network", [("sweeping", "direct", "pi"), ("sweeping_e2e", "e2e", "e2e_pi")])
+def test_bench_on_a_non_finite_checkpoint_is_a_command_error(
+    tmp_path, sweeping_agent, sweeping_e2e, capsys, agent, method, network
+):
+    from conftest import CACHE
+
+    agent_dir = tmp_path / agent
+    shutil.copytree(CACHE / agent, agent_dir)
+    doc = json.loads((agent_dir / f"{network}.json").read_text())
+    doc["biases"][0][0] = float("nan")
+    (agent_dir / f"{network}.json").write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    argv = ["bench", "--method", method, "--agent", str(agent_dir), "--level", "1", "--episodes", "3", "--seed", "0"]
+    assert cli.main([*argv, "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: checkpoint ") and err.endswith(" has non-finite parameters\n"), err
     assert not out.exists()
 
 

@@ -139,44 +139,81 @@ def test_sample_goal_respects_annulus():
         assert cfg.goal_min <= np.linalg.norm(g) <= cfg.goal_range
 
 
-def arena_episode(policy, cfg, rng, noise):
+def arena_episode(policy, cfg, rng, noise, relabels=0):
     """One training-arena episode, drawn as ``colearn.colearn`` draws it."""
     start, goal = colearn.sample_task(policy.kind, cfg, rng)
-    return colearn.collect_episode(policy, start, goal, envs.empty_world(), cfg.horizon, noise, rng)
+    return colearn.collect_episode(policy, start, goal, envs.empty_world(), cfg.horizon, noise, rng, False, relabels)
 
 
 def test_collect_episode_deterministic_without_noise():
     cfg = colearn.TrainConfig()
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=7)
-    tr1, total1, d0, _ = arena_episode(agent.policy, cfg, np.random.default_rng(3), 0.0)
-    tr2, total2, _, _ = arena_episode(agent.policy, cfg, np.random.default_rng(3), 0.0)
-    assert total1 == total2
-    assert all(np.array_equal(a[0], b[0]) for a, b in zip(tr1, tr2))
+    tr1, rel1 = arena_episode(agent.policy, cfg, np.random.default_rng(3), 0.0)
+    tr2, rel2 = arena_episode(agent.policy, cfg, np.random.default_rng(3), 0.0)
+    assert rel1 == rel2 == []
+    assert len(tr1) == len(tr2)
+    for a, b in zip(tr1, tr2):
+        assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
 
 def test_collect_episode_reward_telescopes():
     cfg = colearn.TrainConfig()
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=8)
-    tr, total, d0, states = arena_episode(agent.policy, cfg, np.random.default_rng(4), 0.0)
+    tr, _ = arena_episode(agent.policy, cfg, np.random.default_rng(4), 0.0)
+    d0 = np.linalg.norm(tr[0][0][:2])
     d_end = np.linalg.norm(tr[-1][3][:2])
-    assert total == pytest.approx(d0 - d_end)
+    assert sum(row[2] for row in tr) == pytest.approx(d0 - d_end)
 
 
 def test_hindsight_relabels_consistent():
     # relabeled rewards and termination flags must agree with recomputation
     cfg = colearn.TrainConfig()
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=9)
-    rng = np.random.default_rng(5)
-    tr, _, _, states = arena_episode(agent.policy, cfg, rng, cfg.noise)
-    buf = colearn.ReplayBuffer(10_000, envs.state_dim(RobotKind.SWEEPING), 2)
     relabels = 2
-    colearn.store_episode(buf, tr, states, relabels, rng)
+    tr, rel = arena_episode(agent.policy, cfg, np.random.default_rng(5), cfg.noise, relabels)
+    buf = colearn.ReplayBuffer(10_000, envs.state_dim(RobotKind.SWEEPING), 2)
+    for row in tr + rel:
+        buf.add(*row)
     assert buf.size == len(tr) * (1 + relabels)
     for i in range(buf.size):
         d1 = np.linalg.norm(buf.s1[i][:2])
         d0 = np.linalg.norm(buf.s[i][:2])
         assert buf.r[i] == pytest.approx(d0 - d1)
         assert buf.done[i] == float(d1 < envs.REACH_TOL)
+
+
+def test_relabels_are_labeled_like_the_rollout_for_a_hazard_observing_policy():
+    # an untrained e2e actor that drives through a hazard of this world; each
+    # relabeled copy must carry its step's hazard observation and penalty, as
+    # the rollout's own rows do
+    kind = RobotKind.SWEEPING
+    policy = harness.make_e2e_policy(kind, seed=5)
+    world = envs.make_world(1, 5)
+    start = envs.initial_state(kind, pos=world.start)
+    relabels = 2
+    rng = np.random.default_rng(0)
+    tr, rel = colearn.collect_episode(policy, start, world.goal, world, 60, 0.0, rng, False, relabels)
+    states = [start]
+    for _, a, _, _, _ in tr:
+        states.append(envs.step(kind, states[-1], a))
+    n = len(tr)
+    assert len(rel) == n * relabels
+    penalized = 0
+    for i, (o, a, r, o1, done) in enumerate(rel):
+        t = i // relabels
+        s, s1 = states[t], states[t + 1]
+        assert np.array_equal(a, tr[t][1])
+        assert o.shape == o1.shape == (harness.e2e_obs_dim(kind),)
+        # the copy's goal is a position the episode reached at or after step t
+        future = [states[j + 1].pos for j in range(t, n)]
+        goals = [g for g in future if np.array_equal(o, policy.observe(s, g, world))]
+        assert goals, f"copy {i} is not toward a position reached at or after its step"
+        g = goals[0]
+        assert np.array_equal(o1, policy.observe(s1, g, world))
+        assert r == envs.reward(g, s, s1, world)
+        assert done == (envs.distance(g, s1.pos) < envs.REACH_TOL)
+        penalized += envs.in_hazard(s1.pos, world)
+    assert penalized > 0
 
 
 def test_train_q_reduces_td_error_on_fixed_batch():

@@ -96,21 +96,20 @@ def test_reward_telescopes_to_distance_change():
     total = 0.0
     for _ in range(30):
         nxt = envs.step(RobotKind.SWEEPING, s, rng.uniform(-1, 1, size=2))
-        total += envs.reward(g, s, nxt)
+        total += envs.reward(g, s, nxt, envs.empty_world())
         s = nxt
     expected = np.linalg.norm(g) - np.linalg.norm(g - s.pos)
     assert total == pytest.approx(expected)
 
 
-def test_e2e_reward_penalizes_hazard():
+def test_reward_penalizes_hazard():
     world = envs.empty_world()
     world.hazards = np.array([[1.0, 1.0, 0.2]])
     s = envs.PhysState(np.array([0.5, 1.0]), np.zeros(0))
     inside = envs.PhysState(np.array([0.9, 1.0]), np.zeros(0))
-    base = envs.reward(world.goal, s, inside)
-    assert envs.e2e_reward(world.goal, s, inside, world) == pytest.approx(base - envs.HAZARD_PENALTY)
-    # without hazards it is the co-learner's reward, bit for bit
-    assert envs.e2e_reward(world.goal, s, inside, envs.empty_world()) == base
+    base = envs.reward(world.goal, s, inside, envs.empty_world())
+    assert base == envs.distance(world.goal, s.pos) - envs.distance(world.goal, inside.pos)
+    assert envs.reward(world.goal, s, inside, world) == pytest.approx(base - envs.HAZARD_PENALTY)
 
 
 def test_featurize_appends_direction_distance():

@@ -1,7 +1,11 @@
-"""Source hygiene: every name a lyapnav module imports is used in it, and
-every function and class it defines is referenced somewhere."""
+"""Source hygiene: every name a lyapnav module imports is used in it,
+every function and class it defines is referenced somewhere, and every
+lyapnav name the README quotes exists."""
 
 import ast
+import functools
+import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -142,3 +146,34 @@ def test_never_passed_defaults_finds_unused_parameters():
 def test_every_default_is_passed_somewhere():
     # a default no caller overrides is a constant in disguise
     assert never_passed_defaults([p.read_text() for p in SOURCES], _referencing_sources()) == []
+
+
+# a backticked span that starts with a lyapnav module and an attribute
+README_NAME = re.compile(
+    r"(?:lyapnav\.)?(nn|envs|colearn|lyapunov_eval|planner|monitor|harness|cli)((?:\.[A-Za-z_]\w*)+)"
+)
+
+
+def readme_names(text):
+    """(module, attribute path) of each backticked dotted lyapnav name in
+    ``text``, fenced code blocks left out."""
+    text = re.sub(r"```.*?```", "", text, flags=re.S)
+    matches = (README_NAME.match(span) for span in re.findall(r"`([^`\n]+)`", text))
+    return [(m.group(1), m.group(2)[1:].split(".")) for m in matches if m]
+
+
+def test_readme_names_finds_quoted_names():
+    text = "`envs.step(kind, s, a)`, `lyapnav.colearn.TrainConfig.gamma` and `lyapnav.nn`\n```sh\n`cli.x`\n```\n"
+    assert readme_names(text) == [("envs", ["step"]), ("colearn", ["TrainConfig", "gamma"])]
+
+
+def test_every_readme_name_exists():
+    names = readme_names((REPO / "README.md").read_text())
+    assert names
+    missing = []
+    for module, path in names:
+        try:
+            functools.reduce(getattr, path, importlib.import_module(f"lyapnav.{module}"))
+        except AttributeError:
+            missing.append(".".join([module, *path]))
+    assert missing == []

@@ -169,6 +169,27 @@ def test_checkpoint_rejects_unknown_activation(tmp_path, field, value):
         nn.load_params(path, net)
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("where", ["weight", "bias"])
+def test_checkpoint_rejects_non_finite_parameters(tmp_path, where, value):
+    # Python's json reads these literals as floats; a network holding one
+    # would act without error and never reach a goal
+    net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(0))
+    path = tmp_path / "net.json"
+    nn.save_params(net, path)
+    doc = json.loads(path.read_text())
+    if where == "weight":
+        doc["weights"][1][2][0] = float(value)
+    else:
+        doc["biases"][0][1] = float(value)
+    path.write_text(json.dumps(doc))
+    assert value in path.read_text()
+    before = [p.copy() for p in net.params()]
+    with pytest.raises(nn.CheckpointError, match="non-finite"):
+        nn.load_params(path, net)
+    assert all(np.array_equal(a, b) for a, b in zip(before, net.params()))
+
+
 def test_params_digest_detects_change():
     net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(5))
     d1 = nn.params_digest(net)
