@@ -3,6 +3,14 @@
 Everything here is plain numpy. Networks are value objects: forward and
 gradients never mutate state, so they can be shared read-only. Training code
 owns a single mutable copy per network.
+
+The passes compute in place on arrays they allocate per call (the layer
+product takes its bias and tanh in place; backward scales its delta by one
+``1 - a**2`` temporary), in the operation order of the plain expressions, so
+results are bit for bit those of ``np.tanh(a @ w + b)`` and
+``delta * (1.0 - a ** 2)``. backward never writes to its cache, so a cache
+and the output ``forward_cache`` returned stay valid after any number of
+backward passes. Adam's moments and Polyak's targets are updated in place.
 """
 
 import hashlib
@@ -28,6 +36,13 @@ class ShapeError(ValueError):
 
 class CheckpointError(RuntimeError):
     """A parameter file is malformed or does not match the architecture."""
+
+
+def _tanh_slope(a):
+    """1 - a**2 in a fresh array: the derivative of tanh at its output a."""
+    slope = np.square(a)
+    np.subtract(1.0, slope, out=slope)
+    return slope
 
 
 class Mlp:
@@ -85,8 +100,11 @@ class Mlp:
         acts = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w + b
-            acts.append(np.tanh(z) if i < last or self.output_activation == "tanh" else z)
+            z = acts[-1] @ w
+            z += b
+            if i < last or self.output_activation == "tanh":
+                np.tanh(z, out=z)
+            acts.append(z)
         return acts
 
     def forward(self, x):
@@ -116,7 +134,11 @@ class Mlp:
         if upstream.shape != (acts[0].shape[0], self.out_dim):
             raise ShapeError(f"upstream shape {upstream.shape} incompatible")
         last = len(self.weights) - 1
-        delta = upstream * (1.0 - acts[-1] ** 2) if self.output_activation == "tanh" else upstream
+        if self.output_activation == "tanh":
+            delta = _tanh_slope(acts[-1])
+            delta *= upstream
+        else:
+            delta = upstream
         grads = [None] * (2 * len(self.weights)) if params else None
         for i in range(last, -1, -1):
             if params:
@@ -124,7 +146,7 @@ class Mlp:
                 grads[2 * i + 1] = delta.sum(axis=0)
             delta = delta @ self.weights[i].T
             if i > 0:
-                delta = delta * (1.0 - acts[i] ** 2)
+                delta *= _tanh_slope(acts[i])
         return grads, (delta[0] if squeeze else delta)
 
     def gradients(self, x, upstream):
@@ -147,31 +169,51 @@ class AdamState:
 
 
 def adam_step(state, params, grads):
-    """One Adam update, in place on params. Returns params for convenience."""
+    """One Adam update, in place on params and on the state's moments.
+    Returns params for convenience. Shapes are checked before anything is
+    written, so a state built for another network raises ShapeError."""
     if len(params) != len(state.m) or len(grads) != len(params):
         raise ShapeError("adam_step: parameter/gradient count mismatch")
-    state.t += 1
-    b1, b2 = ADAM_BETA1, ADAM_BETA2
-    for i, (p, g) in enumerate(zip(params, grads)):
+    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
         if p.shape != g.shape:
             raise ShapeError(f"adam_step: grad {i} shape {g.shape} != {p.shape}")
-        state.m[i] = b1 * state.m[i] + (1 - b1) * g
-        state.v[i] = b2 * state.v[i] + (1 - b2) * g * g
-        m_hat = state.m[i] / (1 - b1 ** state.t)
-        v_hat = state.v[i] / (1 - b2 ** state.t)
-        p -= state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
+        if m.shape != p.shape or v.shape != p.shape:
+            raise ShapeError(f"adam_step: moment {i} shapes {m.shape}/{v.shape} != {p.shape} (another network's state)")
+    state.t += 1
+    b1, b2 = ADAM_BETA1, ADAM_BETA2
+    c1, c2 = 1 - b1**state.t, 1 - b2**state.t
+    for p, g, m, v in zip(params, grads, state.m, state.v):
+        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+        m *= b1
+        m += (1 - b1) * g
+        tmp = (1 - b2) * g
+        tmp *= g
+        v *= b2
+        v += tmp
+        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+        step = m / c1
+        step *= state.lr
+        np.divide(v, c2, out=tmp)
+        np.sqrt(tmp, out=tmp)
+        tmp += ADAM_EPS
+        step /= tmp
+        p -= step
     return params
 
 
 def polyak_update(target, online, tau):
-    """target <- (1 - tau) * target + tau * online, elementwise."""
-    if target.layer_sizes != online.layer_sizes:
-        raise ShapeError("polyak_update: architecture mismatch")
+    """target <- (1 - tau) * target + tau * online, elementwise and in place."""
+    if target.layer_sizes != online.layer_sizes or target.output_activation != online.output_activation:
+        raise ShapeError(
+            f"polyak_update: architecture {target.layer_sizes}/{target.output_activation} "
+            f"!= {online.layer_sizes}/{online.output_activation}"
+        )
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    for i in range(len(target.weights)):
-        target.weights[i] = (1 - tau) * target.weights[i] + tau * online.weights[i]
-        target.biases[i] = (1 - tau) * target.biases[i] + tau * online.biases[i]
+    for t, o in zip(target.params(), online.params()):
+        step = tau * o  # read before t changes, in case target is online
+        t *= 1 - tau
+        t += step
 
 
 def check_finite(net, context=""):

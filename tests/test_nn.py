@@ -127,6 +127,32 @@ def test_polyak_tau_one_copies():
         assert np.array_equal(t, o)
 
 
+@pytest.mark.parametrize("reverse", [False, True])
+def test_adam_step_rejects_another_networks_state(reverse):
+    # the critic's and the actor's moments differ only in the last layer:
+    # (64, 1) and (1,) against (64, 2) and (2,), which numpy would broadcast
+    q = nn.Mlp([7, 64, 64, 1], "identity", np.random.default_rng(0))
+    pi = nn.Mlp([7, 64, 64, 2], "tanh", np.random.default_rng(1))
+    owner, net = (pi, q) if reverse else (q, pi)
+    state = nn.AdamState(owner.params())
+    grads = [np.ones_like(p) for p in net.params()]
+    before = [p.copy() for p in net.params()]
+    with pytest.raises(nn.ShapeError, match="moment 4"):
+        nn.adam_step(state, net.params(), grads)
+    assert state.t == 0
+    assert all(not m.any() for m in state.m + state.v)
+    assert all(np.array_equal(a, b) for a, b in zip(before, net.params()))
+
+
+def test_polyak_update_rejects_another_output_activation():
+    a = nn.Mlp([2, 3, 1], "tanh", np.random.default_rng(1))
+    b = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(2))
+    before = [p.copy() for p in a.params()]
+    with pytest.raises(nn.ShapeError, match="identity"):
+        nn.polyak_update(a, b, 0.5)
+    assert all(np.array_equal(x, y) for x, y in zip(before, a.params()))
+
+
 def test_checkpoint_roundtrip(tmp_path):
     net = nn.Mlp([3, 4, 2], "tanh", np.random.default_rng(3))
     path = tmp_path / "net.json"

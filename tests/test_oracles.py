@@ -7,12 +7,18 @@ per episode step, so they work on coordinate columns with bare ufuncs, and
 the straightforward ``np.linalg.norm`` / ``np.clip`` / ``np.sum`` /
 ``np.hstack`` versions; the fast versions must agree with them bit for bit,
 NaN included, because plans and episodes are compared bitwise across changes.
+
+``nn``'s forward and backward passes, Adam and Polyak averaging compute in
+place; their oracles are the plain out-of-place expressions
+(``np.tanh(a @ w + b)``, ``delta * (1.0 - a ** 2)`` and the textbook Adam
+and Polyak formulas), which trained parameters, V values and certificate
+tables must keep matching bit for bit.
 """
 
 import numpy as np
 import pytest
 
-from lyapnav import envs, planner
+from lyapnav import envs, nn, planner
 from lyapnav.envs import RobotKind
 
 
@@ -87,6 +93,47 @@ def oracle_hazard_observation(s, world):
     for slot, idx in enumerate(order):
         obs[2 * slot : 2 * slot + 2] = vecs[idx]
     return obs
+
+
+def oracle_forward_cached(net, x):
+    acts = [x]
+    last = len(net.weights) - 1
+    for i, (w, b) in enumerate(zip(net.weights, net.biases)):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if i < last or net.output_activation == "tanh" else z)
+    return acts
+
+
+def oracle_backward(net, acts, upstream, params=True):
+    last = len(net.weights) - 1
+    delta = upstream * (1.0 - acts[-1] ** 2) if net.output_activation == "tanh" else upstream
+    grads = [None] * (2 * len(net.weights)) if params else None
+    for i in range(last, -1, -1):
+        if params:
+            grads[2 * i] = acts[i].T @ delta
+            grads[2 * i + 1] = delta.sum(axis=0)
+        delta = delta @ net.weights[i].T
+        if i > 0:
+            delta = delta * (1.0 - acts[i] ** 2)
+    return grads, delta
+
+
+def oracle_adam_step(lr, t, params, grads, m, v):
+    """(params, m, v) after Adam step number t, as new arrays."""
+    b1, b2 = nn.ADAM_BETA1, nn.ADAM_BETA2
+    out = ([], [], [])
+    for p, g, mi, vi in zip(params, grads, m, v):
+        mi = b1 * mi + (1 - b1) * g
+        vi = b2 * vi + (1 - b2) * g * g
+        m_hat = mi / (1 - b1**t)
+        v_hat = vi / (1 - b2**t)
+        for lst, val in zip(out, (p - lr * m_hat / (np.sqrt(v_hat) + nn.ADAM_EPS), mi, vi)):
+            lst.append(val)
+    return out
+
+
+def oracle_polyak(target, online, tau):
+    return [(1 - tau) * t + tau * o for t, o in zip(target, online)]
 
 
 # --------------------------------------------------------------------- tests
@@ -250,3 +297,74 @@ def test_distance_matches_norm_of_either_difference_bitwise():
         for p, q in pairs:
             d = envs.distance(p, q)
             assert same_bits(d, np.linalg.norm(p - q)) and same_bits(d, np.linalg.norm(q - p)), (p, q)
+
+
+def _snapshot(arrays):
+    return [np.array(a, copy=True) for a in arrays]
+
+
+@pytest.mark.parametrize("act", nn.OUTPUT_ACTIVATIONS)
+@pytest.mark.parametrize("rows", [1, 22, 256, 1536])  # 1536: train_v's 6n stack at n = 256
+def test_mlp_passes_match_oracle_bitwise(act, rows):
+    rng = np.random.default_rng(rows)
+    net = nn.Mlp([7, 64, 64, 2], act, rng)
+    x = rng.normal(size=(rows, 7)) * 3.0  # wide enough to saturate some tanh units
+    x[0, :3] = (0.0, -0.0, 40.0)
+    want = oracle_forward_cached(net, x)
+    assert same_bits(net.forward(x), want[-1])
+    out, cache = net.forward_cache(x)
+    acts, squeeze = cache
+    assert not squeeze and same_bits(out, want[-1])
+    assert len(acts) == len(want) and all(same_bits(a, b) for a, b in zip(acts, want))
+    kept_acts, kept_out = _snapshot(acts), out.copy()
+    upstream = rng.normal(size=(rows, 2))
+    kept_upstream = upstream.copy()
+    for params in (True, False):
+        grads, input_grad = net.backward(cache, upstream, params=params)
+        want_grads, want_input = oracle_backward(net, want, upstream, params=params)
+        assert same_bits(input_grad, want_input)
+        if params:
+            assert len(grads) == len(want_grads) and all(same_bits(g, w) for g, w in zip(grads, want_grads))
+        else:
+            assert grads is None
+        # backward writes to none of its inputs: the cache, the output that
+        # forward_cache returned (actor_step reuses it as the action) and upstream
+        assert all(same_bits(a, k) for a, k in zip(acts, kept_acts))
+        assert same_bits(out, kept_out) and same_bits(upstream, kept_upstream)
+    if rows == 1:  # the squeezed 1-D path of single-state calls
+        assert same_bits(net.forward(x[0]), want[-1][0])
+        out1, cache1 = net.forward_cache(x[0])
+        _, input_grad1 = net.backward(cache1, upstream[0])
+        assert same_bits(out1, want[-1][0])
+        assert same_bits(input_grad1, oracle_backward(net, want, upstream)[1][0])
+
+
+def test_adam_steps_match_oracle_bitwise():
+    rng = np.random.default_rng(5)
+    net = nn.Mlp([9, 64, 64, 1], "identity", rng)
+    state = nn.AdamState(net.params(), lr=1e-3)
+    params, m, v = _snapshot(net.params()), _snapshot(state.m), _snapshot(state.v)
+    for t in range(1, 6):
+        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2) for p in params]
+        grads[1][:3] = 0.0  # a zero gradient keeps its moments decaying
+        params, m, v = oracle_adam_step(state.lr, t, params, grads, m, v)
+        assert nn.adam_step(state, net.params(), grads) is not None and state.t == t
+        for got, want in ((net.params(), params), (state.m, m), (state.v, v)):
+            assert all(same_bits(a, b) for a, b in zip(got, want)), t
+
+
+@pytest.mark.parametrize("tau", [0.005, 0.25, 1.0])
+def test_polyak_update_matches_oracle_bitwise(tau):
+    rng = np.random.default_rng(6)
+    target = nn.Mlp([7, 64, 64, 2], "tanh", rng)
+    online = nn.Mlp([7, 64, 64, 2], "tanh", rng)
+    online.weights[0][0, :2] = (0.0, -0.0)
+    kept_online = _snapshot(online.params())
+    want = oracle_polyak(target.params(), online.params(), tau)
+    nn.polyak_update(target, online, tau)
+    assert all(same_bits(a, b) for a, b in zip(target.params(), want))
+    assert all(same_bits(a, b) for a, b in zip(online.params(), kept_online))
+    # a network averaged with itself: the in-place update reads online before writing target
+    want = oracle_polyak(online.params(), online.params(), tau)
+    nn.polyak_update(online, online, tau)
+    assert all(same_bits(a, b) for a, b in zip(online.params(), want))
