@@ -12,7 +12,8 @@ goal vectors within colearn.TrainConfig.goal_range, and network width, reach
 tolerance, hazard penalty, the DDPG settings, co-learning's loss weights and
 goal annulus, and the e2e baseline's level, discount and noise are module or
 class constants. Every command that draws random numbers takes its seed from
---seed.
+--seed. build-lut (monitor.build_agent_lut) searches at --seed and samples V
+at --seed + 2, so the cached tables under tests/_agent_cache/ are --seed 3.
 """
 
 import argparse
@@ -87,19 +88,7 @@ def cmd_eval_nlf(args):
 
 
 def cmd_build_lut(args):
-    agent = colearn.Agent.load(args.agent)
-    S, _ = lyapunov_eval.sample_transitions(agent.kind, agent.policy, args.n_samples, seed=args.seed)
-    grid = monitor.level_grid_from_values(agent.v.value(S))
-    box = monitor.state_box(agent.kind, colearn.TrainConfig.goal_range)  # the goal radius V is trained on
-    lut = monitor.build_lut(
-        agent.v.value,
-        agent.v.grad,
-        grid,
-        box,
-        seed=args.seed,
-        v_digest=nn.params_digest(agent.v.net),
-        project=monitor.heading_projection(agent.kind),
-    )
+    lut = monitor.build_agent_lut(colearn.Agent.load(args.agent), args.n_samples, args.seed)
     with open(args.out, "w") as f:
         f.write(lut.to_json())
     print(f"lookup table with {lut.keys.size} levels, radii [{lut.radii[0]:.3f}, {lut.radii[-1]:.3f}] -> {args.out}")

@@ -91,10 +91,6 @@ class LyapunovNet:
         self.mask = envs.sink_mask(kind)
         self.net = nn.Mlp([envs.state_dim(kind), *HIDDEN, 1], "identity", rng)
 
-    @property
-    def in_dim(self):
-        return self.net.in_dim
-
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         return self.net.forward(x)[:, 0] - self.net.forward(x * self.mask)[:, 0]

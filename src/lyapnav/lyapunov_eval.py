@@ -38,6 +38,8 @@ class LyapunovReport:
 def sample_transitions(kind, policy, n, seed=0):
     """On-policy (state, next-state) pairs from deterministic rollouts toward
     random goals in hazard-free space. Returns two (n, dim) arrays."""
+    if n < 0:
+        raise ValueError(f"sample_transitions needs a count n >= 0, got n={n}")
     cfg = colearn.TrainConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7]))
     arena = envs.empty_world()

@@ -13,7 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import envs, planner
+from . import colearn, envs, lyapunov_eval, nn, planner
 
 
 class InfeasibleLevelError(RuntimeError):
@@ -202,6 +202,19 @@ def level_grid_from_values(values, n=32, lo_pct=0.1, hi_pct=99.0):
     return np.geomspace(lo, hi, n)
 
 
+def build_agent_lut(agent, n_samples, seed):
+    """A trained agent's certified table: a level grid from V on n_samples
+    on-policy states, searched over the goal radius V is trained on."""
+    # sampled at seed + 2: the cached tables were sampled at 5 and searched at 3, so they are seed 3
+    S, _ = lyapunov_eval.sample_transitions(agent.kind, agent.policy, n_samples, seed=seed + 2)
+    grid = level_grid_from_values(agent.v.value(S))
+    box = state_box(agent.kind, colearn.TrainConfig.goal_range)
+    digest = nn.params_digest(agent.v.net)
+    return build_lut(
+        agent.v.value, agent.v.grad, grid, box, seed=seed, v_digest=digest, project=heading_projection(agent.kind)
+    )
+
+
 def lut_query(lut, v):
     """Ceiling-rule lookup: radius of the smallest key >= v.
 
@@ -225,10 +238,6 @@ class SinkChoice:
     radius: float  # certified circle radius (uninflated)
     segment: int
     fraction: float
-
-    @property
-    def progress(self):
-        return self.segment + self.fraction
 
 
 @dataclass

@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from lyapnav import colearn, harness, lyapunov_eval, monitor, nn
+from lyapnav import colearn, harness, monitor, nn
 from lyapnav.envs import RobotKind
 
 CACHE = Path(__file__).parent / "_agent_cache"
@@ -68,18 +68,7 @@ def _cached_lut(kind, agent):
         if lut.v_digest != nn.params_digest(agent.v.net):
             raise nn.CheckpointError(f"{path} was built for another V; delete it to rebuild")
         return lut
-    S, _ = lyapunov_eval.sample_transitions(kind, agent.policy, 2000, seed=5)
-    grid = monitor.level_grid_from_values(agent.v.value(S))
-    box = monitor.state_box(kind, 3.0)
-    lut = monitor.build_lut(
-        agent.v.value,
-        agent.v.grad,
-        grid,
-        box,
-        seed=3,
-        v_digest=nn.params_digest(agent.v.net),
-        project=monitor.heading_projection(kind),
-    )
+    lut = monitor.build_agent_lut(agent, 2000, 3)
     CACHE.mkdir(parents=True, exist_ok=True)
     path.write_text(lut.to_json())
     return lut

@@ -188,6 +188,16 @@ def test_bench_on_a_non_finite_checkpoint_is_a_command_error(
     assert not out.exists()
 
 
+def test_build_lut_on_a_negative_sample_count_is_a_command_error(tmp_path, sweeping_agent, capsys):
+    from conftest import CACHE
+
+    out = tmp_path / "lut.json"
+    argv = ["build-lut", "--agent", str(CACHE / "sweeping"), "--n-samples", "-3", "--out", str(out)]
+    assert cli.main(argv) == 1
+    assert capsys.readouterr().err == "error: sample_transitions needs a count n >= 0, got n=-3\n"
+    assert not out.exists()
+
+
 GOOD_EPISODES = "method,robot,level,world_seed,outcome,steps\nmonitored,point,1,7,reached,40\n"
 
 

@@ -68,7 +68,7 @@ def test_make_agent_architecture():
     assert agent.pi.in_dim == df
     assert agent.q.in_dim == df + 2
     assert agent.lq.in_dim == df + 2
-    assert agent.v.in_dim == envs.state_dim(RobotKind.POINT)
+    assert agent.v.net.in_dim == envs.state_dim(RobotKind.POINT)
     for a, b in zip(agent.pi.params(), agent.pi_t.params()):
         assert np.array_equal(a, b)
 

@@ -65,6 +65,12 @@ def test_sample_transitions_count_and_dim():
     assert np.all(step <= np.sqrt(2) * envs.SWEEP_A_MAX * envs.DT + 1e-9)
 
 
+def test_sample_transitions_rejects_a_negative_count():
+    agent = colearn.make_agent(RobotKind.SWEEPING, seed=1)
+    with pytest.raises(ValueError, match="n=-3"):
+        lyapunov_eval.sample_transitions(RobotKind.SWEEPING, agent.policy, -3, seed=2)
+
+
 def test_report_json_and_table_row():
     rep = lyapunov_eval.LyapunovReport(100, 0.99, 0.98, 0.97, 1e-6)
     doc = json.loads(rep.to_json())

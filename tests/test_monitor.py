@@ -141,6 +141,10 @@ def test_candidate_sinks_span_segment():
         monitor.MonitorConfig(delta=0.0)
 
 
+def _progress(choice):
+    return choice.segment + choice.fraction
+
+
 def reference_select_sink(state, path, seg_idx, world, value_fn, lut, cfg):
     """Oracle: one V call and one table query per candidate, scanned segment
     by segment; a candidate replaces the best only on strictly greater
@@ -162,7 +166,7 @@ def reference_select_sink(state, path, seg_idx, world, value_fn, lut, cfg):
             if not np.all(np.linalg.norm(hz[:, :2] - p, axis=1) >= radius * cfg.radius_inflation + hz[:, 2]):
                 continue
             cand = monitor.SinkChoice(p, level, radius, seg, float(frac))
-            if best is None or (cand.progress, cand.radius) > (best.progress, best.radius):
+            if best is None or (_progress(cand), cand.radius) > (_progress(best), best.radius):
                 best = cand
     if best is None:
         raise monitor.MonitorStall("no safe sink")
@@ -237,7 +241,7 @@ def _oracle_checked_tracker(log):
             want = oracle(state, self.path, seg_idx, self.world, self.value_fn, self.lut, self.cfg)
             free = oracle(state, self.path, seg_idx, no_hazards, self.value_fn, self.lut, self.cfg)
             log["selections"] += 1
-            log["hazard_decided"] += want is None or free is None or want.progress != free.progress
+            log["hazard_decided"] += want is None or free is None or _progress(want) != _progress(free)
             if want is None:
                 with pytest.raises(monitor.MonitorStall):
                     super().select(state, seg_idx)
