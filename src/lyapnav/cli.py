@@ -5,15 +5,18 @@ end-to-end baseline, score the learned Lyapunov function, precompute the
 certificate lookup table, plan paths, run benchmarks, and re-render reports.
 
 Only train and train-e2e take a JSON config file (--config), which holds the
-training schedules in the top-level sections {"train", "e2e"}; an unknown
-section or key is an error. Everything else is fixed: the planner, the monitor
-and the sublevel search run at their dataclass defaults, build-lut searches
-goal vectors within colearn.TrainConfig.goal_range, and network width, reach
-tolerance, hazard penalty, the DDPG settings, co-learning's loss weights and
-goal annulus, and the e2e baseline's level, discount and noise are module or
-class constants. Every command that draws random numbers takes its seed from
---seed. build-lut (monitor.build_agent_lut) searches at --seed and samples V
-at --seed + 2, so the cached tables under tests/_agent_cache/ are --seed 3.
+training schedules in the top-level sections {"train", "e2e"}: each is a JSON
+object of integers that override colearn.TrainConfig's four fields in that
+section's defaults (CONFIG_SECTIONS), and an unknown section or key is an
+error. Everything else is fixed: the planner, the monitor and the sublevel
+search run at their dataclass defaults, build-lut searches goal vectors
+within colearn.TrainConfig.goal_range, and network width, reach tolerance,
+hazard penalty, the DDPG settings of both learners (discount and exploration
+noise included), co-learning's loss weights and goal annulus, and the e2e
+baseline's training level are module or class constants. Every command that
+draws random numbers takes its seed from --seed. build-lut
+(monitor.build_agent_lut) searches at --seed and samples V at --seed + 2, so
+the cached tables under tests/_agent_cache/ are --seed 3.
 """
 
 import argparse
@@ -25,7 +28,7 @@ from dataclasses import fields, replace
 from . import colearn, envs, harness, lyapunov_eval, monitor, nn, planner
 from .envs import RobotKind
 
-CONFIG_SECTIONS = {"train": colearn.TrainConfig, "e2e": harness.E2eTrainConfig}
+CONFIG_SECTIONS = {"train": colearn.TrainConfig(), "e2e": harness.E2E_SCHEDULE}
 
 
 def load_config(path):
@@ -38,29 +41,28 @@ def load_config(path):
     unknown = set(doc) - set(CONFIG_SECTIONS)
     if unknown:
         raise ValueError(f"unknown config sections {sorted(unknown)}; known sections are {list(CONFIG_SECTIONS)}")
+    for section, settings in doc.items():
+        if not isinstance(settings, dict):
+            raise ValueError(f"config section {section} must be a JSON object, got {json.dumps(settings)}")
     return doc
 
 
-def apply_overrides(obj, overrides):
-    """Dataclass copy with config-file overrides. Unknown keys and values of
-    the wrong type are errors: an int setting takes a JSON integer, a float
-    setting an integer or a float, and true and false are neither."""
-    if not overrides:
-        return obj
-    types = {f.name: f.type for f in fields(obj)}
-    unknown = set(overrides) - set(types)
+def apply_overrides(section, overrides):
+    """The section's default schedule with config-file overrides. Unknown keys
+    are errors, and so is a value that is not a JSON integer (true and false
+    are not)."""
+    defaults = CONFIG_SECTIONS[section]
+    unknown = set(overrides) - {f.name for f in fields(defaults)}
     if unknown:
-        raise ValueError(f"unknown config keys for {type(obj).__name__}: {sorted(unknown)}")
-    section = next(name for name, cls in CONFIG_SECTIONS.items() if isinstance(obj, cls))
+        raise ValueError(f"unknown config keys for {section}: {sorted(unknown)}")
     for key, value in overrides.items():
-        accepted, expected = {int: ((int,), "an integer"), float: ((int, float), "a number")}[types[key]]
-        if isinstance(value, bool) or not isinstance(value, accepted):
-            raise ValueError(f"config setting {section}.{key} must be {expected}, got {json.dumps(value)}")
-    return replace(obj, **overrides)
+        if isinstance(value, bool) or not isinstance(value, int):
+            raise ValueError(f"config setting {section}.{key} must be an integer, got {json.dumps(value)}")
+    return replace(defaults, **overrides)
 
 
 def cmd_train(args):
-    cfg = apply_overrides(colearn.TrainConfig(), load_config(args.config).get("train"))
+    cfg = apply_overrides("train", load_config(args.config).get("train", {}))
     os.makedirs(args.out, exist_ok=True)
     log_path = os.path.join(args.out, "train_log.csv")
     agent, _ = colearn.colearn(RobotKind(args.robot), cfg, seed=args.seed, log_path=log_path)
@@ -70,7 +72,7 @@ def cmd_train(args):
 
 
 def cmd_train_e2e(args):
-    cfg = apply_overrides(harness.E2eTrainConfig(), load_config(args.config).get("e2e"))
+    cfg = apply_overrides("e2e", load_config(args.config).get("e2e", {}))
     policy = harness.train_e2e(RobotKind(args.robot), cfg, seed=args.seed)
     policy.save(args.out)
     print(f"trained {args.robot} e2e baseline (seed {args.seed}) -> {args.out}")

@@ -20,7 +20,8 @@ from .envs import RobotKind
 
 HIDDEN = (64, 64)  # hidden layer widths of every network, e2e baseline included
 
-# DDPG settings shared with the e2e baseline (Lillicrap et al. 2015)
+# DDPG settings shared with the e2e baseline (Lillicrap et al. 2015); the
+# shared discount and exploration noise are TrainConfig.gamma and .noise
 TAU = 0.005  # Polyak rate of the target networks
 BATCH_SIZE = 256
 REPLAY_CAPACITY = 100_000
@@ -43,15 +44,17 @@ LOG_FIELDS = (
 )
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
-    gamma: float = 0.99
+    """Training schedule of both learners: co-learning and the e2e baseline."""
+
     episodes: int = 200
     grad_steps: int = 50  # gradient phases per episode
-    noise: float = 0.1  # exploration noise std, in action units
     horizon: int = 200
     warmup_episodes: int = 10  # uniform random actions to seed the replay
 
+    gamma: ClassVar[float] = 0.97  # discount of the TD target
+    noise: ClassVar[float] = 0.15  # exploration noise std, in action units
     alpha: ClassVar[float] = 0.5  # weight of the Lyapunov critic in the actor loss
     # hinge margins for the V update; without them V = 0 everywhere is a
     # degenerate minimum of the plain risk and training collapses
@@ -62,19 +65,13 @@ class TrainConfig:
     hindsight_relabels: ClassVar[int] = 4  # extra buffer copies per transition with future achieved goals
 
     def __post_init__(self):
-        if not 0.0 <= self.gamma <= 1.0:
-            raise ValueError(f"gamma must be in [0, 1], got {self.gamma}")
-        check_schedule(self)
-
-
-def check_schedule(cfg):
-    """Refuse a training schedule that trains nothing: episodes, grad_steps
-    and horizon below 1, or warmup_episodes below 0."""
-    for name in ("episodes", "grad_steps", "horizon"):
-        if not getattr(cfg, name) >= 1:
-            raise ValueError(f"{name} must be at least 1, got {getattr(cfg, name)}")
-    if not cfg.warmup_episodes >= 0:
-        raise ValueError(f"warmup_episodes must be nonnegative, got {cfg.warmup_episodes}")
+        """Refuse a schedule that trains nothing: episodes, grad_steps and
+        horizon below 1, or warmup_episodes below 0."""
+        for name in ("episodes", "grad_steps", "horizon"):
+            if not getattr(self, name) >= 1:
+                raise ValueError(f"{name} must be at least 1, got {getattr(self, name)}")
+        if not self.warmup_episodes >= 0:
+            raise ValueError(f"warmup_episodes must be nonnegative, got {self.warmup_episodes}")
 
 
 class LyapunovNet:

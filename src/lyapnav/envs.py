@@ -181,18 +181,6 @@ class World:
     level: int = 0
     seed: int | None = None
 
-    def to_json(self):
-        return json.dumps(
-            {
-                "size": self.size,
-                "level": self.level,
-                "seed": self.seed,
-                "start": self.start.tolist(),
-                "goal": self.goal.tolist(),
-                "hazards": self.hazards.tolist(),
-            }
-        )
-
     @classmethod
     def from_json(cls, text):
         doc = json.loads(text)

@@ -85,28 +85,15 @@ def make_e2e_policy(kind, seed=0):
     return E2ePolicy(kind, net)
 
 
-# e2e training worlds, discount and exploration noise std
-E2E_LEVEL = 1
-E2E_GAMMA = 0.97
-E2E_NOISE = 0.15
+E2E_LEVEL = 1  # level of the e2e training worlds
+E2E_SCHEDULE = colearn.TrainConfig(episodes=150, horizon=300)
 
 
-@dataclass
-class E2eTrainConfig:
-    episodes: int = 150
-    warmup_episodes: int = 10
-    grad_steps: int = 50
-    horizon: int = 300
-
-    def __post_init__(self):
-        colearn.check_schedule(self)
-
-
-def train_e2e(kind, cfg=None, seed=0):
+def train_e2e(kind, cfg=E2E_SCHEDULE, seed=0):
     """DDPG training of the end-to-end baseline in randomly generated hazard
     worlds, with the hazard-penalized progress reward. Episodes run through
-    ``colearn.collect_episode`` with the target actor, as co-learning's do."""
-    cfg = cfg or E2eTrainConfig()
+    ``colearn.collect_episode`` with the target actor, and learn at the
+    discount and exploration noise of ``colearn.TrainConfig``, as co-learning's do."""
     policy = make_e2e_policy(kind, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE3]))
     q_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE4]))
@@ -120,7 +107,7 @@ def train_e2e(kind, cfg=None, seed=0):
         world = envs.make_world(E2E_LEVEL, int(rng.integers(2**31)))
         start = envs.initial_state(kind, pos=world.start, heading=rng.uniform(0, 2 * np.pi))
         transitions, relabeled = colearn.collect_episode(
-            E2ePolicy(kind, pi_t), start, world.goal, world, cfg.horizon, E2E_NOISE, rng, ep < cfg.warmup_episodes
+            E2ePolicy(kind, pi_t), start, world.goal, world, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes
         )
         for tr in transitions + relabeled:
             buffer.add(*tr)
@@ -128,7 +115,7 @@ def train_e2e(kind, cfg=None, seed=0):
             continue
         for _ in range(cfg.grad_steps):
             b = buffer.sample(rng, colearn.BATCH_SIZE)
-            y = colearn.td_target(q_t, pi_t, b["r"], b["s1"], b["done"], E2E_GAMMA)
+            y = colearn.td_target(q_t, pi_t, b["r"], b["s1"], b["done"], cfg.gamma)
             colearn.regress(q, adam_q, np.hstack([b["s"], b["a"]]), y)
             colearn.actor_step(policy.net, adam_pi, b["s"], [(q_t, -1.0)])
             nn.polyak_update(pi_t, policy.net, colearn.TAU)

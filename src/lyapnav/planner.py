@@ -105,8 +105,3 @@ def path_to_json(path, cfg, seed):
             "seed": seed,
         }
     )
-
-
-def path_from_json(text):
-    doc = json.loads(text)
-    return np.asarray(doc["waypoints"], dtype=float)

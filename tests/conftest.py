@@ -24,17 +24,6 @@ TRAIN_SPECS = {
     RobotKind.CAR: {"seed": 1, "episodes": 500},
 }
 
-E2E_SPECS = {
-    RobotKind.SWEEPING: {"seed": 0, "episodes": 150},
-    RobotKind.POINT: {"seed": 0, "episodes": 150},
-    RobotKind.CAR: {"seed": 0, "episodes": 150},
-}
-
-
-def train_config(kind):
-    spec = TRAIN_SPECS[kind]
-    return colearn.TrainConfig(episodes=spec["episodes"], gamma=0.97, noise=0.15)
-
 
 def _cached_agent(kind):
     d = CACHE / kind.value
@@ -45,7 +34,7 @@ def _cached_agent(kind):
         return colearn.Agent.load(d), meta
     spec = TRAIN_SPECS[kind]
     t0 = time.time()
-    agent, log_rows = colearn.colearn(kind, train_config(kind), seed=spec["seed"])
+    agent, log_rows = colearn.colearn(kind, colearn.TrainConfig(episodes=spec["episodes"]), seed=spec["seed"])
     seconds = time.time() - t0
     d.mkdir(parents=True, exist_ok=True)
     agent.save(d)
@@ -78,8 +67,7 @@ def _cached_e2e(kind):
     d = CACHE / f"{kind.value}_e2e"
     if (d / "manifest.json").exists():
         return harness.E2ePolicy.load(d)
-    spec = E2E_SPECS[kind]
-    policy = harness.train_e2e(kind, harness.E2eTrainConfig(episodes=spec["episodes"]), seed=spec["seed"])
+    policy = harness.train_e2e(kind, seed=0)
     policy.save(d)
     return policy
 

@@ -1,8 +1,10 @@
 """Co-learning building blocks: Lyapunov net, replay, losses, episodes."""
 
 import csv
+import inspect
 import json
 import shutil
+from dataclasses import FrozenInstanceError, replace
 
 import numpy as np
 import pytest
@@ -358,12 +360,18 @@ def test_actor_step_single_critic_matches_finite_differences(monkeypatch):
 
 
 def test_train_config_validation():
-    with pytest.raises(ValueError):
-        colearn.TrainConfig(gamma=1.5)
+    # the discount and the exploration noise are constants, not settings
+    for name in ("gamma", "noise"):
+        with pytest.raises(TypeError):
+            colearn.TrainConfig(**{name: 0.5})
+    # the shared default schedules cannot be changed in place
+    with pytest.raises(FrozenInstanceError):
+        harness.E2E_SCHEDULE.episodes = 1
 
 
 def test_train_constants_are_in_range():
     # class constants, not fields: no config file or caller can set them
+    assert 0.0 <= colearn.TrainConfig.gamma <= 1.0 and colearn.TrainConfig.noise >= 0.0
     assert colearn.TrainConfig.alpha >= 0.0
     assert colearn.TrainConfig.pos_margin > 0.0 and colearn.TrainConfig.lie_margin > 0.0
     # a goal sampled inside the reach tolerance would end its episode at once
@@ -374,7 +382,7 @@ def test_train_constants_are_in_range():
 @pytest.mark.parametrize(
     "make",
     [
-        lambda: colearn.TrainConfig(gamma=-0.1),
+        lambda: colearn.TrainConfig(horizon=float("nan")),
         lambda: colearn.TrainConfig(episodes=0),
         lambda: colearn.TrainConfig(grad_steps=0),
         lambda: colearn.TrainConfig(horizon=0),
@@ -382,11 +390,11 @@ def test_train_constants_are_in_range():
         lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, 0.1, 1.5, 5.0),
         lambda: lyapunov_eval.LyapunovReport(10, 0.5, -0.1, 0.0, 0.0),
         lambda: colearn.TrainConfig(warmup_episodes=-1),
-        lambda: harness.E2eTrainConfig(episodes=0),
-        lambda: harness.E2eTrainConfig(grad_steps=0),
-        lambda: harness.E2eTrainConfig(horizon=0),
-        lambda: harness.E2eTrainConfig(warmup_episodes=-1),
-        lambda: colearn.TrainConfig(gamma=float("nan")),
+        lambda: replace(harness.E2E_SCHEDULE, episodes=0),
+        lambda: replace(harness.E2E_SCHEDULE, grad_steps=0),
+        lambda: replace(harness.E2E_SCHEDULE, horizon=0),
+        lambda: replace(harness.E2E_SCHEDULE, warmup_episodes=-1),
+        lambda: colearn.TrainConfig(episodes=float("nan")),
         lambda: monitor.MonitorConfig(delta=float("nan")),
     ],
 )
@@ -394,6 +402,25 @@ def test_out_of_range_fields_raise_value_error(make):
     # real exceptions, so the checks also hold under python -O
     with pytest.raises(ValueError):
         make()
+
+
+def test_both_learners_train_at_one_discount_and_noise(monkeypatch):
+    seen = []
+    for name, key in (("td_target", "gamma"), ("collect_episode", "noise")):
+
+        def recording(*args, fn=getattr(colearn, name), key=key, **kwargs):
+            seen.append((key, inspect.signature(fn).bind(*args, **kwargs).arguments[key]))
+            return fn(*args, **kwargs)
+
+        monkeypatch.setattr(colearn, name, recording)
+    # a 300-step episode fills the replay past a batch, so each learner runs
+    # gradient phases
+    cfg = colearn.TrainConfig(episodes=2, warmup_episodes=1, grad_steps=1, horizon=300)
+    for train in (colearn.colearn, harness.train_e2e):
+        seen.clear()
+        train(RobotKind.SWEEPING, cfg, seed=0)
+        assert {key for key, _ in seen} == {"gamma", "noise"}
+        assert all(value == getattr(colearn.TrainConfig, key) for key, value in seen), seen
 
 
 def test_colearn_smoke_logs_and_checkpoints(tmp_path):

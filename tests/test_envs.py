@@ -196,7 +196,9 @@ def test_hazard_observation_pads_with_zeros():
 
 def test_world_json_roundtrip():
     w = envs.make_world(2, seed=9)
-    w2 = envs.World.from_json(w.to_json())
+    doc = {"size": w.size, "level": w.level, "seed": w.seed}
+    doc.update(start=w.start.tolist(), goal=w.goal.tolist(), hazards=w.hazards.tolist())
+    w2 = envs.World.from_json(json.dumps(doc))
     assert w2.size == w.size and w2.level == w.level and w2.seed == w.seed
     assert np.array_equal(w2.hazards, w.hazards)
     assert np.array_equal(w2.start, w.start)

@@ -7,7 +7,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyapnav import envs, harness, monitor, nn
+from lyapnav import colearn, envs, harness, monitor, nn
 from lyapnav.envs import RobotKind
 
 
@@ -203,14 +203,14 @@ def test_train_e2e_degenerates_to_goal_reaching(monkeypatch):
     # with zero penalty the update only sees the progress reward; a couple of
     # episodes must run without error and produce finite parameters
     monkeypatch.setattr(envs, "HAZARD_PENALTY", 0.0)
-    cfg = harness.E2eTrainConfig(episodes=2, warmup_episodes=1, grad_steps=2, horizon=20)
+    cfg = colearn.TrainConfig(episodes=2, warmup_episodes=1, grad_steps=2, horizon=20)
     policy = harness.train_e2e(RobotKind.SWEEPING, cfg, seed=0)
     for p in policy.net.params():
         assert np.all(np.isfinite(p))
 
 
 def test_train_e2e_seeded_reproducibility():
-    cfg = harness.E2eTrainConfig(episodes=2, warmup_episodes=1, grad_steps=2, horizon=20)
+    cfg = colearn.TrainConfig(episodes=2, warmup_episodes=1, grad_steps=2, horizon=20)
     p1 = harness.train_e2e(RobotKind.SWEEPING, cfg, seed=5)
     p2 = harness.train_e2e(RobotKind.SWEEPING, cfg, seed=5)
     for a, b in zip(p1.net.params(), p2.net.params()):
