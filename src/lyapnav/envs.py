@@ -69,32 +69,33 @@ def initial_state(kind, pos=(0.0, 0.0), heading=0.0):
     return PhysState(np.asarray(pos, dtype=float), np.array(head + [0.0] * len(SPEED_LIMITS[kind])))
 
 
-def _heading_angle(intr):
-    return np.arctan2(intr[0], intr[1])
-
-
 def step(kind, s, a):
-    """Advance the dynamics by one Euler step of DT. Actions clamp to [-1, 1]."""
-    # np.clip as maximum then minimum; the scalar clamps take the value first
-    # so that NaN propagates as it does through np.clip
-    a = np.minimum(np.maximum(np.asarray(a, dtype=float), -1.0), 1.0)
+    """Advance the dynamics by one Euler step of DT. Actions clamp to [-1, 1].
+
+    One state is one Python float per coordinate: the clamps and the Euler
+    update are float arithmetic, which rounds as numpy's float64 ufuncs do,
+    and only the angle goes through numpy's arctan2, sin and cos (whose bits
+    differ from the math module's)."""
+    # the clamps take the value first, so that NaN propagates as it does
+    # through np.clip
+    ax, ay = (min(max(u, -1.0), 1.0) for u in np.asarray(a, dtype=float).tolist())
+    px, py = s.pos.tolist()
     if kind is RobotKind.SWEEPING:
-        return PhysState(s.pos + SWEEP_A_MAX * a * DT, s.intrinsic.copy())
+        return PhysState(np.array([px + SWEEP_A_MAX * ax * DT, py + SWEEP_A_MAX * ay * DT]), s.intrinsic.copy())
+    sn, cs, *speeds = s.intrinsic.tolist()
     if kind is RobotKind.POINT:
-        v = min(max(s.intrinsic[2] + POINT_ACCEL * a[0] * DT, -POINT_V_MAX), POINT_V_MAX)
-        theta = _heading_angle(s.intrinsic) + POINT_TURN_RATE * a[1] * DT
-        heading = np.array([np.sin(theta), np.cos(theta)])
-        pos = s.pos + v * np.array([heading[1], heading[0]]) * DT  # (cos, sin)
-        return PhysState(pos, np.array([heading[0], heading[1], v]))
+        v = min(max(speeds[0] + POINT_ACCEL * ax * DT, -POINT_V_MAX), POINT_V_MAX)
+        theta = np.arctan2(sn, cs) + POINT_TURN_RATE * ay * DT
+        sn, cs = float(np.sin(theta)), float(np.cos(theta))
+        return PhysState(np.array([px + v * cs * DT, py + v * sn * DT]), np.array([sn, cs, v]))
     # car: differential drive
-    vl = min(max(s.intrinsic[2] + CAR_WHEEL_ACCEL * a[0] * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
-    vr = min(max(s.intrinsic[3] + CAR_WHEEL_ACCEL * a[1] * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
+    vl = min(max(speeds[0] + CAR_WHEEL_ACCEL * ax * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
+    vr = min(max(speeds[1] + CAR_WHEEL_ACCEL * ay * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
     v = 0.5 * (vl + vr)
     omega = (vr - vl) / CAR_TRACK_WIDTH
-    theta = _heading_angle(s.intrinsic) + omega * DT
-    heading = np.array([np.sin(theta), np.cos(theta)])
-    pos = s.pos + v * np.array([heading[1], heading[0]]) * DT
-    return PhysState(pos, np.array([heading[0], heading[1], vl, vr]))
+    theta = np.arctan2(sn, cs) + omega * DT
+    sn, cs = float(np.sin(theta)), float(np.cos(theta))
+    return PhysState(np.array([px + v * cs * DT, py + v * sn * DT]), np.array([sn, cs, vl, vr]))
 
 
 def goal_condition(s, g):
@@ -110,7 +111,7 @@ def goal_condition(s, g):
 
 
 def featurize(kind, x):
-    """Policy/critic input features for a goal-conditioned state batch.
+    """Policy/critic input features for a goal-conditioned state or batch.
 
     Appends a softened unit goal direction and the goal distance so control
     behavior generalizes across goal ranges: [d_g, d_g/(|d_g|+eps), |d_g|,
@@ -118,23 +119,38 @@ def featurize(kind, x):
     heading direction with the goal direction are appended as well; these are
     the polar coordinates of the classic parking control law. The Lyapunov
     value function keeps the raw state.
+
+    A 1-D state is featurized in Python floats and a 2-D batch with numpy
+    ufuncs over its columns; both round every operation alike, so a state
+    gets the same bits either way.
     """
     x = np.asarray(x, dtype=float)
-    squeeze = x.ndim == 1
-    x2 = x[None] if squeeze else x
-    d = x2[:, :2]
-    dx, dy = x2[:, 0:1], x2[:, 1:2]
+    if x.ndim == 1:
+        return _featurize_one(kind, x.tolist())
+    d = x[:, :2]
+    dx, dy = x[:, 0:1], x[:, 1:2]
     n = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(d, axis=1, keepdims=True)
     dhat = d / (n + 0.05)
-    cols = [d, dhat, n, x2[:, 2:]]
+    cols = [d, dhat, n, x[:, 2:]]
     if HAS_HEADING[kind]:
         # motion direction (cos t, sin t)
-        hx, hy = x2[:, COS], x2[:, SIN]
+        hx, hy = x[:, COS], x[:, SIN]
         align = hx * dhat[:, 0] + hy * dhat[:, 1]
         cross = hx * dhat[:, 1] - hy * dhat[:, 0]
         cols += [align[:, None], cross[:, None]]
-    out = np.concatenate(cols, axis=1)
-    return out[0] if squeeze else out
+    return np.concatenate(cols, axis=1)
+
+
+def _featurize_one(kind, x):
+    """featurize of one state given as a list of floats."""
+    dx, dy = x[0], x[1]
+    n = math.sqrt(dx * dx + dy * dy)
+    ux, uy = dx / (n + 0.05), dy / (n + 0.05)
+    row = [dx, dy, ux, uy, n, *x[2:]]
+    if HAS_HEADING[kind]:
+        hx, hy = x[COS], x[SIN]
+        row += [hx * ux + hy * uy, hx * uy - hy * ux]
+    return np.array(row)
 
 
 def feature_dim(kind):

@@ -8,12 +8,13 @@ with the first two state components being the goal vector.
 """
 
 import json
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import colearn, envs, lyapunov_eval, nn, planner
+from . import colearn, envs, lyapunov_eval, nn
 
 
 class InfeasibleLevelError(RuntimeError):
@@ -264,10 +265,11 @@ class SinkTracker:
 
     The path is tabulated once, when the tracker is built: the candidate
     sinks of every segment, at fractions 0, delta, ..., 1 of it, their path
-    progress, the segment endpoints, and each candidate's minimum gap to the
-    hazard centres, one minimum per distinct hazard radius. A step costs one
-    V call, one table query and one compare of those gaps against the
-    inflated certified radii.
+    progress, the segments themselves, and for each candidate the deepest
+    table key whose inflated certified circle there clears every hazard. A
+    step costs one V call over the window and one search of the table's
+    keys; the pick then compares key indices in Python, farthest candidate
+    first.
 
     ``target`` selects a sink from the current state. A stall holds the last
     safe sink for cfg.stall_patience steps; past that, or with no sink to
@@ -285,16 +287,26 @@ class SinkTracker:
         self.stall = 0
         self.held = None
         n_seg = max(len(path) - 1, 1)
-        self.fracs = np.minimum(np.arange(int(np.ceil(1.0 / self.cfg.delta)) + 1) * self.cfg.delta, 1.0)
-        self.seg_a = path[:n_seg]
-        self.seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
-        self.cands = self.seg_a[:, None] + self.fracs[:, None] * (self.seg_b - self.seg_a)[:, None]
-        self.progress = np.arange(n_seg)[:, None] + self.fracs
+        fracs = np.minimum(np.arange(int(np.ceil(1.0 / self.cfg.delta)) + 1) * self.cfg.delta, 1.0)
+        self.fracs = fracs.tolist()
+        seg_a = path[:n_seg]
+        seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
+        self.cands = seg_a[:, None] + fracs[:, None] * (seg_b - seg_a)[:, None]
+        # candidates in window order, segment by segment: progress never
+        # decreases along it, and is equal at a segment's end and the next start
+        self.progress = (np.arange(n_seg)[:, None] + fracs).ravel().tolist()
+        # each segment as (a, b - a) and planner.point_segment_distance's
+        # guarded squared length
+        self.segments = []
+        for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
+            abx, aby = bx - ax, by - ay
+            denom = abx * abx + aby * aby
+            self.segments.append((ax, ay, abx, aby, 1.0 if denom == 0.0 else denom))
         # hazards grouped by radius: every hazard of radius rho has the same
         # clearance threshold R * inflation + rho, so the group's nearest
         # centre decides the whole group
         hz = world.hazards[np.argsort(world.hazards[:, 2], kind="stable")]
-        self.rhos, rho_starts = np.unique(hz[:, 2], return_index=True)
+        rhos, rho_starts = np.unique(hz[:, 2], return_index=True)
         # np.linalg.norm(hz[:, :2] - cands[:, :, None], axis=3) on coordinate
         # columns, in place: the same bits with a third of the temporaries
         dx = hz[:, 0] - self.cands[:, :, 0, None]
@@ -302,7 +314,14 @@ class SinkTracker:
         dx *= dx
         dy *= dy
         dx += dy
-        self.gaps = np.minimum.reduceat(np.sqrt(dx, out=dx), rho_starts, axis=2)
+        gaps = np.minimum.reduceat(np.sqrt(dx, out=dx), rho_starts, axis=2).reshape(len(self.progress), rhos.size)
+        # a candidate is safe at key j when gaps >= radii[j] * inflation + rho
+        # for every group. The radii never decrease and float rounding is
+        # monotone, so the safe keys are a prefix of the table; the last of
+        # them is the candidate's deepest safe key (-1 for none)
+        clear = gaps[:, :, None] >= lut.radii * self.cfg.radius_inflation + rhos[:, None]
+        self.deepest_safe = (clear.all(axis=1).sum(axis=1) - 1).tolist()
+        self.radii = lut.radii.tolist()
 
     def select(self, state, seg_idx):
         """Farthest safe sink among the candidates of segments seg_idx to
@@ -320,22 +339,31 @@ class SinkTracker:
         ``harness.run_episode`` ends an episode at its first in-hazard step,
         and the planner raises PlanNotFound for a start inside a hazard.
         """
-        n_seg = len(self.seg_a)
+        n_seg = len(self.cands)
         lo = min(seg_idx, n_seg - 1)
         hi = min(lo + self.cfg.window, n_seg)
         cands = self.cands[lo:hi].reshape(-1, 2)
         levels = self.value_fn(envs.goal_condition(state, cands))
-        radii = lut_query(self.lut, levels)
-        gaps = self.gaps[lo:hi].reshape(len(cands), self.rhos.size)
-        safe = ~np.isnan(radii) & np.all(gaps >= (radii * self.cfg.radius_inflation)[:, None] + self.rhos, axis=1)
-        if not safe.any():
+        # lut_query's ceiling rule as a key index: a level above the top key,
+        # or NaN, gets len(keys), which is past every deepest safe key
+        key_idx = np.searchsorted(self.lut.keys, levels, side="left").tolist()
+        first = lo * len(self.fracs)
+        best = None
+        # from the farthest candidate back: the first safe one has the
+        # farthest progress, and only candidates of equal progress can still
+        # beat it, by a larger radius or, on a tie, by coming earlier
+        for i in range(len(key_idx) - 1, -1, -1):
+            if best is not None and self.progress[first + i] != self.progress[first + best]:
+                break
+            if key_idx[i] <= self.deepest_safe[first + i] and (
+                best is None or self.radii[key_idx[i]] >= self.radii[key_idx[best]]
+            ):
+                best = i
+        if best is None:
             raise MonitorStall(f"no safe sink in window at segment {lo}")
-        progress = self.progress[lo:hi].ravel()
-        idx = np.flatnonzero(safe)
-        farthest = idx[progress[idx] == progress[idx].max()]
-        i = farthest[np.argmax(radii[farthest])]
-        seg, j = divmod(int(i), self.fracs.size)
-        return SinkChoice(cands[i].copy(), float(levels[i]), float(radii[i]), lo + seg, float(self.fracs[j]))
+        seg, j = divmod(best, len(self.fracs))
+        radius = self.radii[key_idx[best]]
+        return SinkChoice(cands[best].copy(), float(levels[best]), radius, lo + seg, self.fracs[j])
 
     def target(self, state):
         try:
@@ -352,10 +380,23 @@ class SinkTracker:
 
     def advance(self, state):
         """Move seg_idx to the nearest of segments seg_idx to seg_idx +
-        cfg.window (the earliest on ties)."""
-        hi = min(self.seg_idx + self.cfg.window + 1, len(self.seg_a))
-        d = planner.point_segment_distance(state.pos, self.seg_a[self.seg_idx : hi], self.seg_b[self.seg_idx : hi])
-        self.seg_idx += int(np.argmin(d))
+        cfg.window: the earliest on ties, and the first whose distance is
+        NaN, as np.argmin over planner.point_segment_distance picks."""
+        px, py = state.pos.tolist()
+        nearest, nearest_d = self.seg_idx, math.inf
+        for i in range(self.seg_idx, min(self.seg_idx + self.cfg.window + 1, len(self.segments))):
+            ax, ay, abx, aby, denom = self.segments[i]
+            # point_segment_distance's operations, in its order
+            t = min(max(((px - ax) * abx + (py - ay) * aby) / denom, 0.0), 1.0)
+            ex = px - (ax + t * abx)
+            ey = py - (ay + t * aby)
+            d = math.sqrt(ex * ex + ey * ey)
+            if d != d:
+                nearest = i
+                break
+            if d < nearest_d:
+                nearest, nearest_d = i, d
+        self.seg_idx = nearest
 
 
 def state_box(kind, reach):

@@ -1,5 +1,6 @@
 """Benchmark driver: episode protocols, aggregation, report files."""
 
+import hashlib
 import json
 import math
 from types import SimpleNamespace
@@ -255,3 +256,56 @@ def test_render_table_columns():
     header, row = table.splitlines()
     assert header.split() == ["Robot", "Level", "Method", "Violation", "Reach", "Steps"]
     assert row.split() == ["sweeping", "1", "monitored", "0.01", "0.99", "41.5"]
+
+
+# (outcome, steps, SHA-256 over the pos and intrinsic bytes of every stepped
+# state) of the monitored level-1 episode on world episode_world_seed(k, 0),
+# k = 0..3, with each cached agent and table, recorded before the monitored
+# step's single-state arithmetic moved to Python floats. V's two forwards
+# per step are BLAS gemms, so these bits hold for this machine's BLAS build
+# (OpenBLAS 0.3.31, SkylakeX kernels); any change that moves a single bit of
+# a trajectory fails here.
+PINNED_TRAJECTORIES = {
+    "sweeping": [
+        ("reached", 36, "ec3eaa291edce7f43edf49b532246d4eec6754cc18489bf5dac6c9576ef6a540"),
+        ("reached", 39, "24c6838d73e7592aaa578cab2721837764ebe189e96774933a2d46b8877ef722"),
+        ("reached", 33, "3c57bd5c6721c45252e397158f3f48b3802fd3cfd7f6b45e194188e7c41fb48c"),
+        ("reached", 41, "48254044efe0227ff83a9e80bc74441da50d95e82cff5057f0a480c075952e92"),
+    ],
+    "point": [
+        ("reached", 120, "d3647d8d4abf678d4f464f848968a85c0d4920279beb13d11fb6fb3baa1357fe"),
+        ("reached", 111, "c4dba4fa377e2f53c93bee1109ab1eca98502c3666b93be8aba2867add18db4b"),
+        ("reached", 101, "775eac6d2828f35c6ad9915aee1e44892e36d8f3dd3b5cbb62b347bf9be98c2e"),
+        ("reached", 138, "00d1207c55d3358cdc765e2db2b79e8f9376b1c7850916bdbcd404ee32744ae3"),
+    ],
+    "car": [
+        ("stalled", 262, "b36901f1ffa24312eb0fdc68d7c473bfacb01f01caa0190891bdb66db00c5e86"),
+        ("timeout", 1000, "03edf977dbb3e252ecc88836e32ef04e0d46d901ce0f30c15b57a37dcf624b93"),
+        ("reached", 305, "7854048918aff9bb045dfab4ee46047fe74f9697b4e1457b7d1e36d3e1f0d75b"),
+        ("timeout", 1000, "e1096ed2a6023458c79cd6962e38c8c14d75975ea72b3f274ed3bf23a100bcff"),
+    ],
+}
+
+
+@pytest.mark.parametrize("robot", sorted(PINNED_TRAJECTORIES))
+def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, robot):
+    agent = request.getfixturevalue(f"{robot}_agent")
+    lut = request.getfixturevalue(f"{robot}_lut")
+    step = envs.step
+    digest = None
+
+    def recording(kind, s, a):
+        nxt = step(kind, s, a)
+        digest.update(nxt.pos.tobytes())
+        digest.update(nxt.intrinsic.tobytes())
+        return nxt
+
+    monkeypatch.setattr(envs, "step", recording)
+    got = []
+    for k in range(4):
+        digest = hashlib.sha256()
+        world = envs.make_world(1, harness.episode_world_seed(k, 0))
+        rep = harness.run_episode("monitored", agent, world, lut=lut, plan_seed=world.seed)
+        got.append((rep.outcome, rep.steps, digest.hexdigest()))
+    moved = [k for k in range(4) if got[k] != PINNED_TRAJECTORIES[robot][k]]
+    assert not moved, f"{robot} trajectories moved on worlds {moved}: {got}"

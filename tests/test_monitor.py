@@ -300,7 +300,8 @@ def test_sink_tracker_matches_oracle_at_every_step(monkeypatch, sweeping_agent, 
 def test_sink_tracker_advance_scans_window_plus_one_segments():
     path = np.column_stack([np.arange(6.0), np.zeros(6)])
     cfg = monitor.MonitorConfig(window=2)
-    tracker = monitor.SinkTracker(path, envs.empty_world(), None, None, cfg)
+    lut = monitor.RoaLut(keys=[0.01, 16.0], radii=[0.1, 0.1], box=BOX2)
+    tracker = monitor.SinkTracker(path, envs.empty_world(), None, lut, cfg)
     for pos, seg in [((2.6, 0.1), 2), ((1.0, 0.1), 2), ((4.9, 0.1), 4), ((9.0, 0.0), 4)]:
         tracker.advance(envs.initial_state(RobotKind.SWEEPING, pos=pos))
         assert tracker.seg_idx == seg

@@ -1,12 +1,16 @@
 """The per-step geometry and dynamics against their plain numpy spellings.
 
-``planner.point_segment_distance``, ``envs.in_hazard``, ``envs.featurize``,
-``envs.step`` and ``envs.hazard_observation`` run once per RRT sample or once
-per episode step, so they work on coordinate columns with bare ufuncs, and
-``envs.distance`` is the square root of a dot product. The oracles below are
-the straightforward ``np.linalg.norm`` / ``np.clip`` / ``np.sum`` /
-``np.hstack`` versions; the fast versions must agree with them bit for bit,
-NaN included, because plans and episodes are compared bitwise across changes.
+``planner.point_segment_distance``, ``envs.in_hazard`` and
+``envs.hazard_observation`` run once per RRT sample or once per episode
+step, so they work on coordinate columns with bare ufuncs, and
+``envs.distance`` is the square root of a dot product. ``envs.featurize`` of
+one state, ``envs.step`` and ``monitor.SinkTracker.advance`` compute in
+Python floats, whose operations round as numpy's float64 ufuncs do, and
+``SinkTracker.select`` decides safety from a per-candidate table of the
+deepest safe key. The oracles below are the straightforward
+``np.linalg.norm`` / ``np.clip`` / ``np.sum`` / ``np.hstack`` / ``np.argmin``
+versions; the fast versions must agree with them bit for bit, NaN included,
+because plans and episodes are compared bitwise across changes.
 
 ``nn``'s forward and backward passes, Adam and Polyak averaging compute in
 place; their oracles are the plain out-of-place expressions
@@ -18,7 +22,7 @@ tables must keep matching bit for bit.
 import numpy as np
 import pytest
 
-from lyapnav import envs, nn, planner
+from lyapnav import envs, monitor, nn, planner
 from lyapnav.envs import RobotKind
 
 
@@ -134,6 +138,46 @@ def oracle_adam_step(lr, t, params, grads, m, v):
 
 def oracle_polyak(target, online, tau):
     return [(1 - tau) * t + tau * o for t, o in zip(target, online)]
+
+
+def oracle_advance(tracker, state):
+    """The segment SinkTracker.advance moves to, np.argmin of
+    planner.point_segment_distance over the window's segments, and those
+    distances."""
+    path, lo = tracker.path, tracker.seg_idx
+    n_seg = max(len(path) - 1, 1)
+    seg_a = path[:n_seg]
+    seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
+    hi = min(lo + tracker.cfg.window + 1, n_seg)
+    d = planner.point_segment_distance(state.pos, seg_a[lo:hi], seg_b[lo:hi])
+    return lo + int(np.argmin(d)), d
+
+
+def oracle_select(tracker, state, seg_idx):
+    """SinkTracker.select as one vectorized pass over the window's
+    candidates: lut_query, every hazard's clearance, then the farthest
+    progress, the largest radius and the first index. None for a stall."""
+    path, cfg, lut = tracker.path, tracker.cfg, tracker.lut
+    n_seg = max(len(path) - 1, 1)
+    fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
+    seg_a = path[:n_seg]
+    seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
+    lo = min(seg_idx, n_seg - 1)
+    hi = min(lo + cfg.window, n_seg)
+    cands = (seg_a[:, None] + fracs[:, None] * (seg_b - seg_a)[:, None])[lo:hi].reshape(-1, 2)
+    levels = tracker.value_fn(envs.goal_condition(state, cands))
+    radii = monitor.lut_query(lut, levels)
+    hz = tracker.world.hazards
+    gaps = np.linalg.norm(hz[:, :2] - cands[:, None], axis=2)
+    safe = ~np.isnan(radii) & np.all(gaps >= (radii * cfg.radius_inflation)[:, None] + hz[:, 2], axis=1)
+    if not safe.any():
+        return None
+    progress = (np.arange(n_seg)[:, None] + fracs)[lo:hi].ravel()
+    idx = np.flatnonzero(safe)
+    farthest = idx[progress[idx] == progress[idx].max()]
+    i = farthest[np.argmax(radii[farthest])]
+    seg, j = divmod(int(i), fracs.size)
+    return monitor.SinkChoice(cands[i], float(levels[i]), float(radii[i]), lo + seg, float(fracs[j]))
 
 
 # --------------------------------------------------------------------- tests
@@ -297,6 +341,83 @@ def test_distance_matches_norm_of_either_difference_bitwise():
         for p, q in pairs:
             d = envs.distance(p, q)
             assert same_bits(d, np.linalg.norm(p - q)) and same_bits(d, np.linalg.norm(q - p)), (p, q)
+
+
+def _tracker(path, world, value_fn=None, keys=(0.5, 1.0), radii=(0.25, 0.25), **cfg):
+    lut = monitor.RoaLut(keys=keys, radii=radii, box=(-np.ones(2), np.ones(2)))
+    return monitor.SinkTracker(np.asarray(path, dtype=float), world, value_fn, lut, monitor.MonitorConfig(**cfg))
+
+
+def test_advance_matches_argmin_of_point_segment_distance():
+    nan, inf = np.nan, np.inf
+    # integer waypoints, so distances are exact: a shared vertex is at 0 from
+    # both its segments, and the repeated (1, 1) is a zero-length segment
+    grid = [[0, 0], [1, 0], [1, 1], [1, 1], [2, 1], [2, 3]]
+    positions = [*grid, (0.5, 0.5), (1.5, 1.0), (1.0, 0.5), (3.0, 2.0), (nan, 0.0), (0.0, nan), (inf, 0.0), (-inf, inf)]
+    cases = [(grid, start, window, pos) for pos in positions for start in range(5) for window in (1, 2, 4)]
+    cases += [([[1, 2]], 0, 2, pos) for pos in [(1, 2), (4, 6), (nan, 1.0)]]  # one point: one zero-length segment
+    rng = np.random.default_rng(7)
+    for _ in range(300):
+        path = rng.normal(size=(int(rng.integers(1, 9)), 2)) * 10.0 ** rng.integers(-2, 3)
+        path[rng.random(len(path)) < 0.2] = path[0]  # some repeats
+        pos = path[rng.integers(len(path))] if rng.random() < 0.3 else rng.normal(size=2) * 5.0
+        cases.append((path, int(rng.integers(len(path))), int(rng.integers(1, 4)), pos))
+    seen = {"tie": 0, "nan": 0}
+    with np.errstate(invalid="ignore"):  # inf * 0 at the infinite positions
+        for path, start, window, pos in cases:
+            tracker = _tracker(path, envs.empty_world(), window=window)
+            tracker.seg_idx = min(start, len(tracker.segments) - 1)
+            state = envs.initial_state(RobotKind.SWEEPING, pos=pos)
+            want, d = oracle_advance(tracker, state)
+            seen["tie"] += bool(d.size > 1 and np.sum(d == np.min(d)) > 1)
+            seen["nan"] += bool(np.isnan(d).any())
+            tracker.advance(state)
+            assert tracker.seg_idx == want, (path, start, window, pos)
+    assert min(seen.values()) >= 20, seen
+
+
+@pytest.mark.parametrize("inflation", [1.0, 1.05, 1.5])
+def test_select_matches_oracle_at_exact_clearances_and_uncertified_levels(inflation):
+    # dyadic waypoints, fractions, radii and hazard radii: with an inflation of
+    # 1 or 1.5 a hazard placed a threshold away along an axis sits exactly on
+    # it, where gap >= threshold still holds; 1.05 lands within rounding of it
+    rng = np.random.default_rng(8)
+    fields = ("level", "radius", "segment", "fraction")
+    seen = {"chosen": 0, "stalled": 0, "at_threshold": 0, "uncertified": 0}
+    for _ in range(200):
+        keys = np.cumsum(rng.integers(1, 4, size=int(rng.integers(2, 7)))) / 8.0
+        radii = np.maximum.accumulate(rng.integers(1, 6, size=keys.size) / 16.0)  # repeats tie on radius
+        pool = np.array([*keys, *(keys[:-1] + keys[1:]) / 2, keys[0] / 2, 2 * keys[-1], np.nan, np.inf, -np.inf])
+        value = lambda x, pool=pool: pool[(np.abs(x[:, 0]) * 4 + np.abs(x[:, 1]) * 12).astype(int) % pool.size]
+        path = rng.integers(0, 16, size=(int(rng.integers(1, 6)), 2)) / 4.0
+        cfg = {"delta": float(rng.choice([0.25, 0.5, 1.0])), "window": int(rng.integers(1, 4))}
+        cfg["radius_inflation"] = inflation
+        cands = _tracker(path, envs.empty_world(), value, keys, radii, **cfg).cands.reshape(-1, 2)
+        hazards = []
+        for _ in range(int(rng.integers(0, 4))):
+            rho = rng.integers(1, 4) / 16.0
+            threshold = radii[rng.integers(radii.size)] * inflation + rho
+            offset = [(threshold, 0.0), (0.0, -threshold)][rng.integers(2)]
+            hazards.append((*(cands[rng.integers(len(cands))] + offset), rho))
+        hazards += [(*rng.uniform(0.0, 4.0, size=2), rng.integers(1, 4) / 16.0) for _ in range(rng.integers(0, 3))]
+        world = _world(hazards)
+        tracker = _tracker(path, world, value, keys, radii, **cfg)
+        gaps = np.linalg.norm(world.hazards[:, :2] - cands[:, None], axis=2)
+        seen["at_threshold"] += bool(np.any(gaps[None] == radii[:, None, None] * inflation + world.hazards[:, 2]))
+        state = envs.initial_state(RobotKind.SWEEPING, pos=rng.integers(0, 32, size=2) / 8.0)
+        seg_idx = int(rng.integers(len(path)))
+        seen["uncertified"] += bool(np.any(~(value(envs.goal_condition(state, cands)) <= keys[-1])))
+        want = oracle_select(tracker, state, seg_idx)
+        if want is None:
+            seen["stalled"] += 1
+            with pytest.raises(monitor.MonitorStall):
+                tracker.select(state, seg_idx)
+            continue
+        seen["chosen"] += 1
+        got = tracker.select(state, seg_idx)
+        assert same_bits(got.pos, want.pos)
+        assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
+    assert min(seen.values()) >= 10, seen
 
 
 def _snapshot(arrays):
