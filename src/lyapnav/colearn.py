@@ -210,20 +210,13 @@ def make_agent(kind, seed=0):
     return Agent(kind, pi, q, v, lq, pi.copy(), q.copy(), lq.copy())
 
 
-def sink_state(kind, batch):
-    """Sink representatives of a batch of goal-conditioned states."""
-    batch = np.atleast_2d(np.asarray(batch, dtype=float))
-    if batch.shape[0] == 0:
-        raise ValueError("sink_state: empty batch")
-    return batch * envs.sink_mask(kind)
+def lyapunov_risk(vs, vs1):
+    """Sample estimate of the Lyapunov training risk from V on s and s1.
 
-
-def lyapunov_risk(vs, vs1, vo):
-    """Sample estimate of the Lyapunov training risk from V on s, s1 and sinks.
-
-    Mean of V(sink)^2 + max(0, -V(s)) + max(0, V(s1) - V(s)).
+    Mean of max(0, -V(s)) + max(0, V(s1) - V(s)). Neural Lyapunov Control's
+    V(sink)^2 term is left out: LyapunovNet vanishes on sinks by construction.
     """
-    return float(np.mean(vo**2 + np.maximum(0.0, -vs) + np.maximum(0.0, vs1 - vs)))
+    return float(np.mean(np.maximum(0.0, -vs) + np.maximum(0.0, vs1 - vs)))
 
 
 def policy_loss(pi, q_t, lq_t, s, alpha, kind):
@@ -301,22 +294,22 @@ class Trainer:
         ag, cfg = self.agent, self.cfg
         s, s1 = batch["s"], batch["s1"]
         n = s.shape[0]
-        # one forward over [sinks, s, s1] and their sink images serves the
-        # values (V = f(x) - f(sink(x))) and the backward pass
-        points = np.vstack([sink_state(ag.kind, s), s, s1])
+        # one forward over [s, s1] and their sink images serves the values
+        # (V = f(x) - f(sink(x))) and the backward pass; V is 0 on sinks by
+        # construction, so the risk needs no V(sink) term
+        points = np.vstack([s, s1])
         out, cache = ag.v.net.forward_cache(np.vstack([points, points * ag.v.mask]))
-        v = out[: 3 * n, 0] - out[3 * n :, 0]
-        vo, vs, vs1 = v[:n], v[n : 2 * n], v[2 * n :]
+        v = out[: 2 * n, 0] - out[2 * n :, 0]
+        vs, vs1 = v[:n], v[n:]
         floor = cfg.pos_margin * np.linalg.norm(s[:, :2], axis=1)
         pos_active = vs < floor
         lie_active = vs1 - vs > -cfg.lie_margin
-        u_sink = 2.0 * vo / n
         u_s = (-pos_active.astype(float) - lie_active.astype(float)) / n
         u_s1 = lie_active.astype(float) / n
-        u = np.concatenate([u_sink, u_s, u_s1])[:, None]
+        u = np.concatenate([u_s, u_s1])[:, None]
         grads, _ = ag.v.net.backward(cache, np.vstack([u, -u]))
         nn.adam_step(self.adam_v, ag.v.net.params(), grads)
-        return lyapunov_risk(vs, vs1, vo), float(np.mean(pos_active)), float(np.mean(lie_active))
+        return lyapunov_risk(vs, vs1), float(np.mean(pos_active)), float(np.mean(lie_active))
 
     def train_lq(self, batch):
         ag = self.agent

@@ -102,7 +102,7 @@ def test_criterion_1_gradient_integrity(monkeypatch):
     def v_loss():
         vs = agent.v.value(batch["s"])
         vs1 = agent.v.value(batch["s1"])
-        vo = agent.v.value(colearn.sink_state(kind, batch["s"]))
+        vo = agent.v.value(batch["s"] * envs.sink_mask(kind))
         floor = cfg.pos_margin * np.linalg.norm(batch["s"][:, :2], axis=1)
         return float(
             np.mean(vo**2 + np.maximum(0.0, floor - vs) + np.maximum(0.0, vs1 - vs + cfg.lie_margin))

@@ -14,11 +14,19 @@ from lyapnav.envs import RobotKind
 
 
 def test_lyapunov_net_exactly_zero_on_sinks():
+    # Trainer.train_v relies on both identities: the sink mask is idempotent
+    # bit for bit (signed zeros included), so V(x * m) = f(x * m) - f(x * m)
+    # is exactly 0 at every batch size the training and the monitor use
     for kind in RobotKind:
         v = colearn.LyapunovNet(kind, rng=np.random.default_rng(0))
-        d = envs.state_dim(kind)
-        sinks = np.random.default_rng(1).normal(size=(10, d)) * envs.sink_mask(kind)
-        assert np.max(np.abs(v.value(sinks))) == 0.0
+        d, m = envs.state_dim(kind), envs.sink_mask(kind)
+        for rows in (1, 10, 22, 256, 1024):
+            x = np.random.default_rng(rows).normal(size=(rows, d)) * 3.0
+            x[0, :2] = (-0.0, -1.5)  # a goal vector that masks to (-0.0, -0.0)
+            sinks = x * m
+            assert np.signbit(sinks[0, :2]).all()
+            assert (sinks * m).tobytes() == sinks.tobytes()
+            assert not np.any(v.value(sinks))
 
 
 def test_lyapunov_net_grad_matches_finite_differences():
@@ -37,15 +45,12 @@ def test_lyapunov_net_grad_matches_finite_differences():
 
 
 def test_lyapunov_risk_formula_oracle():
-    # oracle: recompute the three risk terms by hand for V = sum of state
+    # oracle: recompute the two risk terms by hand for V = sum of state
     value_fn = lambda x: np.atleast_2d(x).sum(axis=1)
     s = np.array([[1.0, 2.0], [-3.0, 1.0]])
     s1 = np.array([[2.0, 2.0], [-4.0, 1.0]])
-    sinks = np.array([[0.5, 0.0], [0.0, 0.0]])
-    expected = np.mean(
-        [0.5**2 + max(0, -3.0) + max(0, 4.0 - 3.0), 0.0 + max(0, 2.0) + max(0, -3.0 - (-2.0))]
-    )
-    assert colearn.lyapunov_risk(value_fn(s), value_fn(s1), value_fn(sinks)) == pytest.approx(expected)
+    expected = np.mean([max(0, -3.0) + max(0, 4.0 - 3.0), max(0, 2.0) + max(0, -3.0 - (-2.0))])
+    assert colearn.lyapunov_risk(value_fn(s), value_fn(s1)) == pytest.approx(expected)
 
 
 def test_replay_buffer_ring_overwrite():
@@ -319,7 +324,7 @@ def test_train_v_returns_pre_step_risk_and_hinge_fractions():
         batch = _random_batch(kind, 64, np.random.default_rng(18))
         s, s1 = batch["s"], batch["s1"]
         vs, vs1 = agent.v.value(s), agent.v.value(s1)
-        risk = colearn.lyapunov_risk(vs, vs1, agent.v.value(colearn.sink_state(kind, s)))
+        risk = colearn.lyapunov_risk(vs, vs1)
         pos = np.mean(vs < cfg.pos_margin * np.linalg.norm(s[:, :2], axis=1))
         lie = np.mean(vs1 - vs > -cfg.lie_margin)
         before = nn.params_digest(agent.v.net)

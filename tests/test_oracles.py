@@ -22,7 +22,7 @@ tables must keep matching bit for bit.
 import numpy as np
 import pytest
 
-from lyapnav import envs, monitor, nn, planner
+from lyapnav import colearn, envs, monitor, nn, planner
 from lyapnav.envs import RobotKind
 
 
@@ -138,6 +138,24 @@ def oracle_adam_step(lr, t, params, grads, m, v):
 
 def oracle_polyak(target, online, tau):
     return [(1 - tau) * t + tau * o for t, o in zip(target, online)]
+
+
+def oracle_train_v_6n(agent, cfg, batch):
+    """The retired V update over the 6n-row stack [sinks, s, s1] and its sink
+    image, with Neural Lyapunov Control's V(sink)^2 term kept: (the parameter
+    gradient, the risk, the positivity and the decrease hinge fractions)."""
+    s, s1 = batch["s"], batch["s1"]
+    n, net, m = s.shape[0], agent.v.net, agent.v.mask
+    points = np.vstack([s * envs.sink_mask(agent.kind), s, s1])
+    acts = oracle_forward_cached(net, np.vstack([points, points * m]))
+    v = acts[-1][: 3 * n, 0] - acts[-1][3 * n :, 0]
+    vo, vs, vs1 = v[:n], v[n : 2 * n], v[2 * n :]
+    pos_active = vs < cfg.pos_margin * np.linalg.norm(s[:, :2], axis=1)
+    lie_active = vs1 - vs > -cfg.lie_margin
+    u = np.concatenate([2.0 * vo / n, (-pos_active.astype(float) - lie_active.astype(float)) / n, lie_active / n])
+    grads, _ = oracle_backward(net, acts, np.vstack([u[:, None], -u[:, None]]))
+    risk = float(np.mean(vo**2 + np.maximum(0.0, -vs) + np.maximum(0.0, vs1 - vs)))
+    return grads, risk, float(np.mean(pos_active)), float(np.mean(lie_active))
 
 
 def oracle_advance(tracker, state):
@@ -425,7 +443,7 @@ def _snapshot(arrays):
 
 
 @pytest.mark.parametrize("act", nn.OUTPUT_ACTIVATIONS)
-@pytest.mark.parametrize("rows", [1, 22, 256, 1536])  # 1536: train_v's 6n stack at n = 256
+@pytest.mark.parametrize("rows", [1, 22, 256, 1024])  # 1024: train_v's 4n stack at n = 256
 def test_mlp_passes_match_oracle_bitwise(act, rows):
     rng = np.random.default_rng(rows)
     net = nn.Mlp([7, 64, 64, 2], act, rng)
@@ -489,3 +507,26 @@ def test_polyak_update_matches_oracle_bitwise(tau):
     want = oracle_polyak(online.params(), online.params(), tau)
     nn.polyak_update(online, online, tau)
     assert all(same_bits(a, b) for a, b in zip(online.params(), want))
+
+
+@pytest.mark.parametrize("kind", list(RobotKind))
+@pytest.mark.parametrize("n", [256, 37])
+def test_train_v_matches_retired_6n_stack(kind, n, monkeypatch):
+    # The 4n stack drops the sink block, whose values and upstream are exactly
+    # 0; only the order in which BLAS sums the gradient's rows changes. The
+    # output bias's gradient sums to 0 exactly in real arithmetic, so entries
+    # are compared to 1e-12 of the largest one as well as of themselves.
+    rng = np.random.default_rng(n)
+    agent = colearn.make_agent(kind, seed=n)
+    cfg = colearn.TrainConfig()
+    d = envs.state_dim(kind)
+    batch = {"s": rng.uniform(-2, 2, size=(n, d)), "s1": rng.uniform(-2, 2, size=(n, d))}
+    want_grads, want_risk, want_pos, want_lie = oracle_train_v_6n(agent, cfg, batch)
+    rec = {}
+    monkeypatch.setattr(nn, "adam_step", lambda state, params, grads: rec.setdefault("grads", grads))
+    risk, pos, lie = colearn.Trainer(agent, cfg).train_v(batch)
+    assert (pos, lie) == (want_pos, want_lie) and 0.0 < lie < 1.0  # both upstream signs occur
+    assert risk == pytest.approx(want_risk, rel=1e-12, abs=0.0)
+    assert [g.shape for g in rec["grads"]] == [w.shape for w in want_grads]
+    got, want = (np.concatenate([g.ravel() for g in grads]) for grads in (rec["grads"], want_grads))
+    np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
