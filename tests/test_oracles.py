@@ -17,6 +17,11 @@ place; their oracles are the plain out-of-place expressions
 (``np.tanh(a @ w + b)``, ``delta * (1.0 - a ** 2)`` and the textbook Adam
 and Polyak formulas), which trained parameters, V values and certificate
 tables must keep matching bit for bit.
+
+``colearn.Trainer.train_v`` evaluates V's network on 4n rows; its oracle is
+the retired 6n-row update, which also evaluated the sinks and kept the
+V(sink)^2 term. Their gradients agree to a tolerance, not bit for bit,
+because BLAS groups the rows of the gradient's sums differently.
 """
 
 import numpy as np
@@ -146,7 +151,7 @@ def oracle_train_v_6n(agent, cfg, batch):
     gradient, the risk, the positivity and the decrease hinge fractions)."""
     s, s1 = batch["s"], batch["s1"]
     n, net, m = s.shape[0], agent.v.net, agent.v.mask
-    points = np.vstack([s * envs.sink_mask(agent.kind), s, s1])
+    points = np.vstack([s * m, s, s1])
     acts = oracle_forward_cached(net, np.vstack([points, points * m]))
     v = acts[-1][: 3 * n, 0] - acts[-1][3 * n :, 0]
     vo, vs, vs1 = v[:n], v[n : 2 * n], v[2 * n :]
