@@ -8,15 +8,16 @@ Only train and train-e2e take a JSON config file (--config), which holds the
 training schedules in the top-level sections {"train", "e2e"}: each is a JSON
 object of integers that override colearn.TrainConfig's four fields in that
 section's defaults (CONFIG_SECTIONS), and an unknown section or key is an
-error. Everything else is fixed: the planner, the monitor and the sublevel
-search run at their dataclass defaults, build-lut searches goal vectors
-within colearn.TrainConfig.goal_range, and network width, reach tolerance,
-hazard penalty, the DDPG settings of both learners (discount and exploration
-noise included), co-learning's loss weights and goal annulus, and the e2e
-baseline's training level are module or class constants. Every command that
-draws random numbers takes its seed from --seed. build-lut
-(monitor.build_agent_lut) searches at --seed and samples V at --seed + 2, so
-the cached tables under tests/_agent_cache/ are --seed 3.
+error. Everything else is fixed: the planner and the sublevel search run at
+their dataclass defaults, build-lut searches goal vectors within
+colearn.TrainConfig.goal_range, and network width, reach tolerance, hazard
+penalty, the DDPG settings of both learners (discount and exploration noise
+included), co-learning's loss weights and goal annulus, the monitor's
+setting (monitor.MonitorConfig) and the e2e baseline's training level are
+module or class constants. Every command that draws random numbers takes its
+seed from --seed. build-lut (monitor.build_agent_lut) searches at --seed and
+samples V at --seed + 2, so the cached tables under tests/_agent_cache/ are
+--seed 3.
 """
 
 import argparse

@@ -327,9 +327,10 @@ class Trainer:
         nn.polyak_update(self.agent.lq_t, self.agent.lq, TAU)
 
 
-def sample_task(kind, cfg, rng):
-    """Start (arena origin, uniform heading) and goal (uniform in an annulus)."""
-    r = np.sqrt(rng.uniform(cfg.goal_min**2, cfg.goal_range**2))
+def sample_task(kind, rng):
+    """Start (arena origin, uniform heading) and goal (uniform in
+    TrainConfig's goal annulus)."""
+    r = np.sqrt(rng.uniform(TrainConfig.goal_min**2, TrainConfig.goal_range**2))
     phi = rng.uniform(0.0, 2 * np.pi)
     goal = r * np.array([np.cos(phi), np.sin(phi)])
     return envs.initial_state(kind, heading=rng.uniform(0.0, 2 * np.pi)), goal
@@ -392,7 +393,7 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
     arena = envs.empty_world()  # no hazards; nothing else of it is read
     log_rows = []
     for ep in range(cfg.episodes):
-        start, goal = sample_task(kind, cfg, rng)
+        start, goal = sample_task(kind, rng)
         transitions, relabeled = collect_episode(
             agent.target_policy, start, goal, arena, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes,
             cfg.hindsight_relabels,

@@ -215,13 +215,10 @@ class World:
             raise ValueError(f"malformed world JSON: {exc}") from exc
 
 
-def empty_world(size=4.0):
-    return World(
-        size=size,
-        hazards=np.zeros((0, 3)),
-        start=np.array([0.5, 0.5]),
-        goal=np.array([size - 0.5, size - 0.5]),
-    )
+def empty_world():
+    """A hazard-free 4 x 4 arena, start and goal half a unit in from opposite
+    corners."""
+    return World(size=4.0, hazards=np.zeros((0, 3)), start=np.array([0.5, 0.5]), goal=np.array([3.5, 3.5]))
 
 
 def in_hazard(p, world):

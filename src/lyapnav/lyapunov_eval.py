@@ -40,13 +40,12 @@ def sample_transitions(kind, policy, n, seed=0):
     random goals in hazard-free space. Returns two (n, dim) arrays."""
     if n < 0:
         raise ValueError(f"sample_transitions needs a count n >= 0, got n={n}")
-    cfg = colearn.TrainConfig()
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7]))
     arena = envs.empty_world()
     S, S1 = [], []
     while len(S) < n:
-        start, goal = colearn.sample_task(kind, cfg, rng)
-        transitions, _ = colearn.collect_episode(policy, start, goal, arena, cfg.horizon, 0.0, rng)
+        start, goal = colearn.sample_task(kind, rng)
+        transitions, _ = colearn.collect_episode(policy, start, goal, arena, colearn.TrainConfig.horizon, 0.0, rng)
         for sg, _, _, sg1, _ in transitions:
             S.append(sg)
             S1.append(sg1)

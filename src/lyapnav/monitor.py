@@ -11,6 +11,7 @@ import json
 import math
 import warnings
 from dataclasses import dataclass, field
+from typing import ClassVar
 
 import numpy as np
 
@@ -220,16 +221,11 @@ def lut_query(lut, v):
     """Ceiling-rule lookup: radius of the smallest key >= v.
 
     Levels at or below the smallest key certify with the smallest radius.
-    Levels above the largest key (or NaN) have no certificate: a scalar level
-    raises, and an array of levels gets NaN in those entries.
+    A level above the largest key (or NaN) has no certificate and raises.
     """
-    v = np.asarray(v, dtype=float)
-    uncertified = ~(v <= lut.keys[-1])
-    if v.ndim == 0 and uncertified:
+    if not v <= lut.keys[-1]:
         raise LevelExceededError(f"level {v} exceeds table maximum {lut.keys[-1]}")
-    idx = np.minimum(np.searchsorted(lut.keys, v, side="left"), lut.keys.size - 1)
-    radii = np.where(uncertified, np.nan, lut.radii[idx])
-    return float(radii) if v.ndim == 0 else radii
+    return float(lut.radii[min(np.searchsorted(lut.keys, v, side="left"), lut.keys.size - 1)])
 
 
 @dataclass
@@ -243,21 +239,16 @@ class SinkChoice:
 
 @dataclass
 class MonitorConfig:
-    delta: float = 0.1
-    window: int = 2  # path segments searched ahead of the current one
-    radius_inflation: float = 1.05  # absorbs optimizer under-estimation
-    stall_patience: int = 50
+    """The monitor's one setting: class constants, not fields."""
 
-    def __post_init__(self):
-        if not 0.0 < self.delta <= 1.0:
-            raise ValueError("delta must be in (0, 1]")
-        if self.window < 1:
-            raise ValueError(f"window must be at least 1 segment, got {self.window}")
-        if self.stall_patience < 0:
-            raise ValueError(f"stall_patience must be nonnegative, got {self.stall_patience}")
-        # below 1 the inflated circle would not cover the certified radius
-        if not self.radius_inflation >= 1.0:
-            raise ValueError(f"radius_inflation must be at least 1, got {self.radius_inflation}")
+    delta: ClassVar[float] = 0.1  # candidate sinks at fractions 0, delta, ..., 1 of a segment
+    window: ClassVar[int] = 2  # path segments searched ahead of the current one
+    radius_inflation: ClassVar[float] = 1.05  # absorbs optimizer under-estimation
+    stall_patience: ClassVar[int] = 50
+
+
+# the path fractions of a segment's candidate sinks, shared by every tracker
+FRACTIONS = np.minimum(np.arange(int(np.ceil(1.0 / MonitorConfig.delta)) + 1) * MonitorConfig.delta, 1.0)
 
 
 class SinkTracker:
@@ -272,29 +263,26 @@ class SinkTracker:
     first.
 
     ``target`` selects a sink from the current state. A stall holds the last
-    safe sink for cfg.stall_patience steps; past that, or with no sink to
-    hold, it raises MonitorStall and the episode stalls. ``advance``
+    safe sink for MonitorConfig.stall_patience steps; past that, or with no
+    sink to hold, it raises MonitorStall and the episode stalls. ``advance``
     re-anchors the path segment on the robot's new position.
     """
 
-    def __init__(self, path, world, value_fn, lut, cfg=None):
+    def __init__(self, path, world, value_fn, lut):
         self.path = path
         self.world = world
         self.value_fn = value_fn
         self.lut = lut
-        self.cfg = cfg or MonitorConfig()
         self.seg_idx = 0
         self.stall = 0
         self.held = None
         n_seg = max(len(path) - 1, 1)
-        fracs = np.minimum(np.arange(int(np.ceil(1.0 / self.cfg.delta)) + 1) * self.cfg.delta, 1.0)
-        self.fracs = fracs.tolist()
         seg_a = path[:n_seg]
         seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
-        self.cands = seg_a[:, None] + fracs[:, None] * (seg_b - seg_a)[:, None]
+        self.cands = seg_a[:, None] + FRACTIONS[:, None] * (seg_b - seg_a)[:, None]
         # candidates in window order, segment by segment: progress never
         # decreases along it, and is equal at a segment's end and the next start
-        self.progress = (np.arange(n_seg)[:, None] + fracs).ravel().tolist()
+        self.progress = (np.arange(n_seg)[:, None] + FRACTIONS).ravel().tolist()
         # each segment as (a, b - a) and planner.point_segment_distance's
         # guarded squared length
         self.segments = []
@@ -319,13 +307,13 @@ class SinkTracker:
         # for every group. The radii never decrease and float rounding is
         # monotone, so the safe keys are a prefix of the table; the last of
         # them is the candidate's deepest safe key (-1 for none)
-        clear = gaps[:, :, None] >= lut.radii * self.cfg.radius_inflation + rhos[:, None]
+        clear = gaps[:, :, None] >= lut.radii * MonitorConfig.radius_inflation + rhos[:, None]
         self.deepest_safe = (clear.all(axis=1).sum(axis=1) - 1).tolist()
         self.radii = lut.radii.tolist()
 
     def select(self, state, seg_idx):
         """Farthest safe sink among the candidates of segments seg_idx to
-        seg_idx + cfg.window - 1.
+        seg_idx + MonitorConfig.window - 1.
 
         A candidate is safe when its inflated certified circle clears every
         hazard; among safe candidates the farthest path progress wins, ties
@@ -341,13 +329,13 @@ class SinkTracker:
         """
         n_seg = len(self.cands)
         lo = min(seg_idx, n_seg - 1)
-        hi = min(lo + self.cfg.window, n_seg)
+        hi = min(lo + MonitorConfig.window, n_seg)
         cands = self.cands[lo:hi].reshape(-1, 2)
         levels = self.value_fn(envs.goal_condition(state, cands))
         # lut_query's ceiling rule as a key index: a level above the top key,
         # or NaN, gets len(keys), which is past every deepest safe key
         key_idx = np.searchsorted(self.lut.keys, levels, side="left").tolist()
-        first = lo * len(self.fracs)
+        first = lo * FRACTIONS.size
         best = None
         # from the farthest candidate back: the first safe one has the
         # farthest progress, and only candidates of equal progress can still
@@ -361,9 +349,9 @@ class SinkTracker:
                 best = i
         if best is None:
             raise MonitorStall(f"no safe sink in window at segment {lo}")
-        seg, j = divmod(best, len(self.fracs))
+        seg, j = divmod(best, FRACTIONS.size)
         radius = self.radii[key_idx[best]]
-        return SinkChoice(cands[best].copy(), float(levels[best]), radius, lo + seg, self.fracs[j])
+        return SinkChoice(cands[best].copy(), float(levels[best]), radius, lo + seg, float(FRACTIONS[j]))
 
     def target(self, state):
         try:
@@ -371,7 +359,7 @@ class SinkTracker:
             self.stall = 0
         except MonitorStall:
             self.stall += 1
-            if self.held is None or self.stall > self.cfg.stall_patience:
+            if self.held is None or self.stall > MonitorConfig.stall_patience:
                 raise
             choice = self.held
         self.held = choice
@@ -380,11 +368,12 @@ class SinkTracker:
 
     def advance(self, state):
         """Move seg_idx to the nearest of segments seg_idx to seg_idx +
-        cfg.window: the earliest on ties, and the first whose distance is
-        NaN, as np.argmin over planner.point_segment_distance picks."""
+        MonitorConfig.window: the earliest on ties, and the first whose
+        distance is NaN, as np.argmin over planner.point_segment_distance
+        picks."""
         px, py = state.pos.tolist()
         nearest, nearest_d = self.seg_idx, math.inf
-        for i in range(self.seg_idx, min(self.seg_idx + self.cfg.window + 1, len(self.segments))):
+        for i in range(self.seg_idx, min(self.seg_idx + MonitorConfig.window + 1, len(self.segments))):
             ax, ay, abx, aby, denom = self.segments[i]
             # point_segment_distance's operations, in its order
             t = min(max(((px - ax) * abx + (py - ay) * aby) / denom, 0.0), 1.0)

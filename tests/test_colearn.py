@@ -9,7 +9,7 @@ from dataclasses import FrozenInstanceError, replace
 import numpy as np
 import pytest
 
-from lyapnav import colearn, envs, harness, lyapunov_eval, monitor, nn
+from lyapnav import colearn, envs, harness, lyapunov_eval, nn
 from lyapnav.envs import RobotKind
 
 
@@ -138,17 +138,17 @@ def test_policy_wrapper_featurizes():
 
 
 def test_sample_goal_respects_annulus():
-    cfg = colearn.TrainConfig()
+    cfg = colearn.TrainConfig
     rng = np.random.default_rng(6)
     for _ in range(200):
-        start, g = colearn.sample_task(RobotKind.POINT, cfg, rng)
+        start, g = colearn.sample_task(RobotKind.POINT, rng)
         assert np.array_equal(start.pos, [0.0, 0.0])
         assert cfg.goal_min <= np.linalg.norm(g) <= cfg.goal_range
 
 
 def arena_episode(policy, cfg, rng, noise, relabels=0):
     """One training-arena episode, drawn as ``colearn.colearn`` draws it."""
-    start, goal = colearn.sample_task(policy.kind, cfg, rng)
+    start, goal = colearn.sample_task(policy.kind, rng)
     return colearn.collect_episode(policy, start, goal, envs.empty_world(), cfg.horizon, noise, rng, False, relabels)
 
 
@@ -400,7 +400,6 @@ def test_train_constants_are_in_range():
         lambda: replace(harness.E2E_SCHEDULE, horizon=0),
         lambda: replace(harness.E2E_SCHEDULE, warmup_episodes=-1),
         lambda: colearn.TrainConfig(episodes=float("nan")),
-        lambda: monitor.MonitorConfig(delta=float("nan")),
     ],
 )
 def test_out_of_range_fields_raise_value_error(make):

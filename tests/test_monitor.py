@@ -2,7 +2,6 @@
 against an analytic quadratic value function."""
 
 import json
-from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -122,7 +121,7 @@ def test_level_grid_from_values():
 
 def test_candidate_sinks_span_segment():
     # the candidates a selection hands to V, in one call, are the segment at
-    # fractions 0, delta, ..., 1
+    # fractions 0, 0.1, ..., 1
     value, _ = quad_v(1.0)
     calls = []
 
@@ -133,22 +132,31 @@ def test_candidate_sinks_span_segment():
     lut = monitor.RoaLut(keys=[0.01, 16.0], radii=[0.1, 0.1], box=BOX2)
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.0, 0.0))
     path = np.array([[0.0, 0.0], [1.0, 0.0]])
-    cfg = monitor.MonitorConfig(delta=0.25, window=1)
-    monitor.SinkTracker(path, envs.empty_world(), recording_value, lut, cfg).select(state, 0)
+    monitor.SinkTracker(path, envs.empty_world(), recording_value, lut).select(state, 0)
     assert len(calls) == 1
-    assert np.allclose(calls[0], [[0, 0], [0.25, 0], [0.5, 0], [0.75, 0], [1.0, 0]])
-    with pytest.raises(ValueError, match="delta"):
-        monitor.MonitorConfig(delta=0.0)
+    assert np.allclose(calls[0], np.column_stack([np.linspace(0.0, 1.0, 11), np.zeros(11)]))
+
+
+def test_monitor_constants_are_in_range():
+    # class constants, not fields: no config file or caller can set them
+    cfg = monitor.MonitorConfig
+    assert 0.0 < cfg.delta <= 1.0 and cfg.window >= 1 and cfg.stall_patience >= 0
+    # below 1 the inflated circle would not cover the certified radius
+    assert cfg.radius_inflation >= 1.0 and cfg().radius_inflation == 1.05
+    for name in ("delta", "window", "radius_inflation", "stall_patience"):
+        with pytest.raises(TypeError):
+            cfg(**{name: 1})
 
 
 def _progress(choice):
     return choice.segment + choice.fraction
 
 
-def reference_select_sink(state, path, seg_idx, world, value_fn, lut, cfg):
+def reference_select_sink(state, path, seg_idx, world, value_fn, lut):
     """Oracle: one V call and one table query per candidate, scanned segment
     by segment; a candidate replaces the best only on strictly greater
     (progress, radius)."""
+    cfg = monitor.MonitorConfig
     n_seg = max(len(path) - 1, 1)
     seg_idx = min(seg_idx, n_seg - 1)
     fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
@@ -193,18 +201,17 @@ def test_select_sink_matches_per_candidate_oracle():
         hz = np.column_stack([rng.uniform(0.0, 4.0, size=(12, 2)), rng.uniform(0.05, 0.5, 12)])
         world.hazards = hz[np.linalg.norm(hz[:, :2] - pos, axis=1) > hz[:, 2]][: int(rng.integers(0, 13))]
         state = envs.initial_state(RobotKind.SWEEPING, pos=pos)
-        cfg = monitor.MonitorConfig(delta=float(rng.choice([0.1, 0.15, 0.25, 0.3, 1.0])), window=int(rng.integers(1, 4)))
         seg_idx = int(rng.integers(0, len(path)))
         kinds["uncertified"] += bool(np.any(value(envs.goal_condition(state, path)) > keys[-1]))
         try:
-            want = reference_select_sink(state, path, seg_idx, world, value, lut, cfg)
+            want = reference_select_sink(state, path, seg_idx, world, value, lut)
         except monitor.MonitorStall:
             kinds["stalled"] += 1
             with pytest.raises(monitor.MonitorStall):
-                monitor.SinkTracker(path, world, value, lut, cfg).select(state, seg_idx)
+                monitor.SinkTracker(path, world, value, lut).select(state, seg_idx)
             continue
         kinds["chosen"] += 1
-        _assert_same_choice(monitor.SinkTracker(path, world, value, lut, cfg).select(state, seg_idx), want)
+        _assert_same_choice(monitor.SinkTracker(path, world, value, lut).select(state, seg_idx), want)
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -220,7 +227,7 @@ def test_select_sink_tie_at_shared_waypoint_keeps_earlier_segment():
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.5, 0.5))
     choice = monitor.SinkTracker(path, world, value, lut).select(state, 0)
     assert (choice.segment, choice.fraction) == (0, 1.0)
-    _assert_same_choice(choice, reference_select_sink(state, path, 0, world, value, lut, monitor.MonitorConfig()))
+    _assert_same_choice(choice, reference_select_sink(state, path, 0, world, value, lut))
 
 
 def _oracle_checked_tracker(log):
@@ -230,16 +237,16 @@ def _oracle_checked_tracker(log):
     hazards changed the oracle's choice."""
     no_hazards = envs.empty_world()
 
-    def oracle(state, path, seg_idx, world, value_fn, lut, cfg):
+    def oracle(state, path, seg_idx, world, value_fn, lut):
         try:
-            return reference_select_sink(state, path, seg_idx, world, value_fn, lut, cfg)
+            return reference_select_sink(state, path, seg_idx, world, value_fn, lut)
         except monitor.MonitorStall:
             return None
 
     class Checked(monitor.SinkTracker):
         def select(self, state, seg_idx):
-            want = oracle(state, self.path, seg_idx, self.world, self.value_fn, self.lut, self.cfg)
-            free = oracle(state, self.path, seg_idx, no_hazards, self.value_fn, self.lut, self.cfg)
+            want = oracle(state, self.path, seg_idx, self.world, self.value_fn, self.lut)
+            free = oracle(state, self.path, seg_idx, no_hazards, self.value_fn, self.lut)
             log["selections"] += 1
             log["hazard_decided"] += want is None or free is None or _progress(want) != _progress(free)
             if want is None:
@@ -256,7 +263,7 @@ def _oracle_checked_tracker(log):
             last = len(self.path) - 1
             dists = [
                 planner.point_segment_distance(state.pos, self.path[seg], self.path[min(seg + 1, last)])
-                for seg in range(lo, min(lo + self.cfg.window + 1, max(last, 1)))
+                for seg in range(lo, min(lo + monitor.MonitorConfig.window + 1, max(last, 1)))
             ]
             assert self.seg_idx == lo + int(np.argmin(dists))
 
@@ -299,20 +306,12 @@ def test_sink_tracker_matches_oracle_at_every_step(monkeypatch, sweeping_agent, 
 
 def test_sink_tracker_advance_scans_window_plus_one_segments():
     path = np.column_stack([np.arange(6.0), np.zeros(6)])
-    cfg = monitor.MonitorConfig(window=2)
+    assert monitor.MonitorConfig.window == 2
     lut = monitor.RoaLut(keys=[0.01, 16.0], radii=[0.1, 0.1], box=BOX2)
-    tracker = monitor.SinkTracker(path, envs.empty_world(), None, lut, cfg)
+    tracker = monitor.SinkTracker(path, envs.empty_world(), None, lut)
     for pos, seg in [((2.6, 0.1), 2), ((1.0, 0.1), 2), ((4.9, 0.1), 4), ((9.0, 0.0), 4)]:
         tracker.advance(envs.initial_state(RobotKind.SWEEPING, pos=pos))
         assert tracker.seg_idx == seg
-
-
-def test_lut_query_array_matches_scalar_queries():
-    lut = monitor.RoaLut(keys=[1.0, 2.0, 4.0], radii=[1.0, 1.5, 2.5], box=BOX2)
-    levels = np.array([0.1, 1.0, 1.5, 2.0, 3.9, 4.0, 4.01, np.nan])
-    got = monitor.lut_query(lut, levels)
-    assert np.array_equal(got[:6], [monitor.lut_query(lut, v) for v in levels[:6]])
-    assert np.all(np.isnan(got[6:]))
 
 
 def test_select_sink_prefers_progress_on_clear_ground():
@@ -428,4 +427,4 @@ def test_state_box_dimensions():
 @pytest.mark.parametrize("key", ["step_cap", "reach_tol"])
 def test_monitor_config_rejects_episode_loop_keys(key):
     # step caps and the reach tolerance belong to harness.run_episode
-    assert key not in {f.name for f in fields(monitor.MonitorConfig)}
+    assert not hasattr(monitor.MonitorConfig, key)

@@ -171,16 +171,24 @@ def oracle_advance(tracker, state):
     n_seg = max(len(path) - 1, 1)
     seg_a = path[:n_seg]
     seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
-    hi = min(lo + tracker.cfg.window + 1, n_seg)
+    hi = min(lo + monitor.MonitorConfig.window + 1, n_seg)
     d = planner.point_segment_distance(state.pos, seg_a[lo:hi], seg_b[lo:hi])
     return lo + int(np.argmin(d)), d
 
 
+def _radius_or_nan(lut, level):
+    try:
+        return monitor.lut_query(lut, level)
+    except monitor.LevelExceededError:
+        return np.nan
+
+
 def oracle_select(tracker, state, seg_idx):
     """SinkTracker.select as one vectorized pass over the window's
-    candidates: lut_query, every hazard's clearance, then the farthest
-    progress, the largest radius and the first index. None for a stall."""
-    path, cfg, lut = tracker.path, tracker.cfg, tracker.lut
+    candidates: lut_query level by level (NaN above the top key), every
+    hazard's clearance, then the farthest progress, the largest radius and
+    the first index. None for a stall."""
+    path, cfg, lut = tracker.path, monitor.MonitorConfig, tracker.lut
     n_seg = max(len(path) - 1, 1)
     fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
     seg_a = path[:n_seg]
@@ -189,7 +197,7 @@ def oracle_select(tracker, state, seg_idx):
     hi = min(lo + cfg.window, n_seg)
     cands = (seg_a[:, None] + fracs[:, None] * (seg_b - seg_a)[:, None])[lo:hi].reshape(-1, 2)
     levels = tracker.value_fn(envs.goal_condition(state, cands))
-    radii = monitor.lut_query(lut, levels)
+    radii = np.array([_radius_or_nan(lut, level) for level in levels])
     hz = tracker.world.hazards
     gaps = np.linalg.norm(hz[:, :2] - cands[:, None], axis=2)
     safe = ~np.isnan(radii) & np.all(gaps >= (radii * cfg.radius_inflation)[:, None] + hz[:, 2], axis=1)
@@ -246,7 +254,7 @@ def test_point_segment_distance_matches_oracle_on_lists_and_nan():
 
 
 def _world(hazards):
-    world = envs.empty_world(16.0)
+    world = envs.empty_world()
     world.hazards = np.asarray(hazards, dtype=float).reshape(-1, 3)
     return world
 
@@ -366,9 +374,9 @@ def test_distance_matches_norm_of_either_difference_bitwise():
             assert same_bits(d, np.linalg.norm(p - q)) and same_bits(d, np.linalg.norm(q - p)), (p, q)
 
 
-def _tracker(path, world, value_fn=None, keys=(0.5, 1.0), radii=(0.25, 0.25), **cfg):
+def _tracker(path, world, value_fn=None, keys=(0.5, 1.0), radii=(0.25, 0.25)):
     lut = monitor.RoaLut(keys=keys, radii=radii, box=(-np.ones(2), np.ones(2)))
-    return monitor.SinkTracker(np.asarray(path, dtype=float), world, value_fn, lut, monitor.MonitorConfig(**cfg))
+    return monitor.SinkTracker(np.asarray(path, dtype=float), world, value_fn, lut)
 
 
 def test_advance_matches_argmin_of_point_segment_distance():
@@ -376,34 +384,36 @@ def test_advance_matches_argmin_of_point_segment_distance():
     # integer waypoints, so distances are exact: a shared vertex is at 0 from
     # both its segments, and the repeated (1, 1) is a zero-length segment
     grid = [[0, 0], [1, 0], [1, 1], [1, 1], [2, 1], [2, 3]]
-    positions = [*grid, (0.5, 0.5), (1.5, 1.0), (1.0, 0.5), (3.0, 2.0), (nan, 0.0), (0.0, nan), (inf, 0.0), (-inf, inf)]
-    cases = [(grid, start, window, pos) for pos in positions for start in range(5) for window in (1, 2, 4)]
-    cases += [([[1, 2]], 0, 2, pos) for pos in [(1, 2), (4, 6), (nan, 1.0)]]  # one point: one zero-length segment
+    positions = [*grid, (0.5, 0.5), (1.5, 1.0), (1.0, 0.5), (3.0, 2.0)]
+    positions += [(nan, 0.0), (0.0, nan), (nan, nan), (inf, 0.0), (-inf, inf)]
+    cases = [(grid, start, pos) for pos in positions for start in range(5)]
+    cases += [([[1, 2]], 0, pos) for pos in [(1, 2), (4, 6), (nan, 1.0)]]  # one point: one zero-length segment
     rng = np.random.default_rng(7)
     for _ in range(300):
         path = rng.normal(size=(int(rng.integers(1, 9)), 2)) * 10.0 ** rng.integers(-2, 3)
         path[rng.random(len(path)) < 0.2] = path[0]  # some repeats
         pos = path[rng.integers(len(path))] if rng.random() < 0.3 else rng.normal(size=2) * 5.0
-        cases.append((path, int(rng.integers(len(path))), int(rng.integers(1, 4)), pos))
+        cases.append((path, int(rng.integers(len(path))), pos))
     seen = {"tie": 0, "nan": 0}
     with np.errstate(invalid="ignore"):  # inf * 0 at the infinite positions
-        for path, start, window, pos in cases:
-            tracker = _tracker(path, envs.empty_world(), window=window)
+        for path, start, pos in cases:
+            tracker = _tracker(path, envs.empty_world())
             tracker.seg_idx = min(start, len(tracker.segments) - 1)
             state = envs.initial_state(RobotKind.SWEEPING, pos=pos)
             want, d = oracle_advance(tracker, state)
             seen["tie"] += bool(d.size > 1 and np.sum(d == np.min(d)) > 1)
             seen["nan"] += bool(np.isnan(d).any())
             tracker.advance(state)
-            assert tracker.seg_idx == want, (path, start, window, pos)
+            assert tracker.seg_idx == want, (path, start, pos)
     assert min(seen.values()) >= 20, seen
 
 
-@pytest.mark.parametrize("inflation", [1.0, 1.05, 1.5])
-def test_select_matches_oracle_at_exact_clearances_and_uncertified_levels(inflation):
-    # dyadic waypoints, fractions, radii and hazard radii: with an inflation of
-    # 1 or 1.5 a hazard placed a threshold away along an axis sits exactly on
-    # it, where gap >= threshold still holds; 1.05 lands within rounding of it
+def test_select_matches_oracle_at_exact_clearances_and_uncertified_levels():
+    # every path has a waypoint at the origin, which is a candidate sink; a
+    # hazard placed a threshold t = radius * inflation + rho away from it along
+    # an axis is at distance sqrt(t * t) = t exactly, on the threshold, where
+    # gap >= threshold still holds
+    inflation = monitor.MonitorConfig.radius_inflation
     rng = np.random.default_rng(8)
     fields = ("level", "radius", "segment", "fraction")
     seen = {"chosen": 0, "stalled": 0, "at_threshold": 0, "uncertified": 0}
@@ -413,18 +423,16 @@ def test_select_matches_oracle_at_exact_clearances_and_uncertified_levels(inflat
         pool = np.array([*keys, *(keys[:-1] + keys[1:]) / 2, keys[0] / 2, 2 * keys[-1], np.nan, np.inf, -np.inf])
         value = lambda x, pool=pool: pool[(np.abs(x[:, 0]) * 4 + np.abs(x[:, 1]) * 12).astype(int) % pool.size]
         path = rng.integers(0, 16, size=(int(rng.integers(1, 6)), 2)) / 4.0
-        cfg = {"delta": float(rng.choice([0.25, 0.5, 1.0])), "window": int(rng.integers(1, 4))}
-        cfg["radius_inflation"] = inflation
-        cands = _tracker(path, envs.empty_world(), value, keys, radii, **cfg).cands.reshape(-1, 2)
+        path[rng.integers(len(path))] = 0.0
+        cands = _tracker(path, envs.empty_world(), value, keys, radii).cands.reshape(-1, 2)
         hazards = []
         for _ in range(int(rng.integers(0, 4))):
             rho = rng.integers(1, 4) / 16.0
             threshold = radii[rng.integers(radii.size)] * inflation + rho
-            offset = [(threshold, 0.0), (0.0, -threshold)][rng.integers(2)]
-            hazards.append((*(cands[rng.integers(len(cands))] + offset), rho))
+            hazards.append((*[(threshold, 0.0), (0.0, -threshold)][rng.integers(2)], rho))
         hazards += [(*rng.uniform(0.0, 4.0, size=2), rng.integers(1, 4) / 16.0) for _ in range(rng.integers(0, 3))]
         world = _world(hazards)
-        tracker = _tracker(path, world, value, keys, radii, **cfg)
+        tracker = _tracker(path, world, value, keys, radii)
         gaps = np.linalg.norm(world.hazards[:, :2] - cands[:, None], axis=2)
         seen["at_threshold"] += bool(np.any(gaps[None] == radii[:, None, None] * inflation + world.hazards[:, 2]))
         state = envs.initial_state(RobotKind.SWEEPING, pos=rng.integers(0, 32, size=2) / 8.0)
