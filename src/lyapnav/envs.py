@@ -11,7 +11,7 @@ All dynamics are Euler-integrated at the fixed step DT and deterministic.
 import enum
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -30,6 +30,11 @@ START_GOAL_CLEARANCE = 0.3  # extra clearance beyond the hazard radius
 REACH_TOL = 0.1  # goal (and waypoint) reach distance in training and evaluation
 HAZARD_PENALTY = 10.0  # reward subtracted per step that ends inside a hazard
 HAZARD_OBS_DIM = 16  # e2e observation: (dx, dy) toward each of the 8 nearest hazards
+HAZARD_CELL = 1.0  # side of a HazardIndex cell
+# A HazardIndex buckets the hazards inside [-INDEX_LIMIT, INDEX_LIMIT]^2 and
+# answers queries inside it; INDEX_SLACK is what it adds to every query's reach
+INDEX_LIMIT = 2.0**16
+INDEX_SLACK = 1e-9
 
 # level -> (map side length, hazard count)
 LEVELS = {1: (4.0, 8), 2: (8.0, 32), 3: (16.0, 128)}
@@ -191,11 +196,15 @@ def reward(g, s_t, s_next, world):
 @dataclass
 class World:
     size: float
-    hazards: np.ndarray  # (n, 3) rows of (cx, cy, radius); may be empty
+    # (n, 3) rows of (cx, cy, radius); may be empty. Replace the array rather
+    # than write into it: hazard_index serves the index built from it, and
+    # makes it read-only.
+    hazards: np.ndarray
     start: np.ndarray
     goal: np.ndarray
     level: int = 0
     seed: int | None = None
+    _index: "HazardIndex | None" = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def from_json(cls, text):
@@ -214,6 +223,74 @@ class World:
         except TypeError as exc:
             raise ValueError(f"malformed world JSON: {exc}") from exc
 
+    def hazard_index(self):
+        """The HazardIndex of ``hazards``, built on first use and again
+        whenever ``hazards`` is replaced by another array."""
+        if self._index is None or self._index.hazards is not self.hazards:
+            self._index = HazardIndex(self.hazards)
+        return self._index
+
+
+class HazardIndex:
+    """A world's hazards bucketed by centre on a uniform grid of HAZARD_CELL
+    cells, so that a clearance or membership test visits only the hazards
+    near it.
+
+    Hazards whose centre or radius lies outside [-INDEX_LIMIT, INDEX_LIMIT]
+    (NaN and infinities included) are not bucketed: every query returns
+    them. A query box that leaves that square returns every hazard.
+    """
+
+    def __init__(self, hazards):
+        hazards.flags.writeable = False
+        self.hazards = hazards
+        self.rows = hazards.tolist()
+        self.unbucketed = []
+        self.cells = {}
+        # the largest radius of a bucketed hazard, and 0 for none
+        self.reach = 0.0
+        for row in self.rows:
+            cx, cy, r = row
+            if abs(cx) <= INDEX_LIMIT and abs(cy) <= INDEX_LIMIT and abs(r) <= INDEX_LIMIT:
+                self.cells.setdefault((math.floor(cx / HAZARD_CELL), math.floor(cy / HAZARD_CELL)), []).append(row)
+                self.reach = max(self.reach, r)
+            else:
+                self.unbucketed.append(row)
+
+    def near(self, x0, y0, x1, y1, grow):
+        """The (cx, cy, r) rows of every hazard whose centre lies within
+        ``grow`` of the box [x0, x1] x [y0, y1], and maybe a few more.
+
+        It returns the rows of the cells that meet the box grown by grow +
+        INDEX_SLACK. The slack makes the exclusion hold for the rounded
+        distances of envs.in_hazard and planner.segment_free, not only for
+        the exact ones: a centre outside the grown box lies farther than
+        grow + INDEX_SLACK from the box, and inside INDEX_LIMIT every
+        difference, foot point and distance those two compute is exact to
+        within a few units of 2**-35, far below the slack. So the rounded distance of an excluded
+        hazard exceeds grow, and with it any threshold grow was taken from.
+        A NaN bound fails the limit test and returns every hazard.
+        """
+        g = grow + INDEX_SLACK
+        x0, y0, x1, y1 = x0 - g, y0 - g, x1 + g, y1 + g
+        if not (-INDEX_LIMIT <= x0 and -INDEX_LIMIT <= y0 and x1 <= INDEX_LIMIT and y1 <= INDEX_LIMIT):
+            return self.rows
+        i0, j0 = math.floor(x0 / HAZARD_CELL), math.floor(y0 / HAZARD_CELL)
+        i1, j1 = math.floor(x1 / HAZARD_CELL), math.floor(y1 / HAZARD_CELL)
+        found = list(self.unbucketed)
+        cells = self.cells
+        if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(cells):
+            for i in range(i0, i1 + 1):
+                for j in range(j0, j1 + 1):
+                    rows = cells.get((i, j))
+                    if rows:
+                        found += rows
+        else:  # fewer occupied cells than cells in the box
+            for (i, j), rows in cells.items():
+                if i0 <= i <= i1 and j0 <= j <= j1:
+                    found += rows
+        return found
+
 
 def empty_world():
     """A hazard-free 4 x 4 arena, start and goal half a unit in from opposite
@@ -222,14 +299,19 @@ def empty_world():
 
 
 def in_hazard(p, world):
-    """Closed-disk membership: the boundary counts as a violation."""
+    """Closed-disk membership: the boundary counts as a violation. Only the
+    hazards that world.hazard_index() finds within the largest radius of p
+    are tested."""
     if len(world.hazards) == 0:
         return False
-    p = np.asarray(p, dtype=float)
-    hz = world.hazards
-    dx = hz[:, 0] - p[0]
-    dy = hz[:, 1] - p[1]
-    return bool((np.sqrt(dx * dx + dy * dy) <= hz[:, 2]).any())
+    px, py = np.asarray(p, dtype=float).tolist()
+    index = world.hazard_index()
+    for cx, cy, r in index.near(px, py, px, py, index.reach):
+        dx = cx - px
+        dy = cy - py
+        if math.sqrt(dx * dx + dy * dy) <= r:
+            return True
+    return False
 
 
 def hazard_observation(s, world):

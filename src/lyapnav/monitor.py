@@ -283,8 +283,8 @@ class SinkTracker:
         # candidates in window order, segment by segment: progress never
         # decreases along it, and is equal at a segment's end and the next start
         self.progress = (np.arange(n_seg)[:, None] + FRACTIONS).ravel().tolist()
-        # each segment as (a, b - a) and planner.point_segment_distance's
-        # guarded squared length
+        # each segment as (a, b - a) and its squared length, taken as 1 for
+        # a zero-length segment, as planner.segment_free takes it
         self.segments = []
         for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
             abx, aby = bx - ax, by - ay
@@ -369,13 +369,13 @@ class SinkTracker:
     def advance(self, state):
         """Move seg_idx to the nearest of segments seg_idx to seg_idx +
         MonitorConfig.window: the earliest on ties, and the first whose
-        distance is NaN, as np.argmin over planner.point_segment_distance
-        picks."""
+        distance is NaN, as np.argmin over the segments' distances picks."""
         px, py = state.pos.tolist()
         nearest, nearest_d = self.seg_idx, math.inf
         for i in range(self.seg_idx, min(self.seg_idx + MonitorConfig.window + 1, len(self.segments))):
             ax, ay, abx, aby, denom = self.segments[i]
-            # point_segment_distance's operations, in its order
+            # the distance to the clipped foot a + t * (b - a), in the order
+            # of planner.segment_free's operations
             t = min(max(((px - ax) * abx + (py - ay) * aby) / denom, 0.0), 1.0)
             ex = px - (ax + t * abx)
             ey = py - (ay + t * aby)

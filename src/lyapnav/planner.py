@@ -1,12 +1,22 @@
 """RRT over the 2D plane with exact segment-disc collision checks; a plan is
-the grown tree's root-to-goal chain."""
+the grown tree's root-to-goal chain.
+
+A clearance check tests only the hazards that the world's envs.HazardIndex
+finds near the segment, in Python floats. The samples and the steering
+step are Python float arithmetic on PCG64 doubles drawn DRAW_BLOCK at a
+time; only the nearest-node search runs in numpy. Plans are bit for bit
+those of numpy's per-sample draws and all-hazards scan."""
 
 import json
+import math
 from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import envs
+
+
+DRAW_BLOCK = 64  # PCG64 doubles plan_path draws per rng.random call
 
 
 class PlanNotFound(RuntimeError):
@@ -29,66 +39,88 @@ class PlannerConfig:
         return cls(step_size=0.25 * scale, goal_tol=0.25 * scale)
 
 
-def point_segment_distance(p, a, b):
-    """Exact distance from point p to segment [a, b], broadcast over leading
-    axes: many points against one segment, or one point against many."""
-    p, a, b = np.asarray(p, dtype=float), np.asarray(a, dtype=float), np.asarray(b, dtype=float)
-    # on coordinate columns, the operations of clip(sum((p - a) * ab) /
-    # sum(ab * ab), 0, 1) and norm(p - (a + t * ab), axis=-1) in their order,
-    # so the result is theirs bit for bit without their per-call overhead
-    px, py, ax, ay = p[..., 0], p[..., 1], a[..., 0], a[..., 1]
-    abx = b[..., 0] - ax
-    aby = b[..., 1] - ay
-    denom = abx * abx + aby * aby
-    t = (px - ax) * abx + (py - ay) * aby
-    t = np.minimum(np.maximum(t / np.where(denom == 0.0, 1.0, denom), 0.0), 1.0)
-    ex = px - (ax + t * abx)
-    ey = py - (ay + t * aby)
-    return np.sqrt(ex * ex + ey * ey)
-
-
 def segment_free(p, q, world, margin):
     """True iff the segment keeps strictly more than radius+margin clearance
-    from every hazard center."""
+    from every hazard center.
+
+    Only the hazards that world.hazard_index() finds near the segment's
+    bounding box, grown by the largest radius + margin, are tested. A
+    hazard's distance is the one from its centre c to the foot p + t * ab,
+    ab = q - p and t = clip(((c - p) . ab) / |ab|^2, 0, 1), with |ab|^2
+    taken as 1 for a zero-length segment, computed in Python floats, which
+    round as float64 does. The first blocking hazard ends the test."""
     if margin < 0:
         raise ValueError("margin must be nonnegative")
-    hz = world.hazards
-    return bool((point_segment_distance(hz[:, :2], p, q) > hz[:, 2] + margin).all())
+    px, py, qx, qy = float(p[0]), float(p[1]), float(q[0]), float(q[1])
+    abx = qx - px
+    aby = qy - py
+    denom = abx * abx + aby * aby
+    if denom == 0.0:
+        denom = 1.0
+    # a NaN coordinate falls through both orderings into the box, where the
+    # index answers it with every hazard
+    x0, x1 = (px, qx) if px <= qx else (qx, px)
+    y0, y1 = (py, qy) if py <= qy else (qy, py)
+    index = world.hazard_index()
+    for cx, cy, r in index.near(x0, y0, x1, y1, index.reach + margin):
+        t = min(max(((cx - px) * abx + (cy - py) * aby) / denom, 0.0), 1.0)
+        ex = cx - (px + t * abx)
+        ey = cy - (py + t * aby)
+        if not math.sqrt(ex * ex + ey * ey) > r + margin:
+            return False
+    return True
+
+
+def _uniforms(rng):
+    """rng.random()'s doubles, one at a time, drawn DRAW_BLOCK at a call."""
+    while True:
+        yield from rng.random(DRAW_BLOCK).tolist()
 
 
 def plan_path(world, cfg=None, seed=0):
     """Start-to-goal waypoint path: grow a collision-free RRT from world.start
     until a node can connect the final goal, then return that node's
     root-to-node chain followed by the goal. Raises PlanNotFound after
-    cfg.max_iters samples."""
+    cfg.max_iters samples.
+
+    The samples take the doubles of default_rng(seed).random() in order: one
+    for the goal bias, then, unless it picks the goal, x and y as
+    rng.uniform(0.0, world.size) makes them, 0.0 + size * u."""
     cfg = cfg or PlannerConfig.for_world(world)
-    rng = np.random.default_rng(seed)
+    uniform = _uniforms(np.random.default_rng(seed)).__next__
     goal = np.asarray(world.goal, dtype=float)
+    gx, gy = goal.tolist()
+    size = float(world.size)
     # node coordinates as two contiguous columns for the nearest-node search
     xs, ys = np.empty((2, cfg.max_iters + 1))
     xs[0], ys[0] = world.start
     parents = [-1]  # parent index per node; node 0 is the start
     n = 1
     for _ in range(cfg.max_iters):
-        if rng.random() < cfg.goal_bias:
-            sample = goal.copy()
+        if uniform() < cfg.goal_bias:
+            sx, sy = gx, gy
         else:
-            sample = rng.uniform(0.0, world.size, size=2)
-        dx = xs[:n] - sample[0]
-        dy = ys[:n] - sample[1]
+            sx = 0.0 + size * uniform()
+            sy = 0.0 + size * uniform()
+        dx = xs[:n] - sx
+        dy = ys[:n] - sy
         d = np.sqrt(dx * dx + dy * dy)
         nearest = int(d.argmin())
-        dist = d[nearest]
+        dist = float(d[nearest])
         if dist == 0.0:
             continue
-        base = np.array([xs[nearest], ys[nearest]])
-        new = sample if dist <= cfg.step_size else base + (sample - base) * (cfg.step_size / dist)
-        if not segment_free(base, new, world, cfg.margin):
+        bx, by = float(xs[nearest]), float(ys[nearest])
+        if dist <= cfg.step_size:
+            nx, ny = sx, sy
+        else:
+            f = cfg.step_size / dist
+            nx, ny = bx + (sx - bx) * f, by + (sy - by) * f
+        if not segment_free((bx, by), (nx, ny), world, cfg.margin):
             continue
         parents.append(nearest)
-        xs[n], ys[n] = new
+        xs[n], ys[n] = nx, ny
         n += 1
-        if envs.distance(new, goal) <= cfg.goal_tol and segment_free(new, goal, world, cfg.margin):
+        if envs.distance(np.array([nx, ny]), goal) <= cfg.goal_tol and segment_free((nx, ny), goal, world, cfg.margin):
             chain = [n - 1]
             while parents[chain[-1]] != -1:
                 chain.append(parents[chain[-1]])

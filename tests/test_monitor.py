@@ -7,8 +7,9 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyapnav import envs, harness, monitor, nn, planner
+from lyapnav import envs, harness, monitor, nn
 from lyapnav.envs import RobotKind
+from test_oracles import oracle_point_segment_distance
 
 
 def quad_v(k):
@@ -262,7 +263,7 @@ def _oracle_checked_tracker(log):
             super().advance(state)
             last = len(self.path) - 1
             dists = [
-                planner.point_segment_distance(state.pos, self.path[seg], self.path[min(seg + 1, last)])
+                oracle_point_segment_distance(state.pos, self.path[seg], self.path[min(seg + 1, last)])
                 for seg in range(lo, min(lo + monitor.MonitorConfig.window + 1, max(last, 1)))
             ]
             assert self.seg_idx == lo + int(np.argmin(dists))

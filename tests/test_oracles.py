@@ -1,11 +1,13 @@
 """The per-step geometry and dynamics against their plain numpy spellings.
 
-``planner.point_segment_distance``, ``envs.in_hazard`` and
-``envs.hazard_observation`` run once per RRT sample or once per episode
-step, so they work on coordinate columns with bare ufuncs, and
-``envs.distance`` is the square root of a dot product. ``envs.featurize`` of
-one state, ``envs.step`` and ``monitor.SinkTracker.advance`` compute in
-Python floats, whose operations round as numpy's float64 ufuncs do, and
+``planner.segment_free`` and ``envs.in_hazard`` run once per RRT sample or
+once per episode step, so they compute in Python floats and test only the
+hazards that the world's ``envs.HazardIndex`` finds near them; their oracles
+scan every hazard with numpy. ``envs.hazard_observation`` works on
+coordinate columns with bare ufuncs, and ``envs.distance`` is the square
+root of a dot product. ``envs.featurize`` of one state, ``envs.step`` and
+``monitor.SinkTracker.advance`` compute in Python floats, whose operations
+round as numpy's float64 ufuncs do, and
 ``SinkTracker.select`` decides safety from a per-candidate table of the
 deepest safe key. The oracles below are the straightforward
 ``np.linalg.norm`` / ``np.clip`` / ``np.sum`` / ``np.hstack`` / ``np.argmin``
@@ -45,6 +47,11 @@ def oracle_point_segment_distance(p, a, b):
     denom = np.sum(ab * ab, axis=-1)
     t = np.clip(np.sum((p - a) * ab, axis=-1) / np.where(denom == 0.0, 1.0, denom), 0.0, 1.0)
     return np.linalg.norm(p - (a + t[..., None] * ab), axis=-1)
+
+
+def oracle_segment_free(p, q, world, margin):
+    hz = world.hazards
+    return bool((oracle_point_segment_distance(hz[:, :2], p, q) > hz[:, 2] + margin).all())
 
 
 def oracle_in_hazard(p, world):
@@ -165,14 +172,14 @@ def oracle_train_v_6n(agent, cfg, batch):
 
 def oracle_advance(tracker, state):
     """The segment SinkTracker.advance moves to, np.argmin of
-    planner.point_segment_distance over the window's segments, and those
+    oracle_point_segment_distance over the window's segments, and those
     distances."""
     path, lo = tracker.path, tracker.seg_idx
     n_seg = max(len(path) - 1, 1)
     seg_a = path[:n_seg]
     seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
     hi = min(lo + monitor.MonitorConfig.window + 1, n_seg)
-    d = planner.point_segment_distance(state.pos, seg_a[lo:hi], seg_b[lo:hi])
+    d = oracle_point_segment_distance(state.pos, seg_a[lo:hi], seg_b[lo:hi])
     return lo + int(np.argmin(d)), d
 
 
@@ -214,26 +221,48 @@ def oracle_select(tracker, state, seg_idx):
 # --------------------------------------------------------------------- tests
 
 
+def _world(hazards):
+    world = envs.empty_world()
+    world.hazards = np.asarray(hazards, dtype=float).reshape(-1, 3)
+    return world
+
+
+def assert_clearance_at_oracle_distance(p, a, b):
+    """planner.segment_free(a, b) in a world of zero-radius hazards at the
+    points p decides as the oracle's distances do, at margins 0, 1, the
+    nearest distance d and the float just below d. Blocked at d and clear
+    just below it pin the distance segment_free computes to d's bits."""
+    pts = np.asarray(p, dtype=float).reshape(-1, 2)
+    world = _world(np.column_stack([pts, np.zeros(len(pts))]))
+    d = oracle_point_segment_distance(pts, a, b)
+    nearest = float(np.min(d))  # NaN if any distance is NaN
+    margins = [0.0, 1.0]
+    if nearest > 0.0:
+        margins += [nearest, float(np.nextafter(nearest, -np.inf))]
+    for m in margins:
+        assert planner.segment_free(a, b, world, m) is bool(np.all(d > m)), (p, a, b, m)
+
+
 def test_point_segment_distance_matches_oracle_bitwise():
+    # segment_free's distance, read through its clearance decisions
     rng = np.random.default_rng(0)
-    for _ in range(300):
+    for _ in range(100):
         scale = 10.0 ** rng.integers(-3, 3)
         p, a, b = rng.normal(size=(3, 2)) * scale
         pts = rng.normal(size=(int(rng.integers(1, 40)), 2)) * scale
-        a_s, b_s = rng.normal(size=(2, len(pts), 2)) * scale
+        a_s, b_s = rng.normal(size=(2, 8, 2)) * scale
         b_s[::3] = a_s[::3]  # zero-length segments
         cases = [
             (p, a, b),
             (p, a, a),  # zero-length segment
-            (pts, a, b),  # many points, one segment (segment_free)
-            (p, a_s, b_s),  # one point, many segments (SinkTracker.advance)
-            (pts, a_s, b_s),
+            (pts, a, b),  # many hazards, one segment
+            *((p, a_, b_) for a_, b_ in zip(a_s, b_s)),  # one hazard, many segments
             (a, a, b),  # endpoints: t = 0 and t = 1 exactly
             (b, a, b),
             (a + 0.5 * (b - a), a, b),
         ]
         for args in cases:
-            assert same_bits(planner.point_segment_distance(*args), oracle_point_segment_distance(*args)), args
+            assert_clearance_at_oracle_distance(*args)
 
 
 def test_point_segment_distance_matches_oracle_on_lists_and_nan():
@@ -250,13 +279,7 @@ def test_point_segment_distance_matches_oracle_on_lists_and_nan():
     ]
     with np.errstate(invalid="ignore"):  # inf / inf in the infinite segment
         for args in cases:
-            assert same_bits(planner.point_segment_distance(*args), oracle_point_segment_distance(*args)), args
-
-
-def _world(hazards):
-    world = envs.empty_world()
-    world.hazards = np.asarray(hazards, dtype=float).reshape(-1, 3)
-    return world
+            assert_clearance_at_oracle_distance(*args)
 
 
 def test_in_hazard_matches_oracle_including_the_boundary():
@@ -276,6 +299,107 @@ def test_in_hazard_matches_oracle_including_the_boundary():
             assert envs.in_hazard(p, world) is oracle_in_hazard(p, world), (n, p)
     boundary = _world([[1.0, 1.0, 0.2]])
     assert envs.in_hazard([1.0, 1.2], boundary) and oracle_in_hazard([1.0, 1.2], boundary)
+
+
+def _index_worlds(rng):
+    """The empty world, random worlds with mixed radii (1.3 as in
+    test_monitor's one-hazard world) on and off a level-3 map, with some
+    centres on cell boundaries, and a world whose hazards lie past
+    envs.INDEX_LIMIT, are not finite, or have an infinite or NaN radius."""
+    worlds = [_world([])]
+    for n in (1, 3, 8, 40, 128):
+        for lo, hi in ((0.0, 16.0), (-5.0, 21.0)):
+            c = rng.uniform(lo, hi, size=(n, 2))
+            edge = rng.random(n) < 0.3
+            c[edge] = np.round(c[edge] * 2.0) / 2.0
+            worlds.append(_world(np.column_stack([c, rng.choice([0.0, 0.05, 0.2, 0.35, 1.3], size=n)])))
+    inf, nan = np.inf, np.nan
+    odd = [[1e9, 2.0, 0.2], [-inf, 1.0, 0.2], [3.0, nan, 0.2], [2.0, 2.0, 1e6], [-7e4, 3.0, 0.3]]
+    worlds.append(_world(odd + [[2.0, 3.0, 0.5], [-1.0, -1.0, 0.2]]))
+    worlds.append(_world(odd[:2] + [[5.0, 5.0, inf], [-3.0, 4.0, 0.2]]))
+    worlds.append(_world([[1.0, 1.0, nan], [2.0, 2.0, 0.2]]))
+    return worlds
+
+
+def test_hazard_index_answers_as_the_full_scan():
+    # segment_free and in_hazard test only the hazards the index finds near
+    # them; HazardIndex.near's docstring says why that loses none that decide.
+    # Endpoints and positions include NaN and infinities, for which both
+    # answer as the scan does rather than raise from math.floor, and long
+    # segments, whose boxes span far more cells than hold a hazard
+    rng = np.random.default_rng(9)
+    inf, nan = np.inf, np.nan
+    odd = [(nan, 1.0), (1.0, nan), (inf, 2.0), (2.0, -inf), (-inf, inf), (nan, nan), (7e4, 1.0), (-6e4, -6e4)]
+    seen = {"blocked": 0, "clear": 0, "in": 0, "out": 0}
+    for world in _index_worlds(rng):
+        ends = list(rng.uniform(-6.0, 22.0, size=(120, 2))) + [np.array(p) for p in odd]
+        for p in ends:
+            for q in (p + rng.uniform(-1.5, 1.5, size=2), rng.uniform(-6.0, 22.0, size=2), p, np.round(p), -p):
+                margin = float(rng.choice([0.0, 0.2, 0.5, 1e300]))
+                with np.errstate(invalid="ignore", over="ignore"):
+                    want = oracle_segment_free(p, q, world, margin)
+                    assert planner.segment_free(p, q, world, margin) is want, (world.hazards, p, q, margin)
+                    assert planner.segment_free(list(q), tuple(p), world, margin) is oracle_segment_free(q, p, world, margin)
+                seen["clear" if want else "blocked"] += 1
+            with np.errstate(invalid="ignore"):
+                want = oracle_in_hazard(p, world)
+            assert envs.in_hazard(p, world) is want, (world.hazards, p)
+            seen["in" if want else "out"] += 1
+    assert min(seen.values()) >= 50, seen
+    # a segment across the whole index, in a world of two far-apart hazards
+    far = _world([[-6e4, 0.0, 0.2], [6e4, 1.0, 0.2]])
+    assert planner.segment_free([-6.5e4, -1.0], [6.5e4, -1.0], far, 0.0)
+    assert not planner.segment_free([-6.5e4, 0.0], [6.5e4, 0.0], far, 0.0)
+
+
+def test_hazard_index_at_exact_thresholds():
+    # a hazard at distance exactly radius + margin from an axis-aligned
+    # segment (dyadic coordinates, so every distance is exact) blocks it,
+    # and one float farther it does not; a point at distance exactly the
+    # radius from a centre is inside. Centres and points sit on cell
+    # boundaries and in the cells next to them
+    rng = np.random.default_rng(10)
+    seen = {"segment": 0, "point": 0}
+    for _ in range(300):
+        r = rng.integers(0, 8) / 16.0
+        margin = float(rng.integers(0, 8) / 16.0)
+        x0, y0 = rng.integers(-8, 40, size=2) / 2.0
+        length = rng.integers(0, 9) / 4.0
+        h = r + margin
+        # each centre with the direction in which it leaves the segment
+        if rng.random() < 0.5:  # horizontal segment; hazard beside or beyond it
+            a, b = np.array([x0, y0]), np.array([x0 + length, y0])
+            beside = x0 + rng.integers(0, 5) / 4.0 * length
+            centres = [((beside, y0 + h), (0, 1)), ((x0 + length + h, y0), (1, 0)), ((x0 - h, y0), (-1, 0))]
+        else:  # vertical
+            a, b = np.array([x0, y0]), np.array([x0, y0 - length])
+            beside = y0 - rng.integers(0, 5) / 4.0 * length
+            centres = [((x0 - h, beside), (-1, 0)), ((x0, y0 - length - h), (0, -1)), ((x0, y0 + h), (0, 1))]
+        filler = [[*rng.uniform(-6.0, 22.0, size=2), rng.integers(1, 8) / 16.0] for _ in range(rng.integers(0, 30))]
+        for (cx, cy), away in centres:
+            farther = [np.nextafter(x, np.inf * s) if s else x for x, s in zip((cx, cy), away)]
+            for c in [(cx, cy), farther]:
+                world = _world(filler + [[c[0], c[1], r]])
+                d = float(oracle_point_segment_distance(c, a, b))
+                seen["segment"] += d == h
+                assert planner.segment_free(a, b, world, margin) is oracle_segment_free(a, b, world, margin)
+            world = _world(filler + [[cx, cy, r]])
+            for p in ([cx + r, cy], [cx, cy - r], [cx - r, cy], [cx, np.nextafter(cy + r, np.inf)]):
+                seen["point"] += float(np.hypot(p[0] - cx, p[1] - cy)) == r
+                assert envs.in_hazard(p, world) is oracle_in_hazard(p, world), (p, cx, cy, r)
+    assert min(seen.values()) >= 100, seen
+
+
+def test_hazard_index_follows_replaced_hazards():
+    world = _world([[1.0, 1.0, 0.2]])
+    assert envs.in_hazard([1.0, 1.1], world)
+    assert not planner.segment_free([0.0, 1.0], [2.0, 1.0], world, 0.0)
+    with pytest.raises(ValueError):  # the indexed array is read-only
+        world.hazards[0, 0] = 3.0
+    world.hazards = np.array([[3.0, 3.0, 0.2]])
+    assert not envs.in_hazard([1.0, 1.1], world)
+    assert planner.segment_free([0.0, 1.0], [2.0, 1.0], world, 0.0)
+    assert envs.in_hazard([3.0, 3.1], world)
 
 
 @pytest.mark.parametrize("kind", list(RobotKind))

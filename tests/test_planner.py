@@ -7,20 +7,25 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from lyapnav import envs, planner
+from lyapnav import envs, harness, planner
+from test_oracles import oracle_point_segment_distance as point_segment_distance
+
+
+# the oracle segment_free's distances are checked against bit for bit
+# (tests/test_oracles.py), against hand-computed and densely sampled distances
 
 
 def test_point_segment_distance_analytic_cases():
     # oracles computed by hand
-    assert planner.point_segment_distance([0, 1], [-1, 0], [1, 0]) == pytest.approx(1.0)
-    assert planner.point_segment_distance([2, 1], [-1, 0], [1, 0]) == pytest.approx(np.sqrt(2))
-    assert planner.point_segment_distance([0.5, 0], [-1, 0], [1, 0]) == pytest.approx(0.0)
-    assert planner.point_segment_distance([3, 4], [0, 0], [0, 0]) == pytest.approx(5.0)
+    assert point_segment_distance([0, 1], [-1, 0], [1, 0]) == pytest.approx(1.0)
+    assert point_segment_distance([2, 1], [-1, 0], [1, 0]) == pytest.approx(np.sqrt(2))
+    assert point_segment_distance([0.5, 0], [-1, 0], [1, 0]) == pytest.approx(0.0)
+    assert point_segment_distance([3, 4], [0, 0], [0, 0]) == pytest.approx(5.0)
     # the same cases as one array of points against one segment
-    d = planner.point_segment_distance([[0, 1], [2, 1], [0.5, 0]], [-1, 0], [1, 0])
+    d = point_segment_distance([[0, 1], [2, 1], [0.5, 0]], [-1, 0], [1, 0])
     assert d == pytest.approx([1.0, np.sqrt(2), 0.0])
     # and one point against an array of segments, the last of zero length
-    d = planner.point_segment_distance([3, 4], [[-1, 4], [0, 0]], [[1, 4], [0, 0]])
+    d = point_segment_distance([3, 4], [[-1, 4], [0, 0]], [[1, 4], [0, 0]])
     assert d == pytest.approx([2.0, 5.0])
 
 
@@ -32,19 +37,19 @@ def test_point_segment_distance_matches_dense_sampling():
         ts = np.linspace(0, 1, 2001)
         pts = a + ts[:, None] * (b - a)
         dense = np.min(np.linalg.norm(pts - p, axis=1))
-        assert planner.point_segment_distance(p, a, b) == pytest.approx(dense, abs=1e-3)
+        assert point_segment_distance(p, a, b) == pytest.approx(dense, abs=1e-3)
 
 
 def test_point_segment_distance_broadcast_equals_row_calls():
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(40, 2))
     a, b = rng.normal(size=(2, 2))
-    rows = [planner.point_segment_distance(p, a, b) for p in pts]
-    assert np.array_equal(planner.point_segment_distance(pts, a, b), rows)
+    rows = [point_segment_distance(p, a, b) for p in pts]
+    assert np.array_equal(point_segment_distance(pts, a, b), rows)
     a_s, b_s = rng.normal(size=(2, 40, 2))
     b_s[7] = a_s[7]  # zero-length segment
-    rows = [planner.point_segment_distance(pts[0], a_, b_) for a_, b_ in zip(a_s, b_s)]
-    assert np.array_equal(planner.point_segment_distance(pts[0], a_s, b_s), rows)
+    rows = [point_segment_distance(pts[0], a_, b_) for a_, b_ in zip(a_s, b_s)]
+    assert np.array_equal(point_segment_distance(pts[0], a_s, b_s), rows)
     assert rows[7] == pytest.approx(np.linalg.norm(pts[0] - a_s[7]))
 
 
@@ -165,6 +170,13 @@ PINNED_PLANS = {
 }
 
 
+# SHA-256 over the concatenated plans of the nav benchmark suites
+# (bench/workloads.py): plan_path(make_world(level, ws), seed=ws) with ws =
+# harness.episode_world_seed(k, 0) for level 1, k < 64 (nav-l1-point) and
+# then level 3, k < 14 (nav-l3-sweeping), recorded before the hazard index
+PINNED_SUITE_PLANS = "0437465177b36ac1993a722621f0b9d7673a5e1df0423ac7c0cd9a0cbd2d42d6"
+
+
 @pytest.mark.parametrize("level", [1, 2, 3])
 def test_plans_are_pinned_bit_for_bit(level):
     digests = [
@@ -173,3 +185,12 @@ def test_plans_are_pinned_bit_for_bit(level):
     ]
     moved = [seed for seed in range(10) if digests[seed] != PINNED_PLANS[level][seed]]
     assert not moved, f"level {level} plans moved at seeds {moved}"
+
+
+def test_benchmark_suite_plans_are_pinned_bit_for_bit():
+    h = hashlib.sha256()
+    for level, suite in ((1, 64), (3, 14)):
+        for k in range(suite):
+            ws = harness.episode_world_seed(k, 0)
+            h.update(planner.plan_path(envs.make_world(level, ws), seed=ws).tobytes())
+    assert h.hexdigest() == PINNED_SUITE_PLANS
