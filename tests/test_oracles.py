@@ -246,17 +246,18 @@ def assert_clearance_at_oracle_distance(p, a, b):
 def test_point_segment_distance_matches_oracle_bitwise():
     # segment_free's distance, read through its clearance decisions
     rng = np.random.default_rng(0)
-    for _ in range(100):
+    for _ in range(300):
         scale = 10.0 ** rng.integers(-3, 3)
         p, a, b = rng.normal(size=(3, 2)) * scale
         pts = rng.normal(size=(int(rng.integers(1, 40)), 2)) * scale
-        a_s, b_s = rng.normal(size=(2, 8, 2)) * scale
+        a_s, b_s = rng.normal(size=(2, len(pts), 2)) * scale
         b_s[::3] = a_s[::3]  # zero-length segments
         cases = [
             (p, a, b),
             (p, a, a),  # zero-length segment
             (pts, a, b),  # many hazards, one segment
             *((p, a_, b_) for a_, b_ in zip(a_s, b_s)),  # one hazard, many segments
+            *zip(pts, a_s, b_s),  # each hazard with its own segment
             (a, a, b),  # endpoints: t = 0 and t = 1 exactly
             (b, a, b),
             (a + 0.5 * (b - a), a, b),
@@ -339,7 +340,8 @@ def test_hazard_index_answers_as_the_full_scan():
                 with np.errstate(invalid="ignore", over="ignore"):
                     want = oracle_segment_free(p, q, world, margin)
                     assert planner.segment_free(p, q, world, margin) is want, (world.hazards, p, q, margin)
-                    assert planner.segment_free(list(q), tuple(p), world, margin) is oracle_segment_free(q, p, world, margin)
+                    back = oracle_segment_free(q, p, world, margin)
+                    assert planner.segment_free(list(q), tuple(p), world, margin) is back
                 seen["clear" if want else "blocked"] += 1
             with np.errstate(invalid="ignore"):
                 want = oracle_in_hazard(p, world)
