@@ -95,6 +95,14 @@ def cmd_build_lut(args):
     with open(args.out, "w") as f:
         f.write(lut.to_json())
     print(f"lookup table with {lut.keys.size} levels, radii [{lut.radii[0]:.3f}, {lut.radii[-1]:.3f}] -> {args.out}")
+    # flagged, not refused: the table breaks the requirement on PlannerConfig.margin
+    smallest = lut.radii[0] * monitor.MonitorConfig.radius_inflation
+    if smallest >= planner.PlannerConfig.margin:
+        print(
+            f"warning: smallest inflated certified radius {smallest:.3f} is not below the planner margin "
+            f"{planner.PlannerConfig.margin}; the monitor may stall in tight passages",
+            file=sys.stderr,
+        )
     return 0
 
 
@@ -104,7 +112,7 @@ def cmd_plan(args):
             world = envs.World.from_json(f.read())
     else:
         world = envs.make_world(args.level, args.seed)
-    cfg = planner.PlannerConfig.for_world(world)
+    cfg = planner.PlannerConfig()
     try:
         path = planner.plan_path(world, cfg, args.seed)
     except planner.PlanNotFound as exc:
@@ -149,7 +157,7 @@ def cmd_report(args):
 def build_parser():
     p = argparse.ArgumentParser(prog="lyapnav", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
-    robots = [k.value for k in RobotKind]
+    robots = harness.ROBOTS
 
     t = sub.add_parser("train", help="co-learn policy and Lyapunov networks")
     t.add_argument("--robot", choices=robots, required=True)

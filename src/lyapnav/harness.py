@@ -23,6 +23,7 @@ STEP_CAPS = {1: 1000, 2: 4000, 3: 16_000}
 
 METHODS = ("monitored", "e2e", "h-e2e", "direct")
 OUTCOMES = ("reached", "violated", "stalled", "timeout", "plan_failed")
+ROBOTS = tuple(k.value for k in RobotKind)
 
 
 @dataclass
@@ -280,7 +281,8 @@ def write_reports(summaries, episodes, out_dir):
 def read_episodes(path):
     """Episode reports from an episodes.csv as write_reports writes it. A
     missing column, a short or long row, a non-integer level, seed or step
-    count, or an unknown outcome raises ValueError naming the line."""
+    count, or a method, robot or outcome outside METHODS, ROBOTS or
+    OUTCOMES raises ValueError naming the line."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [k for k in EPISODE_FIELDS if k not in (reader.fieldnames or ())]
@@ -295,7 +297,8 @@ def read_episodes(path):
                 e = EpisodeReport(**{f.name: f.type(row[f.name]) for f in fields(EpisodeReport)})
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
-            if e.outcome not in OUTCOMES:
-                raise ValueError(f"{where}: outcome must be one of {OUTCOMES}, got {e.outcome!r}")
+            for name, known in (("method", METHODS), ("robot", ROBOTS), ("outcome", OUTCOMES)):
+                if getattr(e, name) not in known:
+                    raise ValueError(f"{where}: {name} must be one of {known}, got {getattr(e, name)!r}")
             episodes.append(e)
     return episodes

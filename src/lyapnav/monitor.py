@@ -32,12 +32,14 @@ class MonitorStall(RuntimeError):
 
 @dataclass
 class SearchConfig:
-    beta: float = 1e3  # penalty weight keeping iterates inside the sublevel set
+    """The sublevel search's one setting: class constants bar the chains' count and length."""
+
+    beta: ClassVar[float] = 1e3  # penalty weight keeping iterates inside the sublevel set
     n_starts: int = 64
     n_steps: int = 200
-    step_init: float = 0.2  # normalized-gradient step sizes, geometric decay
-    step_final: float = 1e-3
-    feas_tol: float = 1e-4  # slack on V <= C when harvesting feasible points
+    step_init: ClassVar[float] = 0.2  # normalized-gradient step sizes, geometric decay
+    step_final: ClassVar[float] = 1e-3
+    feas_tol: ClassVar[float] = 1e-4  # slack on V <= C when harvesting feasible points
 
 
 def heading_projection(kind):

@@ -10,6 +10,7 @@ those of numpy's per-sample draws and all-hazards scan."""
 import json
 import math
 from dataclasses import asdict, dataclass
+from typing import ClassVar
 
 import numpy as np
 
@@ -25,18 +26,15 @@ class PlanNotFound(RuntimeError):
 
 @dataclass
 class PlannerConfig:
-    # extra clearance beyond the hazard radius; must exceed the monitor's
-    # smallest inflated certificate radius or tight passages livelock
-    margin: float = 0.2
-    step_size: float = 0.25  # scaled with map size by for_world
-    goal_bias: float = 0.1
-    max_iters: int = 20_000
-    goal_tol: float = 0.25
+    """The planner's one setting: class constants bar the iteration cap."""
 
-    @classmethod
-    def for_world(cls, world):
-        scale = world.size / 4.0
-        return cls(step_size=0.25 * scale, goal_tol=0.25 * scale)
+    # extra clearance beyond the hazard radius. It must exceed the monitor's
+    # smallest inflated certificate radius, radii[0] * radius_inflation, or
+    # tight passages livelock; the cached point and car tables do not meet
+    # that requirement, and build-lut flags each table that does not
+    margin: ClassVar[float] = 0.2
+    goal_bias: ClassVar[float] = 0.1
+    max_iters: int = 20_000
 
 
 def segment_free(p, q, world, margin):
@@ -86,7 +84,9 @@ def plan_path(world, cfg=None, seed=0):
     The samples take the doubles of default_rng(seed).random() in order: one
     for the goal bias, then, unless it picks the goal, x and y as
     rng.uniform(0.0, world.size) makes them, 0.0 + size * u."""
-    cfg = cfg or PlannerConfig.for_world(world)
+    cfg = cfg or PlannerConfig()
+    margin, goal_bias = cfg.margin, cfg.goal_bias
+    step = tol = 0.25 * (world.size / 4.0)  # steering step and goal tolerance
     uniform = _uniforms(np.random.default_rng(seed)).__next__
     goal = np.asarray(world.goal, dtype=float)
     gx, gy = goal.tolist()
@@ -97,7 +97,7 @@ def plan_path(world, cfg=None, seed=0):
     parents = [-1]  # parent index per node; node 0 is the start
     n = 1
     for _ in range(cfg.max_iters):
-        if uniform() < cfg.goal_bias:
+        if uniform() < goal_bias:
             sx, sy = gx, gy
         else:
             sx = 0.0 + size * uniform()
@@ -110,17 +110,17 @@ def plan_path(world, cfg=None, seed=0):
         if dist == 0.0:
             continue
         bx, by = float(xs[nearest]), float(ys[nearest])
-        if dist <= cfg.step_size:
+        if dist <= step:
             nx, ny = sx, sy
         else:
-            f = cfg.step_size / dist
+            f = step / dist
             nx, ny = bx + (sx - bx) * f, by + (sy - by) * f
-        if not segment_free((bx, by), (nx, ny), world, cfg.margin):
+        if not segment_free((bx, by), (nx, ny), world, margin):
             continue
         parents.append(nearest)
         xs[n], ys[n] = nx, ny
         n += 1
-        if envs.distance(np.array([nx, ny]), goal) <= cfg.goal_tol and segment_free((nx, ny), goal, world, cfg.margin):
+        if envs.distance(np.array([nx, ny]), goal) <= tol and segment_free((nx, ny), goal, world, margin):
             chain = [n - 1]
             while parents[chain[-1]] != -1:
                 chain.append(parents[chain[-1]])

@@ -313,7 +313,7 @@ def test_criterion_8_planner_suite():
     t0 = time.time()
     for seed in range(100):
         world = envs.make_world(1, seed=seed)
-        cfg = planner.PlannerConfig.for_world(world)
+        cfg = planner.PlannerConfig()
         path = planner.plan_path(world, cfg, seed=seed)
         assert np.allclose(path[0], world.start) and np.allclose(path[-1], world.goal)
         for a, b in zip(path[:-1], path[1:]):
@@ -324,7 +324,7 @@ def test_criterion_8_planner_suite():
         for t in np.linspace(0, 2 * np.pi, 24, endpoint=False)
     ]
     world.hazards = np.array(ring)
-    cfg = planner.PlannerConfig.for_world(world)
+    cfg = planner.PlannerConfig()
     cfg.max_iters = 3000
     with pytest.raises(planner.PlanNotFound):
         planner.plan_path(world, cfg, seed=0)

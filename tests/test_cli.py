@@ -122,7 +122,7 @@ def test_plan_writes_the_path_a_bench_episode_follows(tmp_path, sweeping_agent, 
     world = envs.make_world(3, seed)
     rep = harness.run_episode("monitored", sweeping_agent, world, lut=sweeping_lut, plan_seed=seed)
     assert rep.outcome == "plan_failed" and len(planned) == 1
-    assert out.read_text() == planner.path_to_json(planned[0], planner.PlannerConfig.for_world(world), seed)
+    assert out.read_text() == planner.path_to_json(planned[0], planner.PlannerConfig(), seed)
     assert np.array(json.loads(out.read_text())["waypoints"]).tobytes() == planned[0].tobytes()
 
 
@@ -208,6 +208,23 @@ def test_build_lut_on_a_negative_sample_count_is_a_command_error(tmp_path, sweep
     assert not out.exists()
 
 
+@pytest.mark.parametrize("smallest, flagged", [(0.19, False), (0.2, True)])
+def test_build_lut_flags_a_table_wider_than_the_planner_margin(tmp_path, monkeypatch, capsys, smallest, flagged):
+    # a synthetic table: the flag depends only on radii[0] * radius_inflation against the margin
+    lut = monitor.RoaLut(keys=[0.1, 1.0], radii=[smallest, 2.0], box=monitor.state_box(envs.RobotKind.SWEEPING, 3.0))
+    monkeypatch.setattr(colearn.Agent, "load", lambda path: None)
+    monkeypatch.setattr(monitor, "build_agent_lut", lambda agent, n_samples, seed: lut)
+    out = tmp_path / "lut.json"
+    assert cli.main(["build-lut", "--agent", "a", "--out", str(out)]) == 0
+    assert out.read_text() == lut.to_json()
+    err = capsys.readouterr().err
+    if flagged:
+        inflated = smallest * monitor.MonitorConfig.radius_inflation
+        assert err.count("\n") == 1 and f"{inflated:.3f}" in err and f"{planner.PlannerConfig.margin}" in err, err
+    else:
+        assert err == ""
+
+
 GOOD_EPISODES = "method,robot,level,world_seed,outcome,steps\nmonitored,point,1,7,reached,40\n"
 
 
@@ -231,9 +248,20 @@ def test_report_rereads_the_episodes_it_wrote(tmp_path, capsys):
         (GOOD_EPISODES + "monitored,point,1,8,reached,40,x\n", "line 3: expected 6 fields"),
         (GOOD_EPISODES + "monitored,point,1,8,reached,4.5\n", "line 3: invalid literal for int"),
         (GOOD_EPISODES + "monitored,point,1,8,flying,40\n", "line 3: outcome must be one of"),
+        (GOOD_EPISODES + "teleport,point,1,8,reached,40\n", "line 3: method must be one of"),
+        (GOOD_EPISODES + "monitored,boat,1,8,reached,40\n", "line 3: robot must be one of"),
         ("", "has no column method, robot, level, world_seed, outcome, steps"),
     ],
-    ids=["no-steps-column", "short-row", "long-row", "non-integer-steps", "unknown-outcome", "empty-file"],
+    ids=[
+        "no-steps-column",
+        "short-row",
+        "long-row",
+        "non-integer-steps",
+        "unknown-outcome",
+        "unknown-method",
+        "unknown-robot",
+        "empty-file",
+    ],
 )
 def test_report_on_malformed_episodes_is_a_command_error(tmp_path, capsys, text, message):
     (tmp_path / "episodes.csv").write_text(text)

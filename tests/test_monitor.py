@@ -78,11 +78,12 @@ def test_lut_rejects_bad_tables():
         with pytest.raises(ValueError):
             monitor.RoaLut(keys=keys, radii=radii, box=BOX2)
     # documents that are no table: a missing entry, an unknown search
-    # setting, a box with one corner, not an object
+    # setting or a search constant, a box with one corner, not an object
     doc = json.loads(monitor.RoaLut(keys=[1.0, 2.0], radii=[1.0, 2.0], box=BOX2).to_json())
     for text, match in [
         (json.dumps({k: v for k, v in doc.items() if k != "seed"}), "no 'seed' entry"),
         (json.dumps({**doc, "search": {**doc["search"], "n_restarts": 8}}), "n_restarts"),
+        (json.dumps({**doc, "search": {**doc["search"], "beta": 1e3}}), "beta"),
         (json.dumps({**doc, "box": doc["box"][:1]}), "malformed lookup table"),
         (json.dumps([doc]), "malformed lookup table"),
     ]:

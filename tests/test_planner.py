@@ -2,7 +2,6 @@
 
 import hashlib
 import json
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -81,7 +80,7 @@ def test_paths_collision_free_on_random_worlds():
     cfg = None
     for seed in range(10):
         world = envs.make_world(1, seed=seed)
-        cfg = planner.PlannerConfig.for_world(world)
+        cfg = planner.PlannerConfig()
         path = planner.plan_path(world, cfg, seed=seed)
         for a, b in zip(path[:-1], path[1:]):
             assert planner.segment_free(a, b, world, cfg.margin)
@@ -94,7 +93,7 @@ def test_enclosed_goal_raises_plan_not_found():
     for theta in np.linspace(0, 2 * np.pi, 24, endpoint=False):
         ring.append([g[0] + 0.45 * np.cos(theta), g[1] + 0.45 * np.sin(theta), 0.2])
     world.hazards = np.array(ring)
-    cfg = planner.PlannerConfig.for_world(world)
+    cfg = planner.PlannerConfig()
     cfg.max_iters = 3000
     with pytest.raises(planner.PlanNotFound):
         planner.plan_path(world, cfg, seed=0)
@@ -105,7 +104,7 @@ def test_start_inside_hazard_raises_plan_not_found():
     # grows; the monitor's sink selection relies on this
     world = envs.empty_world()
     world.hazards = np.array([[0.6, 0.5, 0.2]])
-    cfg = replace(planner.PlannerConfig.for_world(world), max_iters=500)
+    cfg = planner.PlannerConfig(max_iters=500)
     with pytest.raises(planner.PlanNotFound):
         planner.plan_path(world, cfg, seed=0)
 
@@ -119,7 +118,7 @@ def test_plan_deterministic_per_seed():
 
 def test_path_json_roundtrip():
     world = envs.make_world(1, seed=2)
-    cfg = planner.PlannerConfig.for_world(world)
+    cfg = planner.PlannerConfig()
     path = planner.plan_path(world, cfg, seed=2)
     text = planner.path_to_json(path, cfg, seed=2)
     assert np.array_equal(json.loads(text)["waypoints"], path)
