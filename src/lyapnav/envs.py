@@ -11,6 +11,7 @@ All dynamics are Euler-integrated at the fixed step DT and deterministic.
 import enum
 import json
 import math
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -30,8 +31,7 @@ START_GOAL_CLEARANCE = 0.3  # extra clearance beyond the hazard radius
 REACH_TOL = 0.1  # goal (and waypoint) reach distance in training and evaluation
 HAZARD_PENALTY = 10.0  # reward subtracted per step that ends inside a hazard
 HAZARD_OBS_DIM = 16  # e2e observation: (dx, dy) toward each of the 8 nearest hazards
-HAZARD_CELL = 1.0  # side of a HazardIndex cell
-# A HazardIndex buckets the hazards inside [-INDEX_LIMIT, INDEX_LIMIT]^2 and
+# A HazardIndex sorts the hazards inside [-INDEX_LIMIT, INDEX_LIMIT]^2 and
 # answers queries inside it; INDEX_SLACK is what it adds to every query's reach
 INDEX_LIMIT = 2.0**16
 INDEX_SLACK = 1e-9
@@ -232,12 +232,11 @@ class World:
 
 
 class HazardIndex:
-    """A world's hazards bucketed by centre on a uniform grid of HAZARD_CELL
-    cells, so that a clearance or membership test visits only the hazards
-    near it.
+    """A world's hazards sorted by centre x, so that a clearance or
+    membership test visits only the hazards near it.
 
     Hazards whose centre or radius lies outside [-INDEX_LIMIT, INDEX_LIMIT]
-    (NaN and infinities included) are not bucketed: every query returns
+    (NaN and infinities included) are not sorted: every query returns
     them. A query box that leaves that square returns every hazard.
     """
 
@@ -245,51 +244,38 @@ class HazardIndex:
         hazards.flags.writeable = False
         self.hazards = hazards
         self.rows = hazards.tolist()
-        self.unbucketed = []
-        self.cells = {}
-        # the largest radius of a bucketed hazard, and 0 for none
-        self.reach = 0.0
-        for row in self.rows:
-            cx, cy, r = row
-            if abs(cx) <= INDEX_LIMIT and abs(cy) <= INDEX_LIMIT and abs(r) <= INDEX_LIMIT:
-                self.cells.setdefault((math.floor(cx / HAZARD_CELL), math.floor(cy / HAZARD_CELL)), []).append(row)
-                self.reach = max(self.reach, r)
-            else:
-                self.unbucketed.append(row)
+        inside = [all(abs(v) <= INDEX_LIMIT for v in row) for row in self.rows]
+        self.outside = [row for row, ok in zip(self.rows, inside) if not ok]
+        self.strip = sorted((row for row, ok in zip(self.rows, inside) if ok), key=lambda row: row[0])
+        self.xs = [row[0] for row in self.strip]
+        # the largest radius of a sorted hazard, and 0 for none
+        self.reach = max([0.0] + [row[2] for row in self.strip])
 
     def near(self, x0, y0, x1, y1, grow):
-        """The (cx, cy, r) rows of every hazard whose centre lies within
-        ``grow`` of the box [x0, x1] x [y0, y1], and maybe a few more.
+        """The (cx, cy, r) rows of every hazard outside the index's square
+        and of every hazard whose centre lies in the box [x0, x1] x [y0, y1]
+        grown by grow + INDEX_SLACK on each side.
 
-        It returns the rows of the cells that meet the box grown by grow +
-        INDEX_SLACK. The slack makes the exclusion hold for the rounded
-        distances of envs.in_hazard and planner.segment_free, not only for
-        the exact ones: a centre outside the grown box lies farther than
-        grow + INDEX_SLACK from the box, and inside INDEX_LIMIT every
-        difference, foot point and distance those two compute is exact to
-        within a few units of 2**-35, far below the slack. So the rounded distance of an excluded
-        hazard exceeds grow, and with it any threshold grow was taken from.
-        A NaN bound fails the limit test and returns every hazard.
+        Two bisections of the sorted centre x values find the rows in the
+        grown box's x range, and a test of the centre y keeps those in its y
+        range. The grown bounds are computed once per query, grow +
+        INDEX_SLACK and then each bound with one rounding apiece, so inside
+        INDEX_LIMIT a bound is within 2**-36 of the exact one; every
+        difference, foot point and distance that envs.in_hazard and
+        planner.segment_free compute is exact to within a few units of
+        2**-35. INDEX_SLACK, about 2**-30, is far above both, so a centre
+        outside the grown box lies farther than grow from the query box even
+        in those rounded distances, and with it farther than any threshold
+        grow was taken from. A NaN bound fails the limit test and returns
+        every hazard.
         """
         g = grow + INDEX_SLACK
         x0, y0, x1, y1 = x0 - g, y0 - g, x1 + g, y1 + g
         if not (-INDEX_LIMIT <= x0 and -INDEX_LIMIT <= y0 and x1 <= INDEX_LIMIT and y1 <= INDEX_LIMIT):
             return self.rows
-        i0, j0 = math.floor(x0 / HAZARD_CELL), math.floor(y0 / HAZARD_CELL)
-        i1, j1 = math.floor(x1 / HAZARD_CELL), math.floor(y1 / HAZARD_CELL)
-        found = list(self.unbucketed)
-        cells = self.cells
-        if (i1 - i0 + 1) * (j1 - j0 + 1) <= len(cells):
-            for i in range(i0, i1 + 1):
-                for j in range(j0, j1 + 1):
-                    rows = cells.get((i, j))
-                    if rows:
-                        found += rows
-        else:  # fewer occupied cells than cells in the box
-            for (i, j), rows in cells.items():
-                if i0 <= i <= i1 and j0 <= j <= j1:
-                    found += rows
-        return found
+        xs = self.xs
+        band = self.strip[bisect_left(xs, x0) : bisect_right(xs, x1)]
+        return self.outside + [row for row in band if y0 <= row[1] <= y1]
 
 
 def empty_world():

@@ -3,6 +3,9 @@
 import hashlib
 import json
 import math
+import os
+import subprocess
+import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -243,34 +246,75 @@ def test_render_table_columns():
 # (outcome, steps, SHA-256 over the pos and intrinsic bytes of every stepped
 # state) of the monitored level-1 episode on world episode_world_seed(k, 0),
 # k = 0..3, with each cached agent and table, recorded before the monitored
-# step's single-state arithmetic moved to Python floats. V's two forwards
-# per step are BLAS gemms, so these bits hold for this machine's BLAS build
-# (OpenBLAS 0.3.31, SkylakeX kernels); any change that moves a single bit of
-# a trajectory fails here.
+# step's single-state arithmetic moved to Python floats; any change that
+# moves a single bit of a trajectory fails here. V's two forwards per step
+# are BLAS gemms, so the bits depend on the BLAS build (OpenBLAS 0.3.31, as
+# bundled with numpy 2.4.6) and on the kernels it runs, which are keyed here
+# by OpenBLAS core. Every AVX2-only CPU, AMD Zen included, runs the Haswell
+# kernels; their digests were recorded under OPENBLAS_CORETYPE=Haswell on one
+# BLAS thread (two threads give the same). Outcomes and step counts agree
+# across kernels.
 PINNED_TRAJECTORIES = {
-    "sweeping": [
-        ("reached", 36, "ec3eaa291edce7f43edf49b532246d4eec6754cc18489bf5dac6c9576ef6a540"),
-        ("reached", 39, "24c6838d73e7592aaa578cab2721837764ebe189e96774933a2d46b8877ef722"),
-        ("reached", 33, "3c57bd5c6721c45252e397158f3f48b3802fd3cfd7f6b45e194188e7c41fb48c"),
-        ("reached", 41, "48254044efe0227ff83a9e80bc74441da50d95e82cff5057f0a480c075952e92"),
-    ],
-    "point": [
-        ("reached", 120, "d3647d8d4abf678d4f464f848968a85c0d4920279beb13d11fb6fb3baa1357fe"),
-        ("reached", 111, "c4dba4fa377e2f53c93bee1109ab1eca98502c3666b93be8aba2867add18db4b"),
-        ("reached", 101, "775eac6d2828f35c6ad9915aee1e44892e36d8f3dd3b5cbb62b347bf9be98c2e"),
-        ("reached", 138, "00d1207c55d3358cdc765e2db2b79e8f9376b1c7850916bdbcd404ee32744ae3"),
-    ],
-    "car": [
-        ("stalled", 262, "b36901f1ffa24312eb0fdc68d7c473bfacb01f01caa0190891bdb66db00c5e86"),
-        ("timeout", 1000, "03edf977dbb3e252ecc88836e32ef04e0d46d901ce0f30c15b57a37dcf624b93"),
-        ("reached", 305, "7854048918aff9bb045dfab4ee46047fe74f9697b4e1457b7d1e36d3e1f0d75b"),
-        ("timeout", 1000, "e1096ed2a6023458c79cd6962e38c8c14d75975ea72b3f274ed3bf23a100bcff"),
-    ],
+    "SkylakeX": {
+        "sweeping": [
+            ("reached", 36, "ec3eaa291edce7f43edf49b532246d4eec6754cc18489bf5dac6c9576ef6a540"),
+            ("reached", 39, "24c6838d73e7592aaa578cab2721837764ebe189e96774933a2d46b8877ef722"),
+            ("reached", 33, "3c57bd5c6721c45252e397158f3f48b3802fd3cfd7f6b45e194188e7c41fb48c"),
+            ("reached", 41, "48254044efe0227ff83a9e80bc74441da50d95e82cff5057f0a480c075952e92"),
+        ],
+        "point": [
+            ("reached", 120, "d3647d8d4abf678d4f464f848968a85c0d4920279beb13d11fb6fb3baa1357fe"),
+            ("reached", 111, "c4dba4fa377e2f53c93bee1109ab1eca98502c3666b93be8aba2867add18db4b"),
+            ("reached", 101, "775eac6d2828f35c6ad9915aee1e44892e36d8f3dd3b5cbb62b347bf9be98c2e"),
+            ("reached", 138, "00d1207c55d3358cdc765e2db2b79e8f9376b1c7850916bdbcd404ee32744ae3"),
+        ],
+        "car": [
+            ("stalled", 262, "b36901f1ffa24312eb0fdc68d7c473bfacb01f01caa0190891bdb66db00c5e86"),
+            ("timeout", 1000, "03edf977dbb3e252ecc88836e32ef04e0d46d901ce0f30c15b57a37dcf624b93"),
+            ("reached", 305, "7854048918aff9bb045dfab4ee46047fe74f9697b4e1457b7d1e36d3e1f0d75b"),
+            ("timeout", 1000, "e1096ed2a6023458c79cd6962e38c8c14d75975ea72b3f274ed3bf23a100bcff"),
+        ],
+    },
+    "Haswell": {
+        "sweeping": [
+            ("reached", 36, "ec3eaa291edce7f43edf49b532246d4eec6754cc18489bf5dac6c9576ef6a540"),
+            ("reached", 39, "24c6838d73e7592aaa578cab2721837764ebe189e96774933a2d46b8877ef722"),
+            ("reached", 33, "060b8f0a314c5eb67858ef639acb31f0b19ad05ef22b944e14249b938d5a4d94"),
+            ("reached", 41, "48254044efe0227ff83a9e80bc74441da50d95e82cff5057f0a480c075952e92"),
+        ],
+        "point": [
+            ("reached", 120, "ad19d3cb538338203a63f529235eb5fa2781a1a047e3a32b53cf7b15feebabd0"),
+            ("reached", 111, "6644755114a9feab4aa987a9bf925963241fbaca094cc1eca6e4f081902f5c6f"),
+            ("reached", 101, "8f7277b8ba47d4bc8ace2d84c4481e0ebd979218de9136c8248b5dfebb7d3ad2"),
+            ("reached", 138, "ba235fa59b836c42353b8e16cb68722d9af5441bac0473f44787f95c7ca43bfd"),
+        ],
+        "car": [
+            ("stalled", 262, "5caa21b1a8c9ace4e470ea1ca395ba45cab81a5e711d96dcc43e47c37e2c8835"),
+            ("timeout", 1000, "b80ccd6dc32b0924ec475281f0ed3d9dfe37c9f6bfdf1501a43f72a169043ddd"),
+            ("reached", 305, "1fea9ad0e46be023b185e0de1edb5509d3e4717fddc2a85480d799173a0e296a"),
+            ("timeout", 1000, "24004e80b682aa2485ce5356b6d4e3832a791b1d043cf95b18dd4b17971f3bc0"),
+        ],
+    },
 }
+PINNED_TRAJECTORIES["Zen"] = PINNED_TRAJECTORIES["Haswell"]
 
 
-@pytest.mark.parametrize("robot", sorted(PINNED_TRAJECTORIES))
-def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, robot):
+@pytest.fixture(scope="module")
+def openblas_core():
+    """The OpenBLAS core numpy runs here: the "Core:" line that its OpenBLAS
+    logs on import under OPENBLAS_VERBOSE=2, read from a child process, which
+    inherits OPENBLAS_CORETYPE."""
+    env = {**os.environ, "OPENBLAS_VERBOSE": "2"}
+    log = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True, check=True)
+    cores = [line.removeprefix("Core:").strip() for line in log.stderr.splitlines() if line.startswith("Core:")]
+    return cores[0] if cores else None
+
+
+@pytest.mark.parametrize("robot", sorted(PINNED_TRAJECTORIES["SkylakeX"]))
+def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, openblas_core, robot):
+    if openblas_core not in PINNED_TRAJECTORIES:
+        pytest.fail(f"no trajectories are pinned for the OpenBLAS core {openblas_core!r}")
+    pinned = PINNED_TRAJECTORIES[openblas_core][robot]
     agent = request.getfixturevalue(f"{robot}_agent")
     lut = request.getfixturevalue(f"{robot}_lut")
     step = envs.step
@@ -289,5 +333,39 @@ def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, rob
         world = envs.make_world(1, harness.episode_world_seed(k, 0))
         rep = harness.run_episode("monitored", agent, world, lut=lut, plan_seed=world.seed)
         got.append((rep.outcome, rep.steps, digest.hexdigest()))
-    moved = [k for k in range(4) if got[k] != PINNED_TRAJECTORIES[robot][k]]
-    assert not moved, f"{robot} trajectories moved on worlds {moved}: {got}"
+    moved = [k for k in range(4) if got[k] != pinned[k]]
+    assert not moved, f"{robot} trajectories moved on worlds {moved} under {openblas_core}: {got}"
+
+
+def test_monitored_steps_end_inside_freshly_selected_sinks(monkeypatch, request):
+    # the monitor's per-step guarantee: a step that steers toward a freshly
+    # selected sink ends inside that sink's certified circle, uninflated.
+    # Criterion 6's level-1 worlds and the ordering gate's car worlds. A step
+    # that holds the last safe sink through a stall is not checked: the car
+    # can leave the held circle there (ROADMAP item 8)
+    target, step = monitor.SinkTracker.target, envs.step
+    steering = []  # the choice of the step under way, None when held
+    checked = {}
+
+    def recording_target(self, state):
+        pos = target(self, state)
+        steering.append(self.held if self.stall == 0 else None)
+        return pos
+
+    def recording_step(kind, s, a):
+        nxt = step(kind, s, a)
+        choice = steering.pop()
+        if choice is not None:
+            assert envs.distance(nxt.pos, choice.pos) <= choice.radius, (kind, s.pos, nxt.pos, choice)
+            checked[kind.value] += 1
+        return nxt
+
+    monkeypatch.setattr(monitor.SinkTracker, "target", recording_target)
+    monkeypatch.setattr(envs, "step", recording_step)
+    for robot, n_eps, seed in (("sweeping", 100, 0), ("point", 100, 0), ("car", 20, 1)):
+        checked[robot] = 0
+        agent = request.getfixturevalue(f"{robot}_agent")
+        lut = request.getfixturevalue(f"{robot}_lut")
+        harness.run_benchmark("monitored", agent, 1, n_eps, seed=seed, lut=lut)
+        assert not steering
+    assert min(checked.values()) > 1000, checked

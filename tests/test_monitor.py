@@ -316,6 +316,48 @@ def test_sink_tracker_advance_scans_window_plus_one_segments():
         assert tracker.seg_idx == seg
 
 
+def test_sink_tracker_target_holds_the_last_sink_through_a_stall():
+    # select picks from a script: a segment index succeeds with a sink on
+    # that segment, None raises MonitorStall
+    class Scripted(monitor.SinkTracker):
+        def select(self, state, seg_idx):
+            segment = next(self.script)
+            if segment is None:
+                raise monitor.MonitorStall("scripted stall")
+            return monitor.SinkChoice(np.array([segment + 0.5, 0.0]), 1.0, 0.1, segment, 0.5)
+
+    path = np.column_stack([np.arange(6.0), np.zeros(6)])
+    lut = monitor.RoaLut(keys=[0.01, 16.0], radii=[0.1, 0.1], box=BOX2)
+    state = envs.initial_state(RobotKind.SWEEPING)
+    patience = monitor.MonitorConfig.stall_patience
+    assert patience == 50
+
+    def tracker(script):
+        t = Scripted(path, envs.empty_world(), None, lut)
+        t.script = iter(script)
+        return t
+
+    # nothing held: the first stall raises
+    with pytest.raises(monitor.MonitorStall):
+        tracker([None]).target(state)
+    # a success, then patience stalls that each return the held sink; a
+    # success in between resets the count; the next stall past it raises
+    script = [3] + [None] * 30 + [1] + [None] * patience + [None]
+    t = tracker(script)
+    for k, segment in enumerate(script[:-1]):
+        held = t.held
+        pos = t.target(state)
+        if segment is None:
+            assert t.held is held and np.array_equal(pos, held.pos), k
+        else:
+            assert t.stall == 0 and np.array_equal(pos, [segment + 0.5, 0.0]), k
+        # seg_idx never moves back, not even to the later success on segment 1
+        assert t.seg_idx == 3, k
+    assert t.stall == patience
+    with pytest.raises(monitor.MonitorStall):
+        t.target(state)
+
+
 def test_select_sink_prefers_progress_on_clear_ground():
     # with no hazards every candidate in the window is safe (quadratic V,
     # generous table), so the farthest one must win

@@ -62,6 +62,19 @@ def oracle_in_hazard(p, world):
     return bool(np.any(d <= world.hazards[:, 2]))
 
 
+def oracle_near(hazards, x0, y0, x1, y1, grow):
+    """The rows HazardIndex.near returns: every row when the box grown by
+    grow + INDEX_SLACK leaves the index's square, else the rows with a value
+    outside the square and the rows whose centre lies in the grown box."""
+    g = grow + envs.INDEX_SLACK
+    lo, hi = np.array([x0 - g, y0 - g]), np.array([x1 + g, y1 + g])
+    if not (np.all(-envs.INDEX_LIMIT <= lo) and np.all(hi <= envs.INDEX_LIMIT)):
+        return hazards.tolist()
+    outside = ~np.all(np.abs(hazards) <= envs.INDEX_LIMIT, axis=1)
+    in_box = np.all((lo <= hazards[:, :2]) & (hazards[:, :2] <= hi), axis=1)
+    return hazards[outside | in_box].tolist()
+
+
 def oracle_featurize(x):
     x = np.asarray(x, dtype=float)
     squeeze = x.ndim == 1
@@ -305,7 +318,7 @@ def test_in_hazard_matches_oracle_including_the_boundary():
 def _index_worlds(rng):
     """The empty world, random worlds with mixed radii (1.3 as in
     test_monitor's one-hazard world) on and off a level-3 map, with some
-    centres on cell boundaries, and a world whose hazards lie past
+    centres on half units, and a world whose hazards lie past
     envs.INDEX_LIMIT, are not finite, or have an infinite or NaN radius."""
     worlds = [_world([])]
     for n in (1, 3, 8, 40, 128):
@@ -322,12 +335,24 @@ def _index_worlds(rng):
     return worlds
 
 
-def test_hazard_index_answers_as_the_full_scan():
+def test_hazard_index_answers_as_the_full_scan(monkeypatch):
     # segment_free and in_hazard test only the hazards the index finds near
     # them; HazardIndex.near's docstring says why that loses none that decide.
-    # Endpoints and positions include NaN and infinities, for which both
-    # answer as the scan does rather than raise from math.floor, and long
-    # segments, whose boxes span far more cells than hold a hazard
+    # Every query's rows are exactly oracle_near's, as a multiset (repr
+    # tells NaN and -0.0 apart). Endpoints and positions include NaN and
+    # infinities, for which both answer as the scan does rather than raise,
+    # and long segments, whose boxes span most of the map
+    near = envs.HazardIndex.near
+    queries = {"some": 0, "every": 0}
+
+    def exact(index, *box):
+        found = near(index, *box)
+        want = oracle_near(index.hazards, *box)
+        assert sorted(map(repr, found)) == sorted(map(repr, want)), (index.hazards, box)
+        queries["some" if len(want) < len(index.rows) else "every"] += 1
+        return found
+
+    monkeypatch.setattr(envs.HazardIndex, "near", exact)
     rng = np.random.default_rng(9)
     inf, nan = np.inf, np.nan
     odd = [(nan, 1.0), (1.0, nan), (inf, 2.0), (2.0, -inf), (-inf, inf), (nan, nan), (7e4, 1.0), (-6e4, -6e4)]
@@ -348,6 +373,7 @@ def test_hazard_index_answers_as_the_full_scan():
             assert envs.in_hazard(p, world) is want, (world.hazards, p)
             seen["in" if want else "out"] += 1
     assert min(seen.values()) >= 50, seen
+    assert min(queries.values()) >= 50, queries
     # a segment across the whole index, in a world of two far-apart hazards
     far = _world([[-6e4, 0.0, 0.2], [6e4, 1.0, 0.2]])
     assert planner.segment_free([-6.5e4, -1.0], [6.5e4, -1.0], far, 0.0)
@@ -358,8 +384,8 @@ def test_hazard_index_at_exact_thresholds():
     # a hazard at distance exactly radius + margin from an axis-aligned
     # segment (dyadic coordinates, so every distance is exact) blocks it,
     # and one float farther it does not; a point at distance exactly the
-    # radius from a centre is inside. Centres and points sit on cell
-    # boundaries and in the cells next to them
+    # radius from a centre is inside. Centres and points sit on multiples
+    # of 1/16 and one float past them
     rng = np.random.default_rng(10)
     seen = {"segment": 0, "point": 0}
     for _ in range(300):
