@@ -81,22 +81,41 @@ class LyapunovNet:
     down to its sink representative (zero goal vector, zero speeds, heading
     kept). This makes V vanish identically on sinks; positivity and decrease
     are shaped by training.
+
+    A robot without a heading sinks every finite state to the zero state:
+    each first-layer product of ``x * mask`` is ±0, so the pre-activation is
+    the bias exactly and f(sink(x)) over n rows depends on n alone. ``value``
+    keeps those n values for the last row count it saw (``sink_values``), and
+    ``grad`` skips the sink pass, whose ``g2 * mask`` is ±0. Both keep the
+    bits of the plain formulas: a row with a NaN or an infinity (its sink
+    image is NaN) and a gradient with a zero entry (``g1 - g2 * mask`` turns
+    -0 into +0 where g2 < 0) take the plain formulas. Whatever else writes
+    V's parameters in place or replaces ``net`` must, like
+    ``Trainer.train_v``, set ``sink_values`` to None after it.
     """
 
     def __init__(self, kind, rng=None):
         self.kind = kind
         self.mask = envs.sink_mask(kind)
         self.net = nn.Mlp([envs.state_dim(kind), *HIDDEN, 1], "identity", rng)
+        self.sink_values = None
 
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        return self.net.forward(x)[:, 0] - self.net.forward(x * self.mask)[:, 0]
+        fx = self.net.forward(x)[:, 0]
+        if envs.HAS_HEADING[self.kind] or not np.isfinite(x).all():
+            return fx - self.net.forward(x * self.mask)[:, 0]
+        if self.sink_values is None or len(self.sink_values) != len(x):
+            self.sink_values = self.net.forward(np.zeros_like(x))[:, 0]
+        return fx - self.sink_values
 
     def grad(self, x):
         """Gradient of V w.r.t. the state, one row per sample."""
         x = np.atleast_2d(np.asarray(x, dtype=float))
         ones = np.ones((x.shape[0], 1))
         g1 = self.net.input_gradients(x, ones)
+        if not envs.HAS_HEADING[self.kind] and g1.all() and np.isfinite(x).all():
+            return g1
         g2 = self.net.input_gradients(x * self.mask, ones)
         return g1 - g2 * self.mask
 
@@ -309,6 +328,7 @@ class Trainer:
         u = np.concatenate([u_s, u_s1])[:, None]
         grads, _ = ag.v.net.backward(cache, np.vstack([u, -u]))
         nn.adam_step(self.adam_v, ag.v.net.params(), grads)
+        ag.v.sink_values = None  # f(0) moved with the parameters
         return lyapunov_risk(vs, vs1), float(np.mean(pos_active)), float(np.mean(lie_active))
 
     def train_lq(self, batch):

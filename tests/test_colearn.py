@@ -334,6 +334,20 @@ def test_train_v_returns_pre_step_risk_and_hinge_fractions():
         assert nn.params_digest(agent.v.net) != before
 
 
+def test_train_v_clears_the_memo_of_the_sink_term():
+    # LyapunovNet keeps f(0) of the sweeping robot per row count; train_v's
+    # Adam step moves f(0), so V after it must be the plain formula on the
+    # updated parameters, not the memo of the old ones
+    agent = colearn.make_agent(RobotKind.SWEEPING, seed=19)
+    batch = _random_batch(RobotKind.SWEEPING, 64, np.random.default_rng(20))
+    v, x = agent.v, batch["s"]
+    v.value(x)
+    assert len(v.sink_values) == len(x)
+    colearn.Trainer(agent, colearn.TrainConfig()).train_v(batch)
+    want = v.net.forward(x)[:, 0] - v.net.forward(x * v.mask)[:, 0]
+    assert v.value(x).tobytes() == want.tobytes()
+
+
 def test_actor_step_single_critic_matches_finite_differences(monkeypatch):
     # the end-to-end baseline's actor update: one frozen critic with weight -1
     kind = RobotKind.POINT

@@ -247,7 +247,7 @@ def test_render_table_columns():
 # state) of the monitored level-1 episode on world episode_world_seed(k, 0),
 # k = 0..3, with each cached agent and table, recorded before the monitored
 # step's single-state arithmetic moved to Python floats; any change that
-# moves a single bit of a trajectory fails here. V's two forwards per step
+# moves a single bit of a trajectory fails here. V's forwards per step
 # are BLAS gemms, so the bits depend on the BLAS build (OpenBLAS 0.3.31, as
 # bundled with numpy 2.4.6) and on the kernels it runs, which are keyed here
 # by OpenBLAS core. Every AVX2-only CPU, AMD Zen included, runs the Haswell
@@ -299,6 +299,22 @@ PINNED_TRAJECTORIES = {
 PINNED_TRAJECTORIES["Zen"] = PINNED_TRAJECTORIES["Haswell"]
 
 
+# The same for the monitored level-3 sweeping episodes on worlds
+# episode_world_seed(k, 0), k = 0, 1: the first two worlds of the
+# nav-l3-sweeping benchmark suite, 16x16 with 128 hazards.
+PINNED_LEVEL3_SWEEPING = {
+    "SkylakeX": [
+        ("reached", 228, "e5bc52c649f9f93010dcb727172e14ffdbda54082392124eea4737ae14764735"),
+        ("reached", 824, "f0f437a83a2b0f0014fa67c2c7dafaad5b43d66e8f99cc66b79a2bdbf02be2cf"),
+    ],
+    "Haswell": [
+        ("reached", 228, "50454a301c3a61dd9898937e4a7582b869decb15fcba986865748b8810ee54a2"),
+        ("reached", 824, "2123a6cec803e4bd03f611a457693db500d2cbcc787f65c84e2d88bded7e2fcd"),
+    ],
+}
+PINNED_LEVEL3_SWEEPING["Zen"] = PINNED_LEVEL3_SWEEPING["Haswell"]
+
+
 @pytest.fixture(scope="module")
 def openblas_core():
     """The OpenBLAS core numpy runs here: the "Core:" line that its OpenBLAS
@@ -310,13 +326,13 @@ def openblas_core():
     return cores[0] if cores else None
 
 
-@pytest.mark.parametrize("robot", sorted(PINNED_TRAJECTORIES["SkylakeX"]))
-def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, openblas_core, robot):
-    if openblas_core not in PINNED_TRAJECTORIES:
-        pytest.fail(f"no trajectories are pinned for the OpenBLAS core {openblas_core!r}")
-    pinned = PINNED_TRAJECTORIES[openblas_core][robot]
-    agent = request.getfixturevalue(f"{robot}_agent")
-    lut = request.getfixturevalue(f"{robot}_lut")
+def assert_pinned_trajectories(monkeypatch, pins, core, agent, lut, level, name):
+    """Play the monitored episode on world episode_world_seed(k, 0) at
+    ``level`` for every k that ``pins[core]`` holds, and compare each
+    (outcome, steps, digest of the stepped states) with its pin."""
+    if core not in pins:
+        pytest.fail(f"no trajectories are pinned for the OpenBLAS core {core!r}")
+    pinned = pins[core]
     step = envs.step
     digest = None
 
@@ -328,13 +344,26 @@ def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, ope
 
     monkeypatch.setattr(envs, "step", recording)
     got = []
-    for k in range(4):
+    for k in range(len(pinned)):
         digest = hashlib.sha256()
-        world = envs.make_world(1, harness.episode_world_seed(k, 0))
+        world = envs.make_world(level, harness.episode_world_seed(k, 0))
         rep = harness.run_episode("monitored", agent, world, lut=lut, plan_seed=world.seed)
         got.append((rep.outcome, rep.steps, digest.hexdigest()))
-    moved = [k for k in range(4) if got[k] != pinned[k]]
-    assert not moved, f"{robot} trajectories moved on worlds {moved} under {openblas_core}: {got}"
+    moved = [k for k in range(len(pinned)) if got[k] != pinned[k]]
+    assert not moved, f"{name} trajectories moved on worlds {moved} under {core}: {got}"
+
+
+@pytest.mark.parametrize("robot", sorted(PINNED_TRAJECTORIES["SkylakeX"]))
+def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, openblas_core, robot):
+    agent = request.getfixturevalue(f"{robot}_agent")
+    lut = request.getfixturevalue(f"{robot}_lut")
+    pins = {core: table[robot] for core, table in PINNED_TRAJECTORIES.items()}
+    assert_pinned_trajectories(monkeypatch, pins, openblas_core, agent, lut, 1, robot)
+
+
+def test_level3_sweeping_trajectories_are_pinned_bit_for_bit(monkeypatch, openblas_core, sweeping_agent, sweeping_lut):
+    pins = PINNED_LEVEL3_SWEEPING
+    assert_pinned_trajectories(monkeypatch, pins, openblas_core, sweeping_agent, sweeping_lut, 3, "level-3 sweeping")
 
 
 def test_monitored_steps_end_inside_freshly_selected_sinks(monkeypatch, request):

@@ -20,6 +20,10 @@ place; their oracles are the plain out-of-place expressions
 and Polyak formulas), which trained parameters, V values and certificate
 tables must keep matching bit for bit.
 
+``colearn.LyapunovNet.value`` and ``grad`` take a robot without a heading's
+sink term from a memo of f(0) and drop its zero gradient term; their oracles
+are the plain ``f(x) - f(x * mask)`` and ``g1 - g2 * mask``, bit for bit.
+
 ``colearn.Trainer.train_v`` evaluates V's network on 4n rows; its oracle is
 the retired 6n-row update, which also evaluated the sinks and kept the
 V(sink)^2 term. Their gradients agree to a tolerance, not bit for bit,
@@ -695,3 +699,60 @@ def test_train_v_matches_retired_6n_stack(kind, n, monkeypatch):
     assert [g.shape for g in rec["grads"]] == [w.shape for w in want_grads]
     got, want = (np.concatenate([g.ravel() for g in grads]) for grads in (rec["grads"], want_grads))
     np.testing.assert_allclose(got, want, rtol=1e-12, atol=1e-12 * np.abs(want).max())
+
+
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_lyapunov_value_and_grad_match_plain_formulas_bitwise(kind, monkeypatch):
+    # Row counts alternate, so the sweeping robot's memo of f(0) is refilled
+    # between checks. Every other row is negative throughout. Each batch of 11
+    # rows or more is checked again with a NaN, a +inf and a -inf entry in
+    # rows 5-7 (the sink image is NaN there, so V and its gradient are NaN), a
+    # saturating row and a row of -0.0.
+    v = colearn.make_agent(kind, seed=21).v
+    net, m = v.net, v.mask
+    rng = np.random.default_rng(21)
+
+    def plain(x):
+        ones = np.ones((len(x), 1))
+        fx, fs = oracle_forward_cached(net, x), oracle_forward_cached(net, x * m)
+        g1 = oracle_backward(net, fx, ones, params=False)[1]
+        g2 = oracle_backward(net, fs, ones, params=False)[1]
+        return fx[-1][:, 0] - fs[-1][:, 0], g1, g2
+
+    def check(x):
+        with np.errstate(invalid="ignore"):  # inf * 0 in the sink image
+            want_v, g1, g2 = plain(x)
+            got_v, got_g = v.value(x), v.grad(x)
+        assert same_bits(got_v, want_v) and same_bits(got_g, g1 - g2 * m), len(x)
+        return got_v, got_g
+
+    for n in (1, 2048, 11, 256, 22, 1, 2048, 22, 11):
+        x = rng.normal(size=(n, m.size)) * 2.0
+        x[::2] = -np.abs(x[::2])
+        check(x)
+        if not envs.HAS_HEADING[kind]:
+            assert len(v.sink_values) == n  # refilled for this row count
+        if n >= 11:
+            x[[5, 6, 7], [0, -1, 0]] = (np.nan, np.inf, -np.inf)
+            x[8] = 1e6
+            x[9] = -0.0
+            got_v, got_g = check(x)
+            assert np.isnan(got_v[5:8]).all() and np.isnan(got_g[5:8]).all()
+    assert same_bits(v.value(x[0]), v.value(x[:1])) and same_bits(v.grad(x[0]), v.grad(x[:1]))
+    # an exact -0 in f's input gradient: g2 * mask is -0 where g2 < 0, and
+    # -0 - (-0) is +0, so there the plain formula is not g1
+    x = rng.normal(size=(22, m.size))
+    _, g1, g2 = plain(x)
+    g1[3] = -0.0
+    want = g1 - g2 * m
+    assert envs.HAS_HEADING[kind] or not same_bits(want, g1)
+    input_gradients = net.input_gradients
+
+    def signed_zero(z, upstream):
+        g = input_gradients(z, upstream)
+        if same_bits(z, x):  # f's own pass, not the sink image's
+            g[3] = -0.0
+        return g
+
+    monkeypatch.setattr(net, "input_gradients", signed_zero)
+    assert same_bits(v.grad(x), want)
