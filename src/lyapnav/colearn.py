@@ -105,9 +105,10 @@ class LyapunovNet:
         fx = self.net.forward(x)[:, 0]
         if envs.HAS_HEADING[self.kind] or not np.isfinite(x).all():
             return fx - self.net.forward(x * self.mask)[:, 0]
-        if self.sink_values is None or len(self.sink_values) != len(x):
-            self.sink_values = self.net.forward(np.zeros_like(x))[:, 0]
-        return fx - self.sink_values
+        sink = self.sink_values
+        if sink is None or len(sink) != len(x):
+            sink = self.sink_values = self.net.forward(np.zeros_like(x))[:, 0]
+        return fx - sink
 
     def grad(self, x):
         """Gradient of V w.r.t. the state, one row per sample."""
