@@ -107,11 +107,9 @@ def goal_condition(s, g):
     """Goal-conditioned state vector [g - pos, intrinsic]; a (k, 2) array of
     goals gives one row per goal."""
     d = np.asarray(g, dtype=float) - s.pos
-    if d.ndim == 1:
-        return np.concatenate([d, s.intrinsic])
-    out = np.empty((d.shape[0], 2 + s.intrinsic.size))
-    out[:, :2] = d
-    out[:, 2:] = s.intrinsic
+    out = np.empty(d.shape[:-1] + (2 + s.intrinsic.size,))
+    out[..., :2] = d
+    out[..., 2:] = s.intrinsic
     return out
 
 

@@ -93,7 +93,7 @@ def satisfaction_rates(value_fn, S, S1, kind):
     )
 
 
-def evaluate(agent, n=100_000, seed=0):
+def evaluate(agent, n, seed):
     """Full evaluation protocol: sample transitions with the trained policy
     and score them with the agent's Lyapunov function."""
     S, S1 = sample_transitions(agent.kind, agent.policy, n, seed)

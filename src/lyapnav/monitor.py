@@ -15,7 +15,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from . import colearn, envs, lyapunov_eval, nn
+from . import colearn, envs, lyapunov_eval, nn, planner
 
 
 class InfeasibleLevelError(RuntimeError):
@@ -219,15 +219,23 @@ def build_agent_lut(agent, n_samples, seed):
     )
 
 
+def key_index(lut, levels):
+    """The ceiling rule as key indices: the index of the smallest key >= each
+    level. A level above the largest key, or NaN, gets len(keys): it has no
+    certificate."""
+    return np.searchsorted(lut.keys, levels, side="left")
+
+
 def lut_query(lut, v):
     """Ceiling-rule lookup: radius of the smallest key >= v.
 
     Levels at or below the smallest key certify with the smallest radius.
     A level above the largest key (or NaN) has no certificate and raises.
     """
-    if not v <= lut.keys[-1]:
+    i = key_index(lut, v)
+    if i == lut.keys.size:
         raise LevelExceededError(f"level {v} exceeds table maximum {lut.keys[-1]}")
-    return float(lut.radii[min(np.searchsorted(lut.keys, v, side="left"), lut.keys.size - 1)])
+    return float(lut.radii[i])
 
 
 @dataclass
@@ -285,13 +293,7 @@ class SinkTracker:
         # candidates in window order, segment by segment: progress never
         # decreases along it, and is equal at a segment's end and the next start
         self.progress = (np.arange(n_seg)[:, None] + FRACTIONS).ravel().tolist()
-        # each segment as (a, b - a) and its squared length, taken as 1 for
-        # a zero-length segment, as planner.segment_free takes it
-        self.segments = []
-        for (ax, ay), (bx, by) in zip(seg_a.tolist(), seg_b.tolist()):
-            abx, aby = bx - ax, by - ay
-            denom = abx * abx + aby * aby
-            self.segments.append((ax, ay, abx, aby, 1.0 if denom == 0.0 else denom))
+        self.segments = [planner.segment(*a, *b) for a, b in zip(seg_a.tolist(), seg_b.tolist())]
         # hazards grouped by radius: every hazard of radius rho has the same
         # clearance threshold R * inflation + rho, so the group's nearest
         # centre decides the whole group
@@ -334,9 +336,8 @@ class SinkTracker:
         hi = min(lo + MonitorConfig.window, n_seg)
         cands = self.cands[lo:hi].reshape(-1, 2)
         levels = self.value_fn(envs.goal_condition(state, cands))
-        # lut_query's ceiling rule as a key index: a level above the top key,
-        # or NaN, gets len(keys), which is past every deepest safe key
-        key_idx = np.searchsorted(self.lut.keys, levels, side="left").tolist()
+        # a level without a certificate gets len(keys), past every deepest safe key
+        key_idx = key_index(self.lut, levels).tolist()
         first = lo * FRACTIONS.size
         best = None
         # from the farthest candidate back: the first safe one has the
@@ -375,13 +376,7 @@ class SinkTracker:
         px, py = state.pos.tolist()
         nearest, nearest_d = self.seg_idx, math.inf
         for i in range(self.seg_idx, min(self.seg_idx + MonitorConfig.window + 1, len(self.segments))):
-            ax, ay, abx, aby, denom = self.segments[i]
-            # the distance to the clipped foot a + t * (b - a), in the order
-            # of planner.segment_free's operations
-            t = min(max(((px - ax) * abx + (py - ay) * aby) / denom, 0.0), 1.0)
-            ex = px - (ax + t * abx)
-            ey = py - (ay + t * aby)
-            d = math.sqrt(ex * ex + ey * ey)
+            d = planner.foot_distance(px, py, self.segments[i])
             if d != d:
                 nearest = i
                 break

@@ -86,17 +86,19 @@ class Mlp:
         other.biases = [b.copy() for b in self.biases]
         return other
 
-    def _check_input(self, x):
+    def forward(self, x):
+        """The output for a batch of rows, or for one 1-D input."""
         x = np.asarray(x, dtype=float)
-        squeeze = x.ndim == 1
-        if squeeze:
-            x = x[None, :]
+        if x.ndim == 1:
+            return self.forward_cache(x[None, :])[0][0]
+        return self.forward_cache(x)[0]
+
+    def forward_cache(self, x):
+        """forward(x) of a 2-D batch together with the activation cache, the
+        activations per layer, input included, that backward() takes."""
+        x = np.asarray(x, dtype=float)
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.in_dim}")
-        return x, squeeze
-
-    def _forward_cached(self, x):
-        """Activations per layer, input included."""
         acts = [x]
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
@@ -105,32 +107,17 @@ class Mlp:
             if i < last or self.output_activation == "tanh":
                 np.tanh(z, out=z)
             acts.append(z)
-        return acts
+        return z, acts
 
-    def forward(self, x):
-        x, squeeze = self._check_input(x)
-        out = self._forward_cached(x)[-1]
-        return out[0] if squeeze else out
-
-    def forward_cache(self, x):
-        """forward(x) together with the activation cache that backward() takes."""
-        x, squeeze = self._check_input(x)
-        acts = self._forward_cached(x)
-        out = acts[-1]
-        return (out[0] if squeeze else out), (acts, squeeze)
-
-    def backward(self, cache, upstream, params=True):
+    def backward(self, acts, upstream, params=True):
         """Backprop of <upstream, forward(x)> summed over the batch, where
-        cache comes from forward_cache(x) on the current parameters.
+        acts comes from forward_cache(x) on the current parameters.
 
         Returns (param_grads, input_grad); param_grads matches params() order,
         input_grad matches the shape of x. With params=False the parameter
         gradients are not computed and param_grads is None.
         """
-        acts, squeeze = cache
         upstream = np.asarray(upstream, dtype=float)
-        if squeeze:
-            upstream = upstream[None, :]
         if upstream.shape != (acts[0].shape[0], self.out_dim):
             raise ShapeError(f"upstream shape {upstream.shape} incompatible")
         last = len(self.weights) - 1
@@ -147,7 +134,7 @@ class Mlp:
             delta = delta @ self.weights[i].T
             if i > 0:
                 delta *= _tanh_slope(acts[i])
-        return grads, (delta[0] if squeeze else delta)
+        return grads, delta
 
     def gradients(self, x, upstream):
         """Backprop of <upstream, forward(x)>: backward() on a fresh forward_cache(x)."""

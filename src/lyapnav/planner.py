@@ -37,34 +37,44 @@ class PlannerConfig:
     max_iters: int = 20_000
 
 
+def segment(ax, ay, bx, by):
+    """The segment from a to b as (ax, ay, abx, aby, denom): its start, its
+    direction ab = b - a and |ab|^2, taken as 1.0 for a zero-length segment."""
+    abx = bx - ax
+    aby = by - ay
+    denom = abx * abx + aby * aby
+    return ax, ay, abx, aby, 1.0 if denom == 0.0 else denom
+
+
+def foot_distance(x, y, seg):
+    """Distance from (x, y) to the foot a + t * ab on ``segment``'s seg, with
+    t = clip(((x, y) - a) . ab / denom, 0, 1), in Python floats, which round
+    as float64 does."""
+    ax, ay, abx, aby, denom = seg
+    t = min(max(((x - ax) * abx + (y - ay) * aby) / denom, 0.0), 1.0)
+    ex = x - (ax + t * abx)
+    ey = y - (ay + t * aby)
+    return math.sqrt(ex * ex + ey * ey)
+
+
 def segment_free(p, q, world, margin):
     """True iff the segment keeps strictly more than radius+margin clearance
     from every hazard center.
 
     Only the hazards that world.hazard_index() finds near the segment's
-    bounding box, grown by the largest radius + margin, are tested. A
-    hazard's distance is the one from its centre c to the foot p + t * ab,
-    ab = q - p and t = clip(((c - p) . ab) / |ab|^2, 0, 1), with |ab|^2
-    taken as 1 for a zero-length segment, computed in Python floats, which
-    round as float64 does. The first blocking hazard ends the test."""
+    bounding box, grown by the largest radius + margin, are tested, each by
+    its foot_distance. The first blocking hazard ends the test."""
     if margin < 0:
         raise ValueError("margin must be nonnegative")
     px, py, qx, qy = float(p[0]), float(p[1]), float(q[0]), float(q[1])
-    abx = qx - px
-    aby = qy - py
-    denom = abx * abx + aby * aby
-    if denom == 0.0:
-        denom = 1.0
+    seg = segment(px, py, qx, qy)
     # a NaN coordinate falls through both orderings into the box, where the
     # index answers it with every hazard
     x0, x1 = (px, qx) if px <= qx else (qx, px)
     y0, y1 = (py, qy) if py <= qy else (qy, py)
     index = world.hazard_index()
     for cx, cy, r in index.near(x0, y0, x1, y1, index.reach + margin):
-        t = min(max(((cx - px) * abx + (cy - py) * aby) / denom, 0.0), 1.0)
-        ex = cx - (px + t * abx)
-        ey = cy - (py + t * aby)
-        if not math.sqrt(ex * ex + ey * ey) > r + margin:
+        if not foot_distance(cx, cy, seg) > r + margin:
             return False
     return True
 

@@ -7,6 +7,9 @@ acceptance suite runs against exactly these artifacts.
 """
 
 import json
+import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -70,6 +73,17 @@ def _cached_e2e(kind):
     policy = harness.train_e2e(kind, seed=0)
     policy.save(d)
     return policy
+
+
+@pytest.fixture(scope="session")
+def openblas_core():
+    """The OpenBLAS core numpy runs here: the "Core:" line that its OpenBLAS
+    logs on import under OPENBLAS_VERBOSE=2, read from a child process, which
+    inherits OPENBLAS_CORETYPE. Bit pins of BLAS results are keyed by it."""
+    env = {**os.environ, "OPENBLAS_VERBOSE": "2"}
+    log = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True, check=True)
+    cores = [line.removeprefix("Core:").strip() for line in log.stderr.splitlines() if line.startswith("Core:")]
+    return cores[0] if cores else None
 
 
 @pytest.fixture(scope="session")

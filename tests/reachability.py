@@ -29,8 +29,8 @@ NOT_RUN_BY_COMMANDS = {
     "colearn.policy_loss",
     "nn.Mlp.gradients",
     "monitor.overapprox_radius",
-    # the ceiling rule of criterion 3 and of bench/workloads.py;
-    # SinkTracker.select searches the table's keys itself
+    # the one-level ceiling rule of criterion 3 and of bench/workloads.py;
+    # SinkTracker.select takes the same rule from key_index, over its window
     "monitor.lut_query",
 }
 

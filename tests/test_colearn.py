@@ -3,8 +3,12 @@
 import csv
 import inspect
 import json
+import os
 import shutil
+import subprocess
+import sys
 from dataclasses import FrozenInstanceError, replace
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -480,3 +484,52 @@ def test_train_log_csv_cells_are_plain_numbers(tmp_path):
     for row, written in zip(rows, cells):
         for key, text in written.items():
             assert float(text) == row[key], (key, text)
+
+
+# Training's bits, in a child process on one BLAS thread: a short co-learning
+# of the point and the sweeping robot and a short sweeping e2e training, each
+# with gradient phases. The digest covers every network's params_digest and
+# the co-learning log rows. Batched gemms round by the kernels OpenBLAS runs,
+# so the digests are keyed by OpenBLAS core, as the trajectory pins of
+# test_harness.py are; the Haswell one was recorded under
+# OPENBLAS_CORETYPE=Haswell.
+TRAINING_RUN = """
+import hashlib, json
+from lyapnav import colearn, harness, nn
+from lyapnav.envs import RobotKind
+
+digest = hashlib.sha256()
+q_losses = []
+cfg = colearn.TrainConfig(episodes=3, warmup_episodes=1, grad_steps=5, horizon=30)
+for kind in (RobotKind.POINT, RobotKind.SWEEPING):
+    agent, rows = colearn.colearn(kind, cfg, seed=0)
+    for net in agent.networks().values():
+        digest.update(nn.params_digest(net).encode())
+    digest.update(json.dumps(rows).encode())
+    q_losses.append(rows[-1]["q_loss"])
+e2e_cfg = colearn.TrainConfig(episodes=6, warmup_episodes=1, grad_steps=5, horizon=60)
+e2e = nn.params_digest(harness.train_e2e(RobotKind.SWEEPING, e2e_cfg, seed=0).net)
+digest.update(e2e.encode())
+untrained = nn.params_digest(harness.make_e2e_policy(RobotKind.SWEEPING, seed=0).net)
+print(json.dumps({"digest": digest.hexdigest(), "q_loss": q_losses, "e2e_trained": e2e != untrained}))
+"""
+PINNED_TRAINING = {
+    "SkylakeX": "5d7e603ed599bc8e9d1fa0aa507391411c6a0f612875eb33618033df4b423a8b",
+    "Haswell": "8c10a41eba7a9d8c4548eca5b92b575d108435707b4c06b83a2065b613901578",
+}
+PINNED_TRAINING["Zen"] = PINNED_TRAINING["Haswell"]
+
+
+def test_training_is_pinned_bit_for_bit(openblas_core):
+    if openblas_core not in PINNED_TRAINING:
+        pytest.fail(f"no training digest is pinned for the OpenBLAS core {openblas_core!r}")
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
+    src = str(Path(colearn.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c", TRAINING_RUN], env=env, capture_output=True, text=True, timeout=120, check=True
+    )
+    got = json.loads(proc.stdout)
+    # every run took gradient phases
+    assert all(q != 0.0 for q in got["q_loss"]) and got["e2e_trained"], got
+    assert got["digest"] == PINNED_TRAINING[openblas_core], f"training bits moved under {openblas_core}"

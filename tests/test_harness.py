@@ -3,9 +3,6 @@
 import hashlib
 import json
 import math
-import os
-import subprocess
-import sys
 from types import SimpleNamespace
 
 import numpy as np
@@ -313,17 +310,6 @@ PINNED_LEVEL3_SWEEPING = {
     ],
 }
 PINNED_LEVEL3_SWEEPING["Zen"] = PINNED_LEVEL3_SWEEPING["Haswell"]
-
-
-@pytest.fixture(scope="module")
-def openblas_core():
-    """The OpenBLAS core numpy runs here: the "Core:" line that its OpenBLAS
-    logs on import under OPENBLAS_VERBOSE=2, read from a child process, which
-    inherits OPENBLAS_CORETYPE."""
-    env = {**os.environ, "OPENBLAS_VERBOSE": "2"}
-    log = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True, check=True)
-    cores = [line.removeprefix("Core:").strip() for line in log.stderr.splitlines() if line.startswith("Core:")]
-    return cores[0] if cores else None
 
 
 def assert_pinned_trajectories(monkeypatch, pins, core, agent, lut, level, name):

@@ -57,6 +57,18 @@ def test_lut_ceiling_rule():
     assert monitor.lut_query(lut, 0.1) == 1.0  # below the table floor
     with pytest.raises(monitor.LevelExceededError):
         monitor.lut_query(lut, 4.01)
+    # key_index is the same rule over an array of levels: exactly at keys,
+    # between keys, below the table, above the top key and NaN, where
+    # len(keys) stands for no certificate
+    levels = [1.0, 2.0, 4.0, 1.5, 3.0, 0.1, -1.0, 4.01, np.inf, np.nan]
+    idx = monitor.key_index(lut, levels)
+    assert idx.tolist() == [0, 1, 2, 1, 2, 0, 0, 3, 3, 3]
+    for level, i in zip(levels, idx.tolist()):
+        if i == lut.keys.size:
+            with pytest.raises(monitor.LevelExceededError):
+                monitor.lut_query(lut, level)
+        else:
+            assert monitor.lut_query(lut, level) == lut.radii[i]
 
 
 def test_lut_rejects_bad_tables():

@@ -60,28 +60,28 @@ def test_input_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("act", nn.OUTPUT_ACTIVATIONS)
-@pytest.mark.parametrize("shape", [(3,), (1, 3), (5, 3)])
+@pytest.mark.parametrize("shape", [(1, 3), (5, 3)])
 def test_forward_cache_and_backward_match_forward_and_gradients(act, shape):
     rng = np.random.default_rng(10)
     net = nn.Mlp([3, 6, 6, 2], act, rng)
     x = rng.normal(size=shape)
     u1, u2 = rng.normal(size=shape[:-1] + (2,)), rng.normal(size=shape[:-1] + (2,))
-    out, cache = net.forward_cache(x)
+    out, acts = net.forward_cache(x)
     assert out.tobytes() == net.forward(x).tobytes()
     # one cache serves several backward passes, unchanged by each of them
     for u in (u1, u2):
-        grads, input_grad = net.backward(cache, u)
+        grads, input_grad = net.backward(acts, u)
         ref_grads, ref_input_grad = net.gradients(x, u)
         assert input_grad.shape == x.shape
         assert input_grad.tobytes() == ref_input_grad.tobytes()
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
         # the input gradient alone, without the parameter gradients
-        no_grads, input_grad = net.backward(cache, u, params=False)
+        no_grads, input_grad = net.backward(acts, u, params=False)
         assert no_grads is None
         assert input_grad.tobytes() == ref_input_grad.tobytes()
         assert net.input_gradients(x, u).tobytes() == ref_input_grad.tobytes()
     with pytest.raises(nn.ShapeError):
-        net.backward(cache, np.zeros(shape[:-1] + (3,)))
+        net.backward(acts, np.zeros(shape[:-1] + (3,)))
 
 
 def test_forward_1d_matches_batched():
@@ -94,6 +94,12 @@ def test_forward_rejects_bad_shapes():
     net = nn.Mlp([3, 5, 2], "tanh", np.random.default_rng(0))
     with pytest.raises(nn.ShapeError):
         net.forward(np.zeros((4, 2)))
+    # a 1-D input is forward's alone: the cache and backward take batches
+    with pytest.raises(nn.ShapeError):
+        net.forward_cache(np.zeros(3))
+    _, acts = net.forward_cache(np.zeros((1, 3)))
+    with pytest.raises(nn.ShapeError):
+        net.backward(acts, np.zeros(2))
 
 
 def test_adam_step_matches_reference_formula():

@@ -6,8 +6,9 @@ hazards that the world's ``envs.HazardIndex`` finds near them; their oracles
 scan every hazard with numpy. ``envs.hazard_observation`` works on
 coordinate columns with bare ufuncs, and ``envs.distance`` is the square
 root of a dot product. ``envs.featurize`` of one state, ``envs.step`` and
-``monitor.SinkTracker.advance`` compute in Python floats, whose operations
-round as numpy's float64 ufuncs do, and
+``planner.foot_distance``, the distance that ``segment_free`` and
+``monitor.SinkTracker.advance`` share, compute in Python floats, whose
+operations round as numpy's float64 ufuncs do, and
 ``SinkTracker.select`` decides safety from a per-candidate table of the
 deepest safe key. The oracles below are the straightforward
 ``np.linalg.norm`` / ``np.clip`` / ``np.sum`` / ``np.hstack`` / ``np.argmin``
@@ -245,13 +246,19 @@ def _world(hazards):
 
 
 def assert_clearance_at_oracle_distance(p, a, b):
-    """planner.segment_free(a, b) in a world of zero-radius hazards at the
-    points p decides as the oracle's distances do, at margins 0, 1, the
-    nearest distance d and the float just below d. Blocked at d and clear
-    just below it pin the distance segment_free computes to d's bits."""
+    """planner.foot_distance from each point p to the segment ab has the
+    oracle's bits (NaN for NaN), and planner.segment_free(a, b) in a world
+    of zero-radius hazards at the points p decides as the oracle's distances
+    do, at margins 0, 1, the nearest distance d and the float just below d.
+    Blocked at d and clear just below it pin the distance segment_free
+    computes to d's bits."""
     pts = np.asarray(p, dtype=float).reshape(-1, 2)
     world = _world(np.column_stack([pts, np.zeros(len(pts))]))
     d = oracle_point_segment_distance(pts, a, b)
+    seg = planner.segment(*map(float, a), *map(float, b))
+    for (x, y), want in zip(pts.tolist(), d):
+        got = planner.foot_distance(x, y, seg)
+        assert same_bits(got, want) or (np.isnan(got) and np.isnan(want)), (x, y, a, b, got, want)
     nearest = float(np.min(d))  # NaN if any distance is NaN
     margins = [0.0, 1.0]
     if nearest > 0.0:
@@ -261,7 +268,7 @@ def assert_clearance_at_oracle_distance(p, a, b):
 
 
 def test_point_segment_distance_matches_oracle_bitwise():
-    # segment_free's distance, read through its clearance decisions
+    # foot_distance, directly and through segment_free's clearance decisions
     rng = np.random.default_rng(0)
     for _ in range(300):
         scale = 10.0 ** rng.integers(-3, 3)
@@ -620,15 +627,14 @@ def test_mlp_passes_match_oracle_bitwise(act, rows):
     x[0, :3] = (0.0, -0.0, 40.0)
     want = oracle_forward_cached(net, x)
     assert same_bits(net.forward(x), want[-1])
-    out, cache = net.forward_cache(x)
-    acts, squeeze = cache
-    assert not squeeze and same_bits(out, want[-1])
+    out, acts = net.forward_cache(x)
+    assert same_bits(out, want[-1])
     assert len(acts) == len(want) and all(same_bits(a, b) for a, b in zip(acts, want))
     kept_acts, kept_out = _snapshot(acts), out.copy()
     upstream = rng.normal(size=(rows, 2))
     kept_upstream = upstream.copy()
     for params in (True, False):
-        grads, input_grad = net.backward(cache, upstream, params=params)
+        grads, input_grad = net.backward(acts, upstream, params=params)
         want_grads, want_input = oracle_backward(net, want, upstream, params=params)
         assert same_bits(input_grad, want_input)
         if params:
@@ -639,12 +645,8 @@ def test_mlp_passes_match_oracle_bitwise(act, rows):
         # forward_cache returned (actor_step reuses it as the action) and upstream
         assert all(same_bits(a, k) for a, k in zip(acts, kept_acts))
         assert same_bits(out, kept_out) and same_bits(upstream, kept_upstream)
-    if rows == 1:  # the squeezed 1-D path of single-state calls
+    if rows == 1:  # forward of one 1-D state, as a policy acting on it
         assert same_bits(net.forward(x[0]), want[-1][0])
-        out1, cache1 = net.forward_cache(x[0])
-        _, input_grad1 = net.backward(cache1, upstream[0])
-        assert same_bits(out1, want[-1][0])
-        assert same_bits(input_grad1, oracle_backward(net, want, upstream)[1][0])
 
 
 def test_adam_steps_match_oracle_bitwise():
