@@ -60,7 +60,10 @@ def test_input_gradients_match_finite_differences():
 
 
 @pytest.mark.parametrize("act", nn.OUTPUT_ACTIVATIONS)
-@pytest.mark.parametrize("shape", [(1, 3), (5, 3)])
+# the ids keep the numbering of the cases from when a 1-D case came first
+@pytest.mark.parametrize(
+    "shape", [pytest.param((1, 3), id="shape1"), pytest.param((5, 3), id="shape2")]
+)
 def test_forward_cache_and_backward_match_forward_and_gradients(act, shape):
     rng = np.random.default_rng(10)
     net = nn.Mlp([3, 6, 6, 2], act, rng)
