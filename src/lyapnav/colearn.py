@@ -85,13 +85,13 @@ class LyapunovNet:
     A robot without a heading sinks every finite state to the zero state:
     each first-layer product of ``x * mask`` is ±0, so the pre-activation is
     the bias exactly and f(sink(x)) over n rows depends on n alone. ``value``
-    keeps those n values for the last row count it saw (``sink_values``), and
-    ``grad`` skips the sink pass, whose ``g2 * mask`` is ±0. Both keep the
-    bits of the plain formulas: a row with a NaN or an infinity (its sink
-    image is NaN) and a gradient with a zero entry (``g1 - g2 * mask`` turns
-    -0 into +0 where g2 < 0) take the plain formulas. Whatever else writes
-    V's parameters in place or replaces ``net`` must, like
-    ``Trainer.train_v``, set ``sink_values`` to None after it.
+    keeps those n values for the last row count it saw (``sink_values``) and
+    refills them when the row count or ``net``'s write count has moved, so the
+    memo follows adam_step, polyak_update and load_params. ``grad`` skips the
+    sink pass, whose ``g2 * mask`` is ±0. Both keep the bits of the plain
+    formulas: a row with a NaN or an infinity (its sink image is NaN) and a
+    gradient with a zero entry (``g1 - g2 * mask`` turns -0 into +0 where
+    g2 < 0) take the plain formulas.
     """
 
     def __init__(self, kind, rng=None):
@@ -99,15 +99,17 @@ class LyapunovNet:
         self.mask = envs.sink_mask(kind)
         self.net = nn.Mlp([envs.state_dim(kind), *HIDDEN, 1], "identity", rng)
         self.sink_values = None
+        self.sink_writes = None
 
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
         fx = self.net.forward(x)[:, 0]
         if envs.HAS_HEADING[self.kind] or not np.isfinite(x).all():
             return fx - self.net.forward(x * self.mask)[:, 0]
-        sink = self.sink_values
-        if sink is None or len(sink) != len(x):
+        sink, writes = self.sink_values, self.net.params().writes
+        if sink is None or len(sink) != len(x) or self.sink_writes != writes:
             sink = self.sink_values = self.net.forward(np.zeros_like(x))[:, 0]
+            self.sink_writes = writes
         return fx - sink
 
     def grad(self, x):
@@ -329,7 +331,6 @@ class Trainer:
         u = np.concatenate([u_s, u_s1])[:, None]
         grads, _ = ag.v.net.backward(cache, np.vstack([u, -u]))
         nn.adam_step(self.adam_v, ag.v.net.params(), grads)
-        ag.v.sink_values = None  # f(0) moved with the parameters
         return lyapunov_risk(vs, vs1), float(np.mean(pos_active)), float(np.mean(lie_active))
 
     def train_lq(self, batch):

@@ -4,6 +4,16 @@ Everything here is plain numpy. Networks are value objects: forward and
 gradients never mutate state, so they can be shared read-only. Training code
 owns a single mutable copy per network.
 
+Each network keeps its parameters in one contiguous float64 array, in
+``params()`` order ``[W0, b0, W1, b1, ...]``; ``weights``, ``biases`` and
+``params()`` are views into it, and backward writes its parameter gradients
+into one fresh array of the same layout. Adam, Polyak averaging, the finite
+check, the digest and the checkpoint loader each run once over the one
+array, with the elementwise operations of a loop over the views, so their
+results are bit for bit those of such a loop. ``Params.writes`` counts the
+writes of adam_step, polyak_update and load_params, so that a value derived
+from the parameters can tell when it went stale.
+
 The passes compute in place on arrays they allocate per call (the layer
 product takes its bias and tanh in place; backward scales its delta by one
 ``1 - a**2`` temporary), in the operation order of the plain expressions, so
@@ -13,8 +23,10 @@ and the output ``forward_cache`` returned stay valid after any number of
 backward passes. Adam's moments and Polyak's targets are updated in place.
 """
 
+import functools
 import hashlib
 import json
+import math
 import os
 
 import numpy as np
@@ -45,6 +57,36 @@ def _tanh_slope(a):
     return slope
 
 
+@functools.cache
+def _layout(layer_sizes):
+    """(size, [(start, stop, shape), ...]) of W0, b0, W1, b1, ... in one array."""
+    layout, start = [], 0
+    for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
+        for shape in ((n_in, n_out), (n_out,)):
+            size = math.prod(shape)
+            layout.append((start, start + size, shape))
+            start += size
+    return start, tuple(layout)
+
+
+class Params(tuple):
+    """The parameters [W0, b0, W1, b1, ...] of a network with ``layer_sizes``,
+    as views that tile one contiguous float64 array, ``flat``, in that order.
+    Without ``flat`` a fresh, uninitialised array is allocated. ``writes``
+    counts the writes of adam_step, polyak_update and load_params."""
+
+    def __new__(cls, layer_sizes, flat=None):
+        layer_sizes = tuple(layer_sizes)
+        size, layout = _layout(layer_sizes)
+        if flat is None:
+            flat = np.empty(size)
+        self = super().__new__(cls, [flat[start:stop].reshape(shape) for start, stop, shape in layout])
+        self.layer_sizes = layer_sizes
+        self.flat = flat
+        self.writes = 0
+        return self
+
+
 class Mlp:
     """Feed-forward net, tanh hidden layers, identity or tanh output."""
 
@@ -57,12 +99,16 @@ class Mlp:
         self.output_activation = output_activation
         if rng is None:
             rng = np.random.default_rng(0)
-        self.weights = []
-        self.biases = []
-        for n_in, n_out in zip(layer_sizes[:-1], layer_sizes[1:]):
-            bound = 1.0 / np.sqrt(n_in)
-            self.weights.append(rng.uniform(-bound, bound, size=(n_in, n_out)))
-            self.biases.append(rng.uniform(-bound, bound, size=n_out))
+        self._bind(Params(layer_sizes))
+        for w, b in zip(self.weights, self.biases):
+            bound = 1.0 / np.sqrt(w.shape[0])
+            w[...] = rng.uniform(-bound, bound, size=w.shape)
+            b[...] = rng.uniform(-bound, bound, size=b.shape)
+
+    def _bind(self, params):
+        self._params = params
+        self.weights = list(params[0::2])
+        self.biases = list(params[1::2])
 
     @property
     def in_dim(self):
@@ -73,17 +119,14 @@ class Mlp:
         return self.layer_sizes[-1]
 
     def params(self):
-        """Flat parameter list [W0, b0, W1, b1, ...] (live references)."""
-        out = []
-        for w, b in zip(self.weights, self.biases):
-            out.append(w)
-            out.append(b)
-        return out
+        """The parameters [W0, b0, W1, b1, ...], live views of one array (Params)."""
+        return self._params
 
     def copy(self):
-        other = Mlp(self.layer_sizes, self.output_activation)
-        other.weights = [w.copy() for w in self.weights]
-        other.biases = [b.copy() for b in self.biases]
+        other = Mlp.__new__(Mlp)
+        other.layer_sizes = list(self.layer_sizes)
+        other.output_activation = self.output_activation
+        other._bind(Params(self.layer_sizes, self._params.flat.copy()))
         return other
 
     def forward(self, x):
@@ -113,9 +156,10 @@ class Mlp:
         """Backprop of <upstream, forward(x)> summed over the batch, where
         acts comes from forward_cache(x) on the current parameters.
 
-        Returns (param_grads, input_grad); param_grads matches params() order,
-        input_grad matches the shape of x. With params=False the parameter
-        gradients are not computed and param_grads is None.
+        Returns (param_grads, input_grad); param_grads are the views of one
+        fresh array in params() order (Params), input_grad matches the shape
+        of x. With params=False the parameter gradients are not computed and
+        param_grads is None.
         """
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != (acts[0].shape[0], self.out_dim):
@@ -126,11 +170,11 @@ class Mlp:
             delta *= upstream
         else:
             delta = upstream
-        grads = [None] * (2 * len(self.weights)) if params else None
+        grads = Params(self.layer_sizes) if params else None
         for i in range(last, -1, -1):
             if params:
-                grads[2 * i] = acts[i].T @ delta
-                grads[2 * i + 1] = delta.sum(axis=0)
+                np.matmul(acts[i].T, delta, out=grads[2 * i])
+                np.add.reduce(delta, axis=0, out=grads[2 * i + 1])  # delta.sum(axis=0)
             delta = delta @ self.weights[i].T
             if i > 0:
                 delta *= _tanh_slope(acts[i])
@@ -146,45 +190,57 @@ class Mlp:
 
 
 class AdamState:
-    """Per-network Adam moments; step counter increments on every update."""
+    """Adam moments of one network, one array each in its params() layout;
+    the step counter increments on every update."""
 
     def __init__(self, params, lr=1e-3):
+        _check_params("AdamState", "parameters", params)
         self.lr = lr
         self.t = 0
-        self.m = [np.zeros_like(p) for p in params]
-        self.v = [np.zeros_like(p) for p in params]
+        self.layer_sizes = params.layer_sizes
+        self.m = np.zeros_like(params.flat)
+        self.v = np.zeros_like(params.flat)
+
+
+def _check_params(caller, what, params, layer_sizes=None):
+    if not isinstance(params, Params):
+        raise ShapeError(
+            f"{caller}: {what} must be a network's params() or a backward's gradients, not a {type(params).__name__}"
+        )
+    if layer_sizes is not None and params.layer_sizes != layer_sizes:
+        raise ShapeError(
+            f"{caller}: {what} of a {list(params.layer_sizes)} network, state of a {list(layer_sizes)} network"
+        )
 
 
 def adam_step(state, params, grads):
-    """One Adam update, in place on params and on the state's moments.
-    Returns params for convenience. Shapes are checked before anything is
-    written, so a state built for another network raises ShapeError."""
-    if len(params) != len(state.m) or len(grads) != len(params):
-        raise ShapeError("adam_step: parameter/gradient count mismatch")
-    for i, (p, g, m, v) in enumerate(zip(params, grads, state.m, state.v)):
-        if p.shape != g.shape:
-            raise ShapeError(f"adam_step: grad {i} shape {g.shape} != {p.shape}")
-        if m.shape != p.shape or v.shape != p.shape:
-            raise ShapeError(f"adam_step: moment {i} shapes {m.shape}/{v.shape} != {p.shape} (another network's state)")
+    """One Adam update, in place on params and on the state's moments, over
+    their flat arrays. Returns params for convenience. params must be a
+    network's params() and grads a backward's gradients, both of the
+    architecture the state was built for; anything else raises ShapeError
+    before anything is written."""
+    _check_params("adam_step", "parameters", params, state.layer_sizes)
+    _check_params("adam_step", "gradients", grads, state.layer_sizes)
     state.t += 1
     b1, b2 = ADAM_BETA1, ADAM_BETA2
     c1, c2 = 1 - b1**state.t, 1 - b2**state.t
-    for p, g, m, v in zip(params, grads, state.m, state.v):
-        # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
-        m *= b1
-        m += (1 - b1) * g
-        tmp = (1 - b2) * g
-        tmp *= g
-        v *= b2
-        v += tmp
-        # p -= lr (m / c1) / (sqrt(v / c2) + eps)
-        step = m / c1
-        step *= state.lr
-        np.divide(v, c2, out=tmp)
-        np.sqrt(tmp, out=tmp)
-        tmp += ADAM_EPS
-        step /= tmp
-        p -= step
+    p, g, m, v = params.flat, grads.flat, state.m, state.v
+    # m = b1 m + (1 - b1) g;  v = b2 v + (1 - b2) g g
+    m *= b1
+    m += (1 - b1) * g
+    tmp = (1 - b2) * g
+    tmp *= g
+    v *= b2
+    v += tmp
+    # p -= lr (m / c1) / (sqrt(v / c2) + eps)
+    step = m / c1
+    step *= state.lr
+    np.divide(v, c2, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    step /= tmp
+    p -= step
+    params.writes += 1
     return params
 
 
@@ -197,16 +253,27 @@ def polyak_update(target, online, tau):
         )
     if not 0.0 < tau <= 1.0:
         raise ValueError(f"tau must be in (0, 1], got {tau}")
-    for t, o in zip(target.params(), online.params()):
-        step = tau * o  # read before t changes, in case target is online
-        t *= 1 - tau
-        t += step
+    params = target.params()
+    t = params.flat
+    step = tau * online.params().flat  # read before t changes, in case target is online
+    t *= 1 - tau
+    t += step
+    params.writes += 1
 
 
 def check_finite(net, context=""):
-    for p in net.params():
-        if not np.all(np.isfinite(p)):
-            raise FloatingPointError(f"non-finite parameters detected {context}")
+    """Raise FloatingPointError naming the first NaN or infinity in net's parameters."""
+    params = net.params()
+    finite = np.isfinite(params.flat)
+    if finite.all():
+        return
+    index = int(np.argmin(finite))  # the first non-finite entry, named as W1[12, 40] or b0[3]
+    for k, p in enumerate(params):
+        if index < p.size:
+            where = np.unravel_index(index, p.shape)
+            name = f"{'Wb'[k % 2]}{k // 2}[{', '.join(str(int(i)) for i in where)}]"
+            raise FloatingPointError(f"non-finite parameters detected {context}: {name} is {p[where]}")
+        index -= p.size
 
 
 def save_params(net, path):
@@ -249,15 +316,16 @@ def load_params(path, net):
             f"match network {net.layer_sizes}/{net.output_activation}"
         )
     expected = list(zip(layer_sizes[:-1], layer_sizes[1:]))
-    if len(weights) != len(expected):
+    if len(weights) != len(expected) or len(biases) != len(expected):
         raise CheckpointError("wrong number of layers in checkpoint")
     for (n_in, n_out), w, b in zip(expected, weights, biases):
         if w.shape != (n_in, n_out) or b.shape != (n_out,):
             raise CheckpointError("parameter shapes inconsistent with layer_sizes")
         if not (np.isfinite(w).all() and np.isfinite(b).all()):
             raise CheckpointError(f"checkpoint {path} has non-finite parameters")
-    net.weights = weights
-    net.biases = biases
+    for view, loaded in zip(net.weights + net.biases, weights + biases):
+        view[...] = loaded
+    net.params().writes += 1
     return net
 
 
@@ -294,6 +362,5 @@ def params_digest(net):
     h = hashlib.sha256()
     h.update(json.dumps(net.layer_sizes).encode())
     h.update(net.output_activation.encode())
-    for p in net.params():
-        h.update(np.ascontiguousarray(p, dtype=np.float64).tobytes())
+    h.update(net.params().flat)  # the bytes of W0, b0, W1, b1, ... in turn
     return h.hexdigest()

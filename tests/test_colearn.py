@@ -341,7 +341,8 @@ def test_train_v_returns_pre_step_risk_and_hinge_fractions():
 def test_train_v_clears_the_memo_of_the_sink_term():
     # LyapunovNet keeps f(0) of the sweeping robot per row count; train_v's
     # Adam step moves f(0), so V after it must be the plain formula on the
-    # updated parameters, not the memo of the old ones
+    # updated parameters, not the memo of the old ones (the memo follows
+    # the write count of V's parameters)
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=19)
     batch = _random_batch(RobotKind.SWEEPING, 64, np.random.default_rng(20))
     v, x = agent.v, batch["s"]
@@ -350,6 +351,42 @@ def test_train_v_clears_the_memo_of_the_sink_term():
     colearn.Trainer(agent, colearn.TrainConfig()).train_v(batch)
     want = v.net.forward(x)[:, 0] - v.net.forward(x * v.mask)[:, 0]
     assert v.value(x).tobytes() == want.tobytes()
+
+
+def test_the_memo_of_the_sink_term_follows_load_params_and_polyak(tmp_path):
+    # the memo was once cleared by train_v alone: a V loaded into the cached
+    # sweeping agent kept answering with the cached V's f(0)
+    from conftest import CACHE
+
+    agent = colearn.Agent.load(CACHE / "sweeping")
+    v, x = agent.v, np.array([[0.5, 0.2], [1.0, -0.3]])
+
+    def plain():
+        return v.net.forward(x)[:, 0] - v.net.forward(x * v.mask)[:, 0]
+
+    assert v.value(x).tobytes() == plain().tobytes()
+    assert len(v.sink_values) == len(x)
+    fresh = colearn.make_agent(RobotKind.SWEEPING, seed=5).v.net
+    nn.save_params(fresh, tmp_path / "v.json")
+    nn.load_params(tmp_path / "v.json", v.net)
+    assert v.value(x).tobytes() == plain().tobytes()
+    assert np.abs(v.value(x)).max() < 0.1  # the cached V's f(0) gives about 3.65
+    nn.polyak_update(v.net, colearn.make_agent(RobotKind.SWEEPING, seed=6).v.net, 0.5)
+    assert v.value(x).tobytes() == plain().tobytes()
+
+
+@pytest.mark.parametrize("name", ["sweeping", "point", "car", "sweeping_e2e", "point_e2e", "car_e2e"])
+def test_cached_checkpoints_round_trip_byte_for_byte(name, tmp_path):
+    # a load and a save give back every file save_checkpoint writes, byte for
+    # byte, so Q, LQ and the targets, which no trajectory pin reads, are kept
+    from conftest import CACHE
+
+    loader = harness.E2ePolicy.load if name.endswith("_e2e") else colearn.Agent.load
+    loader(CACHE / name).save(tmp_path)
+    written = sorted(p.name for p in tmp_path.iterdir())
+    assert written == sorted(p.name for p in (CACHE / name).iterdir() if p.name != "train_meta.json")
+    for file in written:
+        assert (tmp_path / file).read_bytes() == (CACHE / name / file).read_bytes(), file
 
 
 def test_actor_step_single_critic_matches_finite_differences(monkeypatch):

@@ -106,17 +106,21 @@ def test_forward_rejects_bad_shapes():
 
 
 def test_adam_step_matches_reference_formula():
-    # oracle: one hand-computed Adam update on scalar parameters
-    p = np.array([1.0])
-    g = np.array([0.5])
-    state = nn.AdamState([p], lr=0.1)
-    nn.adam_step(state, [p], [g])
+    # oracle: one hand-computed Adam update of each scalar parameter of a
+    # [1, 1] network, whose weight and bias gradients are both 0.5
+    net = nn.Mlp([1, 1], "identity", np.random.default_rng(0))
+    net.params().flat[:] = (1.0, -2.0)
+    grads, _ = net.gradients(np.ones((1, 1)), np.full((1, 1), 0.5))
+    assert grads.flat.tolist() == [0.5, 0.5]
+    state = nn.AdamState(net.params(), lr=0.1)
+    nn.adam_step(state, net.params(), grads)
     m = 0.1 * 0.5
     v = 0.001 * 0.25
     mhat = m / (1 - 0.9)
     vhat = v / (1 - 0.999)
-    expected = 1.0 - 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
-    assert np.isclose(p[0], expected)
+    step = 0.1 * mhat / (np.sqrt(vhat) + 1e-8)
+    assert np.allclose(net.params().flat, [1.0 - step, -2.0 - step])
+    assert net.params().writes == 1
 
 
 def test_polyak_update_formula():
@@ -136,6 +140,14 @@ def test_polyak_tau_one_copies():
         assert np.array_equal(t, o)
 
 
+def _adam_step_writes_nothing(state, net, grads, match):
+    before = net.params().flat.copy()
+    with pytest.raises(nn.ShapeError, match=match):
+        nn.adam_step(state, net.params(), grads)
+    assert state.t == 0 and not state.m.any() and not state.v.any()
+    assert net.params().flat.tobytes() == before.tobytes() and net.params().writes == 0
+
+
 @pytest.mark.parametrize("reverse", [False, True])
 def test_adam_step_rejects_another_networks_state(reverse):
     # the critic's and the actor's moments differ only in the last layer:
@@ -143,14 +155,29 @@ def test_adam_step_rejects_another_networks_state(reverse):
     q = nn.Mlp([7, 64, 64, 1], "identity", np.random.default_rng(0))
     pi = nn.Mlp([7, 64, 64, 2], "tanh", np.random.default_rng(1))
     owner, net = (pi, q) if reverse else (q, pi)
-    state = nn.AdamState(owner.params())
-    grads = [np.ones_like(p) for p in net.params()]
-    before = [p.copy() for p in net.params()]
-    with pytest.raises(nn.ShapeError, match="moment 4"):
-        nn.adam_step(state, net.params(), grads)
+    grads, _ = net.gradients(np.ones((3, 7)), np.ones((3, net.out_dim)))
+    _adam_step_writes_nothing(nn.AdamState(owner.params()), net, grads, "state of a")
+
+
+def test_adam_step_rejects_a_state_of_the_same_size():
+    # [2, 3, 1] and [1, 4, 1] both have 13 parameters
+    net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(0))
+    owner = nn.Mlp([1, 4, 1], "identity", np.random.default_rng(1))
+    assert net.params().flat.size == owner.params().flat.size == 13
+    grads, _ = net.gradients(np.ones((2, 2)), np.ones((2, 1)))
+    _adam_step_writes_nothing(nn.AdamState(owner.params()), net, grads, r"\[1, 4, 1\]")
+
+
+def test_adam_step_rejects_arrays_that_are_not_one_networks_views():
+    net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(0))
+    grads, _ = net.gradients(np.ones((2, 2)), np.ones((2, 1)))
+    state = nn.AdamState(net.params())
+    _adam_step_writes_nothing(state, net, list(grads), "not a list")
+    with pytest.raises(nn.ShapeError, match="not a list"):
+        nn.adam_step(state, list(net.params()), grads)
+    with pytest.raises(nn.ShapeError, match="not a list"):
+        nn.AdamState(list(net.params()))
     assert state.t == 0
-    assert all(not m.any() for m in state.m + state.v)
-    assert all(np.array_equal(a, b) for a, b in zip(before, net.params()))
 
 
 def test_polyak_update_rejects_another_output_activation():
@@ -187,6 +214,22 @@ def test_checkpoint_rejects_corrupt_file(tmp_path):
     net = nn.Mlp([2, 2, 1], "identity", np.random.default_rng(0))
     with pytest.raises(nn.CheckpointError):
         nn.load_params(path, net)
+
+
+@pytest.mark.parametrize("key", ["weights", "biases"])
+def test_checkpoint_rejects_a_missing_layer(tmp_path, key):
+    # each loaded array is written into its view, so a short list would
+    # leave the last layer's old values in place
+    net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(0))
+    path = tmp_path / "net.json"
+    nn.save_params(net, path)
+    doc = json.loads(path.read_text())
+    doc[key].pop()
+    path.write_text(json.dumps(doc))
+    before = net.params().flat.copy()
+    with pytest.raises(nn.CheckpointError, match="number of layers"):
+        nn.load_params(path, net)
+    assert net.params().flat.tobytes() == before.tobytes() and net.params().writes == 0
 
 
 @pytest.mark.parametrize(
@@ -235,6 +278,59 @@ def test_params_digest_detects_change():
 
 def test_check_finite_raises_on_nan():
     net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(6))
+    nn.check_finite(net)
     net.params()[0][0, 0] = np.nan
-    with pytest.raises(FloatingPointError):
+    with pytest.raises(FloatingPointError, match=r"in pi: W0\[0, 0\] is nan"):
+        nn.check_finite(net, "in pi")
+    # the first non-finite entry in params() order is the one named
+    net = nn.Mlp([3, 5, 4, 2], "tanh", np.random.default_rng(6))
+    net.biases[1][3] = -np.inf
+    net.weights[2][1, 0] = np.nan
+    with pytest.raises(FloatingPointError, match=r"b1\[3\] is -inf"):
         nn.check_finite(net)
+    net.biases[1][3] = 0.0
+    with pytest.raises(FloatingPointError, match=r"W2\[1, 0\] is nan"):
+        nn.check_finite(net)
+
+
+def test_params_views_tile_one_array_in_order():
+    net = nn.Mlp([3, 5, 4, 2], "tanh", np.random.default_rng(7))
+    params = net.params()
+    assert params is net.params() and isinstance(params.flat, np.ndarray)
+    assert params.flat.dtype == np.float64 and params.flat.flags.c_contiguous
+    assert [p.shape for p in params] == [(3, 5), (5,), (5, 4), (4,), (4, 2), (2,)]
+    assert list(params[0::2]) == net.weights and list(params[1::2]) == net.biases
+    start = 0
+    for p in params:
+        assert p.base is params.flat
+        assert p.ctypes.data == params.flat.ctypes.data + 8 * start
+        start += p.size
+    assert start == params.flat.size
+    assert params.flat.tobytes() == b"".join(p.tobytes() for p in params)
+    other = net.copy()
+    assert other.params().flat.tobytes() == params.flat.tobytes()
+    assert not np.shares_memory(other.params().flat, params.flat)
+    other.weights[0][0, 0] += 1.0
+    assert other.params().flat[0] == params.flat[0] + 1.0
+
+
+def test_a_view_taken_before_load_params_sees_the_loaded_values(tmp_path):
+    path = tmp_path / "net.json"
+    nn.save_params(nn.Mlp([3, 4, 2], "tanh", np.random.default_rng(3)), path)
+    net = nn.Mlp([3, 4, 2], "tanh", np.random.default_rng(99))
+    w1, flat = net.weights[1], net.params().flat
+    nn.load_params(path, net)
+    assert net.params().writes == 1 and net.params().flat is flat
+    assert w1.tolist() == json.loads(path.read_text())["weights"][1]
+
+
+def test_backward_gradients_do_not_alias():
+    net = nn.Mlp([3, 6, 2], "tanh", np.random.default_rng(9))
+    _, acts = net.forward_cache(np.ones((4, 3)))
+    g1, _ = net.backward(acts, np.ones((4, 2)))
+    g2, _ = net.backward(acts, np.ones((4, 2)))
+    assert g1.flat.tobytes() == g2.flat.tobytes()
+    assert not np.shares_memory(g1.flat, g2.flat)
+    assert not np.shares_memory(g1.flat, net.params().flat)
+    assert [g.shape for g in g1] == [p.shape for p in net.params()]
+    assert all(g.base is g1.flat for g in g1)

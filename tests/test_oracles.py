@@ -650,17 +650,25 @@ def test_mlp_passes_match_oracle_bitwise(act, rows):
 
 
 def test_adam_steps_match_oracle_bitwise():
+    # The oracle loops over the parameters; adam_step runs once over the
+    # network's flat array, on the flat gradient array of a backward pass
+    # whose values are replaced by gradients of widely spread sizes.
     rng = np.random.default_rng(5)
     net = nn.Mlp([9, 64, 64, 1], "identity", rng)
     state = nn.AdamState(net.params(), lr=1e-3)
-    params, m, v = _snapshot(net.params()), _snapshot(state.m), _snapshot(state.v)
+    params = _snapshot(net.params())
+    m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
+    _, acts = net.forward_cache(rng.normal(size=(4, 9)))
     for t in range(1, 6):
-        grads = [rng.normal(size=p.shape) * 10.0 ** rng.integers(-6, 2) for p in params]
+        grads, _ = net.backward(acts, np.ones((4, 1)))
+        for g in grads:
+            g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-6, 2)
         grads[1][:3] = 0.0  # a zero gradient keeps its moments decaying
-        params, m, v = oracle_adam_step(state.lr, t, params, grads, m, v)
-        assert nn.adam_step(state, net.params(), grads) is not None and state.t == t
-        for got, want in ((net.params(), params), (state.m, m), (state.v, v)):
-            assert all(same_bits(a, b) for a, b in zip(got, want)), t
+        params, m, v = oracle_adam_step(state.lr, t, params, _snapshot(grads), m, v)
+        assert nn.adam_step(state, net.params(), grads) is net.params() and state.t == t
+        assert all(same_bits(a, b) for a, b in zip(net.params(), params)), t
+        for got, want in ((state.m, m), (state.v, v)):
+            assert same_bits(got, np.concatenate([w.ravel() for w in want])), t
 
 
 @pytest.mark.parametrize("tau", [0.005, 0.25, 1.0])
