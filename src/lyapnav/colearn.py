@@ -244,17 +244,15 @@ def lyapunov_risk(vs, vs1):
 def policy_loss(pi, q_t, lq_t, s, alpha, kind):
     """Actor loss: mean of -Q'(s, pi(s)) + alpha * LQ'(s, pi(s))."""
     s = envs.featurize(kind, np.atleast_2d(np.asarray(s, dtype=float)))
-    a = np.atleast_2d(pi.forward(s))
-    x = np.hstack([s, a])
-    qv = np.atleast_2d(q_t.forward(x))[:, 0]
-    lv = np.atleast_2d(lq_t.forward(x))[:, 0]
+    x = np.hstack([s, pi.forward(s)])
+    qv = q_t.forward(x)[:, 0]
+    lv = lq_t.forward(x)[:, 0]
     return float(np.mean(-qv + alpha * lv))
 
 
 def td_target(q_t, pi_t, r, s1, done, gamma):
     """Bootstrapped critic target r + gamma * (1 - done) * Q'(s1, pi'(s1))."""
-    a1 = np.atleast_2d(pi_t.forward(s1))
-    q1 = np.atleast_2d(q_t.forward(np.hstack([s1, a1])))[:, 0]
+    q1 = q_t.forward(np.hstack([s1, pi_t.forward(s1)]))[:, 0]
     return r + gamma * (1.0 - done) * q1
 
 
@@ -264,7 +262,7 @@ def regress(net, adam, x, target):
     n = x.shape[0]
     out, cache = net.forward_cache(x)
     err = out[:, 0] - target
-    grads, _ = net.backward(cache, (2.0 * err / n)[:, None])
+    grads = net.backward(cache, (2.0 * err / n)[:, None])
     nn.adam_step(adam, net.params(), grads)
     return float(np.mean(err**2))
 
@@ -284,9 +282,9 @@ def actor_step(pi, adam, s, critics):
     for critic, w in critics:
         out, cache = critic.forward_cache(x)
         values.append(w * out[:, 0])
-        terms.append(critic.backward(cache, w * ones / n, params=False)[1][:, -na:])
+        terms.append(critic.backward(cache, w * ones / n, params=False)[:, -na:])
         del cache  # hold one critic's activations at a time, next to pi's
-    grads, _ = pi.backward(pi_cache, sum(terms[1:], terms[0]))
+    grads = pi.backward(pi_cache, sum(terms[1:], terms[0]))
     nn.adam_step(adam, pi.params(), grads)
     return float(np.mean(sum(values[1:], values[0])))
 
@@ -329,7 +327,7 @@ class Trainer:
         u_s = (-pos_active.astype(float) - lie_active.astype(float)) / n
         u_s1 = lie_active.astype(float) / n
         u = np.concatenate([u_s, u_s1])[:, None]
-        grads, _ = ag.v.net.backward(cache, np.vstack([u, -u]))
+        grads = ag.v.net.backward(cache, np.vstack([u, -u]))
         nn.adam_step(self.adam_v, ag.v.net.params(), grads)
         return lyapunov_risk(vs, vs1), float(np.mean(pos_active)), float(np.mean(lie_active))
 
@@ -427,7 +425,6 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
             buffer.add(*tr)
         # phase means of the four losses and the two hinge-active fractions
         means = np.zeros(6)
-        phases = 0
         if buffer.size >= BATCH_SIZE:
             for _ in range(cfg.grad_steps):
                 batch = buffer.sample(rng, BATCH_SIZE)
@@ -437,8 +434,7 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
                 pl = trainer.train_pi(batch)
                 trainer.polyak()
                 means += (ql, vl, ll, pl, pos_frac, lie_frac)
-                phases += 1
-            means /= phases
+            means /= cfg.grad_steps
         for net, name in ((agent.pi, "pi"), (agent.q, "q"), (agent.v.net, "v"), (agent.lq, "lq")):
             nn.check_finite(net, f"in {name} after episode {ep}")
         d0 = envs.distance(goal, start.pos)

@@ -90,17 +90,17 @@ def step(kind, s, a):
     sn, cs, *speeds = s.intrinsic.tolist()
     if kind is RobotKind.POINT:
         v = min(max(speeds[0] + POINT_ACCEL * ax * DT, -POINT_V_MAX), POINT_V_MAX)
-        theta = np.arctan2(sn, cs) + POINT_TURN_RATE * ay * DT
-        sn, cs = float(np.sin(theta)), float(np.cos(theta))
-        return PhysState(np.array([px + v * cs * DT, py + v * sn * DT]), np.array([sn, cs, v]))
-    # car: differential drive
-    vl = min(max(speeds[0] + CAR_WHEEL_ACCEL * ax * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
-    vr = min(max(speeds[1] + CAR_WHEEL_ACCEL * ay * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
-    v = 0.5 * (vl + vr)
-    omega = (vr - vl) / CAR_TRACK_WIDTH
-    theta = np.arctan2(sn, cs) + omega * DT
+        omega = POINT_TURN_RATE * ay
+        speeds = [v]
+    else:  # car: differential drive
+        vl = min(max(speeds[0] + CAR_WHEEL_ACCEL * ax * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
+        vr = min(max(speeds[1] + CAR_WHEEL_ACCEL * ay * DT, -CAR_WHEEL_V_MAX), CAR_WHEEL_V_MAX)
+        v = 0.5 * (vl + vr)
+        omega = (vr - vl) / CAR_TRACK_WIDTH
+        speeds = [vl, vr]
+    theta = np.arctan2(sn, cs) + omega * DT  # both turn as a unicycle of speed v and turn rate omega
     sn, cs = float(np.sin(theta)), float(np.cos(theta))
-    return PhysState(np.array([px + v * cs * DT, py + v * sn * DT]), np.array([sn, cs, vl, vr]))
+    return PhysState(np.array([px + v * cs * DT, py + v * sn * DT]), np.array([sn, cs, *speeds]))
 
 
 def goal_condition(s, g):

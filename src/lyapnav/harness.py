@@ -41,9 +41,9 @@ EPISODE_FIELDS = [f.name for f in fields(EpisodeReport)]
 
 @dataclass
 class BenchmarkSummary:
-    method: str
     robot: str
     level: int
+    method: str
     n_episodes: int
     violation_rate: float
     reach_rate: float
@@ -54,6 +54,9 @@ class BenchmarkSummary:
             raise ValueError(f"rates must be in [0, 1], got {self.violation_rate}, {self.reach_rate}")
         if not self.violation_rate + self.reach_rate <= 1.0 + 1e-12:
             raise ValueError("violation and reach rates sum above 1")
+
+
+SUMMARY_FIELDS = [f.name for f in fields(BenchmarkSummary)]
 
 
 class E2ePolicy(colearn.Policy):
@@ -216,7 +219,7 @@ def summarize(episodes):
     reached = [e for e in episodes if e.outcome == "reached"]
     reach = len(reached) / n
     mean_steps = float(np.mean([e.steps for e in reached])) if reached else float("nan")
-    return BenchmarkSummary(methods.pop(), robots.pop(), levels.pop(), n, viol, reach, mean_steps)
+    return BenchmarkSummary(robots.pop(), levels.pop(), methods.pop(), n, viol, reach, mean_steps)
 
 
 def run_benchmark(method, agent, level, n_episodes, seed=0, lut=None):
@@ -229,17 +232,6 @@ def run_benchmark(method, agent, level, n_episodes, seed=0, lut=None):
         world = envs.make_world(level, ws)
         episodes.append(run_episode(method, agent, world, lut=lut, plan_seed=ws))
     return summarize(episodes), episodes
-
-
-SUMMARY_FIELDS = [
-    "robot",
-    "level",
-    "method",
-    "n_episodes",
-    "violation_rate",
-    "reach_rate",
-    "mean_steps_to_reach",
-]
 
 
 def _steps_cell(summary):
@@ -281,8 +273,9 @@ def write_reports(summaries, episodes, out_dir):
 def read_episodes(path):
     """Episode reports from an episodes.csv as write_reports writes it. A
     missing column, a short or long row, a non-integer level, seed or step
-    count, or a method, robot or outcome outside METHODS, ROBOTS or
-    OUTCOMES raises ValueError naming the line."""
+    count, a method, robot, level or outcome outside METHODS, ROBOTS,
+    envs.LEVELS or OUTCOMES, or a negative step count raises ValueError
+    naming the line."""
     with open(path, newline="") as f:
         reader = csv.DictReader(f)
         missing = [k for k in EPISODE_FIELDS if k not in (reader.fieldnames or ())]
@@ -297,8 +290,12 @@ def read_episodes(path):
                 e = EpisodeReport(**{f.name: f.type(row[f.name]) for f in fields(EpisodeReport)})
             except ValueError as exc:
                 raise ValueError(f"{where}: {exc}") from exc
-            for name, known in (("method", METHODS), ("robot", ROBOTS), ("outcome", OUTCOMES)):
+            for name, known in (
+                ("method", METHODS), ("robot", ROBOTS), ("level", tuple(envs.LEVELS)), ("outcome", OUTCOMES)
+            ):
                 if getattr(e, name) not in known:
                     raise ValueError(f"{where}: {name} must be one of {known}, got {getattr(e, name)!r}")
+            if e.steps < 0:
+                raise ValueError(f"{where}: steps must be at least 0, got {e.steps}")
             episodes.append(e)
     return episodes

@@ -6,13 +6,14 @@ owns a single mutable copy per network.
 
 Each network keeps its parameters in one contiguous float64 array, in
 ``params()`` order ``[W0, b0, W1, b1, ...]``; ``weights``, ``biases`` and
-``params()`` are views into it, and backward writes its parameter gradients
-into one fresh array of the same layout. Adam, Polyak averaging, the finite
-check, the digest and the checkpoint loader each run once over the one
-array, with the elementwise operations of a loop over the views, so their
-results are bit for bit those of such a loop. ``Params.writes`` counts the
-writes of adam_step, polyak_update and load_params, so that a value derived
-from the parameters can tell when it went stale.
+``params()`` are views into it; backward returns its parameter gradients in
+one fresh array of the same layout, or with ``params=False`` the input
+gradient alone. Adam, Polyak averaging, the finite check, the digest and the
+checkpoint loader each run once over the one array, with the elementwise
+operations of a loop over the views, so their results are bit for bit those
+of such a loop. ``Params.writes`` counts the writes of adam_step,
+polyak_update and load_params, so that a value derived from the parameters
+can tell when it went stale.
 
 The passes compute in place on arrays they allocate per call (the layer
 product takes its bias and tanh in place; backward scales its delta by one
@@ -156,37 +157,38 @@ class Mlp:
         """Backprop of <upstream, forward(x)> summed over the batch, where
         acts comes from forward_cache(x) on the current parameters.
 
-        Returns (param_grads, input_grad); param_grads are the views of one
-        fresh array in params() order (Params), input_grad matches the shape
-        of x. With params=False the parameter gradients are not computed and
-        param_grads is None.
+        Returns the parameter gradients, the views of one fresh array in
+        params() order (Params); with params=False, the gradient with
+        respect to x alone, shaped like x, and no parameter gradient.
         """
         upstream = np.asarray(upstream, dtype=float)
         if upstream.shape != (acts[0].shape[0], self.out_dim):
             raise ShapeError(f"upstream shape {upstream.shape} incompatible")
-        last = len(self.weights) - 1
         if self.output_activation == "tanh":
             delta = _tanh_slope(acts[-1])
             delta *= upstream
         else:
             delta = upstream
         grads = Params(self.layer_sizes) if params else None
-        for i in range(last, -1, -1):
+        for i in range(len(self.weights) - 1, -1, -1):
             if params:
                 np.matmul(acts[i].T, delta, out=grads[2 * i])
                 np.add.reduce(delta, axis=0, out=grads[2 * i + 1])  # delta.sum(axis=0)
+                if i == 0:
+                    return grads
             delta = delta @ self.weights[i].T
             if i > 0:
                 delta *= _tanh_slope(acts[i])
-        return grads, delta
+        return delta
 
     def gradients(self, x, upstream):
-        """Backprop of <upstream, forward(x)>: backward() on a fresh forward_cache(x)."""
-        return self.backward(self.forward_cache(x)[1], upstream)
+        """(param_grads, input_grad): both backward() passes on one forward_cache(x)."""
+        acts = self.forward_cache(x)[1]
+        return self.backward(acts, upstream), self.backward(acts, upstream, params=False)
 
     def input_gradients(self, x, upstream):
         """Gradient of <upstream, forward(x)> with respect to x only."""
-        return self.backward(self.forward_cache(x)[1], upstream, params=False)[1]
+        return self.backward(self.forward_cache(x)[1], upstream, params=False)
 
 
 class AdamState:

@@ -250,6 +250,8 @@ def test_report_rereads_the_episodes_it_wrote(tmp_path, capsys):
         (GOOD_EPISODES + "monitored,point,1,8,flying,40\n", "line 3: outcome must be one of"),
         (GOOD_EPISODES + "teleport,point,1,8,reached,40\n", "line 3: method must be one of"),
         (GOOD_EPISODES + "monitored,boat,1,8,reached,40\n", "line 3: robot must be one of"),
+        (GOOD_EPISODES + "monitored,point,9,8,reached,40\n", "line 3: level must be one of (1, 2, 3), got 9"),
+        (GOOD_EPISODES + "monitored,point,1,8,reached,-40\n", "line 3: steps must be at least 0, got -40"),
         ("", "has no column method, robot, level, world_seed, outcome, steps"),
     ],
     ids=[
@@ -260,6 +262,8 @@ def test_report_rereads_the_episodes_it_wrote(tmp_path, capsys):
         "unknown-outcome",
         "unknown-method",
         "unknown-robot",
+        "unknown-level",
+        "negative-steps",
         "empty-file",
     ],
 )

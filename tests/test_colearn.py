@@ -439,6 +439,10 @@ def test_train_constants_are_in_range():
     assert colearn.TrainConfig.hindsight_relabels >= 0
 
 
+# the fields of a BenchmarkSummary other than its two rates
+E2E_POINT_1 = dict(robot="point", level=1, method="e2e", n_episodes=10, mean_steps_to_reach=5.0)
+
+
 @pytest.mark.parametrize(
     "make",
     [
@@ -446,8 +450,8 @@ def test_train_constants_are_in_range():
         lambda: colearn.TrainConfig(episodes=0),
         lambda: colearn.TrainConfig(grad_steps=0),
         lambda: colearn.TrainConfig(horizon=0),
-        lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, -0.1, 0.5, 5.0),
-        lambda: harness.BenchmarkSummary("e2e", "point", 1, 10, 0.1, 1.5, 5.0),
+        lambda: harness.BenchmarkSummary(**E2E_POINT_1, violation_rate=-0.1, reach_rate=0.5),
+        lambda: harness.BenchmarkSummary(**E2E_POINT_1, violation_rate=0.1, reach_rate=1.5),
         lambda: lyapunov_eval.LyapunovReport(10, 0.5, -0.1, 0.0, 0.0),
         lambda: colearn.TrainConfig(warmup_episodes=-1),
         lambda: replace(harness.E2E_SCHEDULE, episodes=0),

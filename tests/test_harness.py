@@ -3,6 +3,7 @@
 import hashlib
 import json
 import math
+from dataclasses import fields
 from types import SimpleNamespace
 
 import numpy as np
@@ -62,16 +63,26 @@ def test_summarize_rejects_mixed_groups():
         harness.summarize(eps)
 
 
+def e2e_point_summary(violation_rate, reach_rate, mean_steps_to_reach):
+    return harness.BenchmarkSummary(
+        robot="point",
+        level=1,
+        method="e2e",
+        n_episodes=10,
+        violation_rate=violation_rate,
+        reach_rate=reach_rate,
+        mean_steps_to_reach=mean_steps_to_reach,
+    )
+
+
 def test_summary_invariant_guard():
     with pytest.raises(ValueError):
-        harness.BenchmarkSummary("e2e", "point", 1, 10, 0.6, 0.6, 5.0)
+        e2e_point_summary(0.6, 0.6, 5.0)
 
 
 def test_steps_cell_dash_convention():
-    s = harness.BenchmarkSummary("e2e", "point", 1, 10, 1.0, 0.0, float("nan"))
-    assert harness._steps_cell(s) == "-"
-    s = harness.BenchmarkSummary("e2e", "point", 1, 10, 0.0, 1.0, 42.0)
-    assert harness._steps_cell(s) == "42.0"
+    assert harness._steps_cell(e2e_point_summary(1.0, 0.0, float("nan"))) == "-"
+    assert harness._steps_cell(e2e_point_summary(0.0, 1.0, 42.0)) == "42.0"
 
 
 def test_run_episode_rejects_unknown_method():
@@ -232,8 +243,29 @@ def test_write_reports_idempotent(tmp_path):
     assert set(first) == {"episodes.csv", "summary.csv", "table.txt"}
 
 
+def test_summary_columns_are_the_dataclass_fields(tmp_path):
+    assert harness.SUMMARY_FIELDS == [f.name for f in fields(harness.BenchmarkSummary)]
+    eps = make_reports(outcomes=[("reached", 10), ("violated", 3)])
+    eps += make_reports("monitored", "car", 2, [("timeout", 4000)])
+    harness.write_reports([harness.summarize(eps[:2]), harness.summarize(eps[2:])], eps, tmp_path)
+    # summary.csv's bytes, header line included, are pinned
+    assert (tmp_path / "summary.csv").read_bytes() == (
+        b"robot,level,method,n_episodes,violation_rate,reach_rate,mean_steps_to_reach\r\n"
+        b"car,2,monitored,1,0.0,0.0,-\r\n"
+        b"point,1,e2e,2,0.5,0.5,10.0\r\n"
+    )
+
+
 def test_render_table_columns():
-    s = harness.BenchmarkSummary("monitored", "sweeping", 1, 100, 0.01, 0.99, 41.5)
+    s = harness.BenchmarkSummary(
+        robot="sweeping",
+        level=1,
+        method="monitored",
+        n_episodes=100,
+        violation_rate=0.01,
+        reach_rate=0.99,
+        mean_steps_to_reach=41.5,
+    )
     table = harness.render_table([s])
     header, row = table.splitlines()
     assert header.split() == ["Robot", "Level", "Method", "Violation", "Reach", "Steps"]

@@ -72,15 +72,14 @@ def test_forward_cache_and_backward_match_forward_and_gradients(act, shape):
     out, acts = net.forward_cache(x)
     assert out.tobytes() == net.forward(x).tobytes()
     # one cache serves several backward passes, unchanged by each of them
+    # gradients() is the pair of the two passes, bit for bit
     for u in (u1, u2):
-        grads, input_grad = net.backward(acts, u)
+        grads = net.backward(acts, u)
+        input_grad = net.backward(acts, u, params=False)  # no parameter gradients
         ref_grads, ref_input_grad = net.gradients(x, u)
-        assert input_grad.shape == x.shape
-        assert input_grad.tobytes() == ref_input_grad.tobytes()
+        assert isinstance(grads, nn.Params) and grads.layer_sizes == tuple(net.layer_sizes)
         assert [g.tobytes() for g in grads] == [g.tobytes() for g in ref_grads]
-        # the input gradient alone, without the parameter gradients
-        no_grads, input_grad = net.backward(acts, u, params=False)
-        assert no_grads is None
+        assert type(input_grad) is np.ndarray and input_grad.shape == x.shape
         assert input_grad.tobytes() == ref_input_grad.tobytes()
         assert net.input_gradients(x, u).tobytes() == ref_input_grad.tobytes()
     with pytest.raises(nn.ShapeError):
@@ -327,8 +326,8 @@ def test_a_view_taken_before_load_params_sees_the_loaded_values(tmp_path):
 def test_backward_gradients_do_not_alias():
     net = nn.Mlp([3, 6, 2], "tanh", np.random.default_rng(9))
     _, acts = net.forward_cache(np.ones((4, 3)))
-    g1, _ = net.backward(acts, np.ones((4, 2)))
-    g2, _ = net.backward(acts, np.ones((4, 2)))
+    g1 = net.backward(acts, np.ones((4, 2)))
+    g2 = net.backward(acts, np.ones((4, 2)))
     assert g1.flat.tobytes() == g2.flat.tobytes()
     assert not np.shares_memory(g1.flat, g2.flat)
     assert not np.shares_memory(g1.flat, net.params().flat)

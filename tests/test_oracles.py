@@ -634,13 +634,14 @@ def test_mlp_passes_match_oracle_bitwise(act, rows):
     upstream = rng.normal(size=(rows, 2))
     kept_upstream = upstream.copy()
     for params in (True, False):
-        grads, input_grad = net.backward(acts, upstream, params=params)
+        got = net.backward(acts, upstream, params=params)
         want_grads, want_input = oracle_backward(net, want, upstream, params=params)
-        assert same_bits(input_grad, want_input)
-        if params:
-            assert len(grads) == len(want_grads) and all(same_bits(g, w) for g, w in zip(grads, want_grads))
-        else:
-            assert grads is None
+        if params:  # the parameter gradients alone
+            assert isinstance(got, nn.Params)
+            assert len(got) == len(want_grads) and all(same_bits(g, w) for g, w in zip(got, want_grads))
+        else:  # the input gradient alone, shaped like x
+            assert type(got) is np.ndarray and got.shape == x.shape
+            assert same_bits(got, want_input)
         # backward writes to none of its inputs: the cache, the output that
         # forward_cache returned (actor_step reuses it as the action) and upstream
         assert all(same_bits(a, k) for a, k in zip(acts, kept_acts))
@@ -660,7 +661,7 @@ def test_adam_steps_match_oracle_bitwise():
     m, v = [np.zeros_like(p) for p in params], [np.zeros_like(p) for p in params]
     _, acts = net.forward_cache(rng.normal(size=(4, 9)))
     for t in range(1, 6):
-        grads, _ = net.backward(acts, np.ones((4, 1)))
+        grads = net.backward(acts, np.ones((4, 1)))
         for g in grads:
             g[...] = rng.normal(size=g.shape) * 10.0 ** rng.integers(-6, 2)
         grads[1][:3] = 0.0  # a zero gradient keeps its moments decaying
