@@ -82,6 +82,11 @@ class LyapunovNet:
     kept). This makes V vanish identically on sinks; positivity and decrease
     are shaped by training.
 
+    A robot with a heading (and any batch with a NaN or an infinity) has
+    ``value`` run f over the stack (2, n) of x and its sink image in one
+    forward: each batch's gemm keeps its own rows, and the bias add, the tanh
+    and the subtraction run once over both, with the bits of two forwards.
+
     A robot without a heading sinks every finite state to the zero state:
     each first-layer product of ``x * mask`` is ±0, so the pre-activation is
     the bias exactly and f(sink(x)) over n rows depends on n alone. ``value``
@@ -103,9 +108,13 @@ class LyapunovNet:
 
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        fx = self.net.forward(x)[:, 0]
         if envs.HAS_HEADING[self.kind] or not np.isfinite(x).all():
-            return fx - self.net.forward(x * self.mask)[:, 0]
+            pair = np.empty((2, *x.shape))  # x and its sink image, one gemm each per layer
+            pair[0] = x
+            np.multiply(x, self.mask, out=pair[1])
+            out = self.net.forward(pair)
+            return out[0, :, 0] - out[1, :, 0]
+        fx = self.net.forward(x)[:, 0]
         sink, writes = self.sink_values, self.net.params().writes
         if sink is None or len(sink) != len(x) or self.sink_writes != writes:
             sink = self.sink_values = self.net.forward(np.zeros_like(x))[:, 0]
@@ -194,7 +203,9 @@ class Agent:
         return Policy(self.kind, self.pi_t)
 
     def act(self, state, goal, world):
-        return self.policy.act(state, goal, world)
+        """policy.act's action, from one feature row built in Python floats."""
+        (gx, gy), (px, py) = np.asarray(goal, dtype=float).tolist(), state.pos.tolist()
+        return self.pi.forward(envs._featurize_one(self.kind, [gx - px, gy - py, *state.intrinsic.tolist()]))
 
     def networks(self):
         """Checkpoint name -> network, in manifest order."""

@@ -289,9 +289,10 @@ class SinkTracker:
         n_seg = max(len(path) - 1, 1)
         seg_a = path[:n_seg]
         seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
-        self.cands = seg_a[:, None] + FRACTIONS[:, None] * (seg_b - seg_a)[:, None]
-        # candidates in window order, segment by segment: progress never
-        # decreases along it, and is equal at a segment's end and the next start
+        # candidates in window order, segment by segment, one (x, y) row each
+        self.cands = (seg_a[:, None] + FRACTIONS[:, None] * (seg_b - seg_a)[:, None]).reshape(-1, 2)
+        # progress never decreases along the candidates, and is equal at a
+        # segment's end and the next start
         self.progress = (np.arange(n_seg)[:, None] + FRACTIONS).ravel().tolist()
         self.segments = [planner.segment(*a, *b) for a, b in zip(seg_a.tolist(), seg_b.tolist())]
         # hazards grouped by radius: every hazard of radius rho has the same
@@ -299,14 +300,14 @@ class SinkTracker:
         # centre decides the whole group
         hz = world.hazards[np.argsort(world.hazards[:, 2], kind="stable")]
         rhos, rho_starts = np.unique(hz[:, 2], return_index=True)
-        # np.linalg.norm(hz[:, :2] - cands[:, :, None], axis=3) on coordinate
+        # np.linalg.norm(hz[:, :2] - cands[:, None], axis=2) on coordinate
         # columns, in place: the same bits with a third of the temporaries
-        dx = hz[:, 0] - self.cands[:, :, 0, None]
-        dy = hz[:, 1] - self.cands[:, :, 1, None]
+        dx = hz[:, 0] - self.cands[:, 0, None]
+        dy = hz[:, 1] - self.cands[:, 1, None]
         dx *= dx
         dy *= dy
         dx += dy
-        gaps = np.minimum.reduceat(np.sqrt(dx, out=dx), rho_starts, axis=2).reshape(len(self.progress), rhos.size)
+        gaps = np.minimum.reduceat(np.sqrt(dx, out=dx), rho_starts, axis=1)
         # a candidate is safe at key j when gaps >= radii[j] * inflation + rho
         # for every group. The radii never decrease and float rounding is
         # monotone, so the safe keys are a prefix of the table; the last of
@@ -331,14 +332,17 @@ class SinkTracker:
         ``harness.run_episode`` ends an episode at its first in-hazard step,
         and the planner raises PlanNotFound for a start inside a hazard.
         """
-        n_seg = len(self.cands)
+        n_seg = len(self.segments)
         lo = min(seg_idx, n_seg - 1)
         hi = min(lo + MonitorConfig.window, n_seg)
-        cands = self.cands[lo:hi].reshape(-1, 2)
-        levels = self.value_fn(envs.goal_condition(state, cands))
+        first = lo * FRACTIONS.size
+        cands = self.cands[first : hi * FRACTIONS.size]
+        x = np.empty((len(cands), 2 + state.intrinsic.size))  # envs.goal_condition(state, cands)
+        np.subtract(cands, state.pos, out=x[:, :2])
+        x[:, 2:] = state.intrinsic
+        levels = self.value_fn(x)
         # a level without a certificate gets len(keys), past every deepest safe key
         key_idx = key_index(self.lut, levels).tolist()
-        first = lo * FRACTIONS.size
         best = None
         # from the farthest candidate back: the first safe one has the
         # farthest progress, and only candidates of equal progress can still

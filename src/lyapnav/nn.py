@@ -15,6 +15,10 @@ of such a loop. ``Params.writes`` counts the writes of adam_step,
 polyak_update and load_params, so that a value derived from the parameters
 can tell when it went stale.
 
+forward and forward_cache run one layer loop; forward keeps no activations
+and also takes a stack of batches (k, n, in_dim), whose gemms numpy runs one
+batch at a time, so each batch gets the bits of a forward of its own.
+
 The passes compute in place on arrays they allocate per call (the layer
 product takes its bias and tanh in place; backward scales its delta by one
 ``1 - a**2`` temporary), in the operation order of the plain expressions, so
@@ -131,11 +135,12 @@ class Mlp:
         return other
 
     def forward(self, x):
-        """The output for a batch of rows, or for one 1-D input."""
+        """The output for a batch of rows, for one 1-D input, or for a stack
+        of batches shaped (k, n, in_dim), whose gemms keep their own rows."""
         x = np.asarray(x, dtype=float)
-        if x.ndim == 1:
-            return self.forward_cache(x[None, :])[0][0]
-        return self.forward_cache(x)[0]
+        if x.shape[-1:] != (self.in_dim,):
+            raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.in_dim}")
+        return self._layers(x)
 
     def forward_cache(self, x):
         """forward(x) of a 2-D batch together with the activation cache, the
@@ -144,14 +149,20 @@ class Mlp:
         if x.ndim != 2 or x.shape[1] != self.in_dim:
             raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.in_dim}")
         acts = [x]
+        return self._layers(x, acts), acts
+
+    def _layers(self, z, acts=None):
+        """The one layer loop of forward and forward_cache; appends each
+        layer's activations to ``acts`` when given."""
         last = len(self.weights) - 1
         for i, (w, b) in enumerate(zip(self.weights, self.biases)):
-            z = acts[-1] @ w
+            z = z @ w
             z += b
             if i < last or self.output_activation == "tanh":
                 np.tanh(z, out=z)
-            acts.append(z)
-        return z, acts
+            if acts is not None:
+                acts.append(z)
+        return z
 
     def backward(self, acts, upstream, params=True):
         """Backprop of <upstream, forward(x)> summed over the batch, where

@@ -30,6 +30,21 @@ def test_e2e_obs_dim_is_16_plus_state():
         assert harness.make_e2e_policy(kind).net.in_dim == harness.e2e_obs_dim(kind)
 
 
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_e2e_policy_acts_on_its_hazard_observation(kind):
+    # E2ePolicy.act is forward(observe(...)): the network reads the hazard
+    # observation next to the goal-conditioned state, unfeaturized
+    policy = harness.make_e2e_policy(kind, seed=5)
+    world = envs.make_world(2, 5)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        state = envs.initial_state(kind, pos=rng.uniform(0, world.size, size=2), heading=rng.uniform(-np.pi, np.pi))
+        goal = rng.uniform(0, world.size, size=2)
+        obs = np.concatenate([envs.hazard_observation(state, world), envs.goal_condition(state, goal)])
+        assert policy.act(state, goal, world).tobytes() == policy.net.forward(obs).tobytes()
+        assert policy.act(state, goal, envs.empty_world()).tobytes() != policy.act(state, goal, world).tobytes()
+
+
 def test_summarize_rate_arithmetic():
     # 100 episodes, 1 violation, 99 reached -> 0.01 / 0.99
     outcomes = [("violated", 10)] + [("reached", 50)] * 99

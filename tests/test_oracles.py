@@ -25,6 +25,15 @@ tables must keep matching bit for bit.
 sink term from a memo of f(0) and drop its zero gradient term; their oracles
 are the plain ``f(x) - f(x * mask)`` and ``g1 - g2 * mask``, bit for bit.
 
+``colearn.Agent.act`` builds its one feature row in Python floats; its
+oracle is ``pi.forward(featurize(kind, goal_condition(state, goal)))``.
+Point and car V run f over the stack of x and its sink image in one
+forward, against the two forwards ``f(x) - f(x * mask)``; ``Mlp.forward``,
+which keeps no activations, and its stack of batches against
+``forward_cache``'s output; and the input ``SinkTracker.select`` writes into
+one buffer against ``goal_condition`` of the window's candidates. All bit
+for bit.
+
 ``colearn.Trainer.train_v`` evaluates V's network on 4n rows; its oracle is
 the retired 6n-row update, which also evaluated the sinks and kept the
 V(sink)^2 term. Their gradients agree to a tolerance, not bit for bit,
@@ -201,6 +210,20 @@ def oracle_advance(tracker, state):
     return lo + int(np.argmin(d)), d
 
 
+def oracle_window(path, seg_idx):
+    """(lo, hi, candidate rows): the segments seg_idx to seg_idx +
+    window - 1 that SinkTracker.select searches, clamped to the path, and
+    their candidate sinks in window order."""
+    cfg = monitor.MonitorConfig
+    n_seg = max(len(path) - 1, 1)
+    fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
+    seg_a = path[:n_seg]
+    seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
+    lo = min(seg_idx, n_seg - 1)
+    hi = min(lo + cfg.window, n_seg)
+    return lo, hi, (seg_a[:, None] + fracs[:, None] * (seg_b - seg_a)[:, None])[lo:hi].reshape(-1, 2)
+
+
 def _radius_or_nan(lut, level):
     try:
         return monitor.lut_query(lut, level)
@@ -216,11 +239,7 @@ def oracle_select(tracker, state, seg_idx):
     path, cfg, lut = tracker.path, monitor.MonitorConfig, tracker.lut
     n_seg = max(len(path) - 1, 1)
     fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
-    seg_a = path[:n_seg]
-    seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
-    lo = min(seg_idx, n_seg - 1)
-    hi = min(lo + cfg.window, n_seg)
-    cands = (seg_a[:, None] + fracs[:, None] * (seg_b - seg_a)[:, None])[lo:hi].reshape(-1, 2)
+    lo, hi, cands = oracle_window(path, seg_idx)
     levels = tracker.value_fn(envs.goal_condition(state, cands))
     radii = np.array([_radius_or_nan(lut, level) for level in levels])
     hz = tracker.world.hazards
@@ -626,9 +645,11 @@ def test_mlp_passes_match_oracle_bitwise(act, rows):
     x = rng.normal(size=(rows, 7)) * 3.0  # wide enough to saturate some tanh units
     x[0, :3] = (0.0, -0.0, 40.0)
     want = oracle_forward_cached(net, x)
-    assert same_bits(net.forward(x), want[-1])
     out, acts = net.forward_cache(x)
-    assert same_bits(out, want[-1])
+    assert same_bits(out, want[-1]) and same_bits(net.forward(x), out)
+    # a stack of batches: each batch gets the bits of a forward of its own
+    stack = net.forward(np.stack([x, -x]))
+    assert same_bits(stack[0], out) and same_bits(stack[1], net.forward_cache(-x)[0])
     assert len(acts) == len(want) and all(same_bits(a, b) for a, b in zip(acts, want))
     kept_acts, kept_out = _snapshot(acts), out.copy()
     upstream = rng.normal(size=(rows, 2))
@@ -647,7 +668,7 @@ def test_mlp_passes_match_oracle_bitwise(act, rows):
         assert all(same_bits(a, k) for a, k in zip(acts, kept_acts))
         assert same_bits(out, kept_out) and same_bits(upstream, kept_upstream)
     if rows == 1:  # forward of one 1-D state, as a policy acting on it
-        assert same_bits(net.forward(x[0]), want[-1][0])
+        assert same_bits(net.forward(x[0]), want[-1][0]) and same_bits(net.forward(x[0]), out[0])
 
 
 def test_adam_steps_match_oracle_bitwise():
@@ -734,7 +755,9 @@ def test_lyapunov_value_and_grad_match_plain_formulas_bitwise(kind, monkeypatch)
         with np.errstate(invalid="ignore"):  # inf * 0 in the sink image
             want_v, g1, g2 = plain(x)
             got_v, got_g = v.value(x), v.grad(x)
+            two_forwards = net.forward(x)[:, 0] - net.forward(x * m)[:, 0]
         assert same_bits(got_v, want_v) and same_bits(got_g, g1 - g2 * m), len(x)
+        assert same_bits(got_v, two_forwards), len(x)
         return got_v, got_g
 
     for n in (1, 2048, 11, 256, 22, 1, 2048, 22, 11):
@@ -767,3 +790,42 @@ def test_lyapunov_value_and_grad_match_plain_formulas_bitwise(kind, monkeypatch)
 
     monkeypatch.setattr(net, "input_gradients", signed_zero)
     assert same_bits(v.grad(x), want)
+
+
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_select_input_is_the_goal_condition_of_the_window(kind):
+    # windows at the path's first, middle and last segment, and past its end
+    rng = np.random.default_rng(41)
+    path = rng.uniform(0.0, 4.0, size=(7, 2))
+    inputs = []
+
+    def value(x):
+        inputs.append(x.copy())
+        return np.zeros(len(x))  # at or below the first key: every candidate is certified
+
+    tracker = _tracker(path, envs.empty_world(), value)
+    n_seg = len(path) - 1
+    for seg_idx, state in zip((0, n_seg // 2, n_seg - 1, n_seg + 2), _states(kind, rng)):
+        tracker.select(state, seg_idx)
+        lo, hi, cands = oracle_window(path, seg_idx)
+        assert same_bits(inputs[-1], envs.goal_condition(state, cands)), (seg_idx, lo, hi)
+    assert [len(x) for x in inputs] == [22, 22, 11, 11]
+
+
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_agent_act_is_the_policy_forward_of_the_featurized_goal_condition(kind):
+    # Agent.act's one feature row from the state's and the goal's floats, against
+    # the array path of Policy.act, and the numpy oracles of a one-row batch
+    agent = colearn.make_agent(kind, seed=31)
+    world = envs.make_world(1, 31)
+    rng = np.random.default_rng(31)
+    n = 0
+    for s in _states(kind, rng):
+        for goal in (rng.normal(size=2) * 3.0, s.pos.copy(), s.pos + 1e-9, list(rng.uniform(0.0, 4.0, size=2))):
+            x = envs.goal_condition(s, goal)
+            got = agent.act(s, goal, world)
+            assert same_bits(got, agent.pi.forward(envs.featurize(kind, x))), (s, goal)
+            assert same_bits(got, agent.policy.act(s, goal, world))
+            assert same_bits(got, oracle_forward_cached(agent.pi, oracle_featurize(x[None]))[-1][0])
+            n += 1
+    assert n >= 32
