@@ -82,11 +82,6 @@ class LyapunovNet:
     kept). This makes V vanish identically on sinks; positivity and decrease
     are shaped by training.
 
-    A robot with a heading (and any batch with a NaN or an infinity) has
-    ``value`` run f over the stack (2, n) of x and its sink image in one
-    forward: each batch's gemm keeps its own rows, and the bias add, the tanh
-    and the subtraction run once over both, with the bits of two forwards.
-
     A robot without a heading sinks every finite state to the zero state:
     each first-layer product of ``x * mask`` is ±0, so the pre-activation is
     the bias exactly and f(sink(x)) over n rows depends on n alone. ``value``
@@ -108,13 +103,9 @@ class LyapunovNet:
 
     def value(self, x):
         x = np.atleast_2d(np.asarray(x, dtype=float))
-        if envs.HAS_HEADING[self.kind] or not np.isfinite(x).all():
-            pair = np.empty((2, *x.shape))  # x and its sink image, one gemm each per layer
-            pair[0] = x
-            np.multiply(x, self.mask, out=pair[1])
-            out = self.net.forward(pair)
-            return out[0, :, 0] - out[1, :, 0]
         fx = self.net.forward(x)[:, 0]
+        if envs.HAS_HEADING[self.kind] or not np.isfinite(x).all():
+            return fx - self.net.forward(x * self.mask)[:, 0]
         sink, writes = self.sink_values, self.net.params().writes
         if sink is None or len(sink) != len(x) or self.sink_writes != writes:
             sink = self.sink_values = self.net.forward(np.zeros_like(x))[:, 0]

@@ -15,9 +15,7 @@ of such a loop. ``Params.writes`` counts the writes of adam_step,
 polyak_update and load_params, so that a value derived from the parameters
 can tell when it went stale.
 
-forward and forward_cache run one layer loop; forward keeps no activations
-and also takes a stack of batches (k, n, in_dim), whose gemms numpy runs one
-batch at a time, so each batch gets the bits of a forward of its own.
+forward and forward_cache run one layer loop; forward keeps no activations.
 
 The passes compute in place on arrays they allocate per call (the layer
 product takes its bias and tanh in place; backward scales its delta by one
@@ -135,10 +133,9 @@ class Mlp:
         return other
 
     def forward(self, x):
-        """The output for a batch of rows, for one 1-D input, or for a stack
-        of batches shaped (k, n, in_dim), whose gemms keep their own rows."""
+        """The output for a batch of rows, or for one 1-D input."""
         x = np.asarray(x, dtype=float)
-        if x.shape[-1:] != (self.in_dim,):
+        if x.ndim not in (1, 2) or x.shape[-1] != self.in_dim:
             raise ShapeError(f"input shape {x.shape} incompatible with in_dim {self.in_dim}")
         return self._layers(x)
 

@@ -96,6 +96,8 @@ def test_forward_rejects_bad_shapes():
     net = nn.Mlp([3, 5, 2], "tanh", np.random.default_rng(0))
     with pytest.raises(nn.ShapeError):
         net.forward(np.zeros((4, 2)))
+    with pytest.raises(nn.ShapeError):  # a batch of rows or one row, nothing else
+        net.forward(np.zeros((2, 4, 3)))
     # a 1-D input is forward's alone: the cache and backward take batches
     with pytest.raises(nn.ShapeError):
         net.forward_cache(np.zeros(3))

@@ -27,12 +27,11 @@ are the plain ``f(x) - f(x * mask)`` and ``g1 - g2 * mask``, bit for bit.
 
 ``colearn.Agent.act`` builds its one feature row in Python floats; its
 oracle is ``pi.forward(featurize(kind, goal_condition(state, goal)))``.
-Point and car V run f over the stack of x and its sink image in one
-forward, against the two forwards ``f(x) - f(x * mask)``; ``Mlp.forward``,
-which keeps no activations, and its stack of batches against
-``forward_cache``'s output; and the input ``SinkTracker.select`` writes into
-one buffer against ``goal_condition`` of the window's candidates. All bit
-for bit.
+``Mlp.forward``, which keeps no activations, is checked against
+``forward_cache``'s output, and point and car V against the two forwards
+``f(x) - f(x * mask)``; the input ``SinkTracker.select`` writes into one
+buffer against ``goal_condition`` of the window's candidates. All bit for
+bit.
 
 ``colearn.Trainer.train_v`` evaluates V's network on 4n rows; its oracle is
 the retired 6n-row update, which also evaluated the sinks and kept the
@@ -647,9 +646,6 @@ def test_mlp_passes_match_oracle_bitwise(act, rows):
     want = oracle_forward_cached(net, x)
     out, acts = net.forward_cache(x)
     assert same_bits(out, want[-1]) and same_bits(net.forward(x), out)
-    # a stack of batches: each batch gets the bits of a forward of its own
-    stack = net.forward(np.stack([x, -x]))
-    assert same_bits(stack[0], out) and same_bits(stack[1], net.forward_cache(-x)[0])
     assert len(acts) == len(want) and all(same_bits(a, b) for a, b in zip(acts, want))
     kept_acts, kept_out = _snapshot(acts), out.copy()
     upstream = rng.normal(size=(rows, 2))
