@@ -126,8 +126,8 @@ class LyapunovNet:
 class Policy:
     """Deterministic actor over raw goal-conditioned states.
 
-    Wraps the actor network with the feature map so callers (rollouts, the
-    runtime monitor) can feed raw [d_g, intrinsic] states.
+    Wraps the actor network with the feature map so callers (rollouts,
+    ``Agent.act``) can feed raw [d_g, intrinsic] states.
     """
 
     def __init__(self, kind, net):
@@ -142,7 +142,9 @@ class Policy:
         return self.net.forward(envs.featurize(self.kind, sg))
 
     def act(self, state, goal, world):
-        return self.forward(self.observe(state, goal, world))
+        """forward(observe(...))'s bits, from one feature row of the state's and the goal's floats."""
+        (gx, gy), (px, py) = np.asarray(goal, dtype=float).tolist(), state.pos.tolist()
+        return self.net.forward(envs.feature_row(self.kind, [gx - px, gy - py, *state.intrinsic.tolist()]))
 
 
 class ReplayBuffer:
@@ -185,18 +187,13 @@ class Agent:
     q_t: nn.Mlp
     lq_t: nn.Mlp
 
-    @property
-    def policy(self):
-        return Policy(self.kind, self.pi)
-
-    @property
-    def target_policy(self):
-        return Policy(self.kind, self.pi_t)
+    def __post_init__(self):
+        # no code rebinds pi or pi_t: loading and training write their parameters in place
+        self.policy = Policy(self.kind, self.pi)
+        self.target_policy = Policy(self.kind, self.pi_t)
 
     def act(self, state, goal, world):
-        """policy.act's action, from one feature row built in Python floats."""
-        (gx, gy), (px, py) = np.asarray(goal, dtype=float).tolist(), state.pos.tolist()
-        return self.pi.forward(envs._featurize_one(self.kind, [gx - px, gy - py, *state.intrinsic.tolist()]))
+        return self.policy.act(state, goal, world)
 
     def networks(self):
         """Checkpoint name -> network, in manifest order."""

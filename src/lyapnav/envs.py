@@ -104,11 +104,11 @@ def step(kind, s, a):
 
 
 def goal_condition(s, g):
-    """Goal-conditioned state vector [g - pos, intrinsic]; a (k, 2) array of
-    goals gives one row per goal."""
-    d = np.asarray(g, dtype=float) - s.pos
-    out = np.empty(d.shape[:-1] + (2 + s.intrinsic.size,))
-    out[..., :2] = d
+    """Goal-conditioned state vector [g - pos, intrinsic], the goal vector
+    written straight into it; a (k, 2) array of goals gives one row per goal."""
+    g = np.asarray(g, dtype=float)
+    out = np.empty(g.shape[:-1] + (2 + s.intrinsic.size,))
+    np.subtract(g, s.pos, out=out[..., :2])
     out[..., 2:] = s.intrinsic
     return out
 
@@ -129,7 +129,7 @@ def featurize(kind, x):
     """
     x = np.asarray(x, dtype=float)
     if x.ndim == 1:
-        return _featurize_one(kind, x.tolist())
+        return feature_row(kind, x.tolist())
     d = x[:, :2]
     dx, dy = x[:, 0:1], x[:, 1:2]
     n = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(d, axis=1, keepdims=True)
@@ -144,8 +144,8 @@ def featurize(kind, x):
     return np.concatenate(cols, axis=1)
 
 
-def _featurize_one(kind, x):
-    """featurize of one state given as a list of floats."""
+def feature_row(kind, x):
+    """featurize of one goal-conditioned state given as a list of floats."""
     dx, dy = x[0], x[1]
     n = math.sqrt(dx * dx + dy * dy)
     ux, uy = dx / (n + 0.05), dy / (n + 0.05)
@@ -302,9 +302,6 @@ def hazard_observation(s, world):
     """Vectors toward the HAZARD_OBS_DIM / 2 nearest hazard centers, nearest
     first, zero-padded."""
     obs = np.zeros(HAZARD_OBS_DIM)
-    n = len(world.hazards)
-    if n == 0:
-        return obs
     vecs = world.hazards[:, :2] - s.pos
     vx, vy = vecs[:, 0], vecs[:, 1]
     order = np.argsort(np.sqrt(vx * vx + vy * vy), kind="stable")[: HAZARD_OBS_DIM // 2]

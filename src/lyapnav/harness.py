@@ -68,6 +68,9 @@ class E2ePolicy(colearn.Policy):
     def forward(self, o):
         return self.net.forward(o)
 
+    def act(self, state, goal, world):
+        return self.forward(self.observe(state, goal, world))
+
     def networks(self):
         return {"e2e_pi": self.net}
 

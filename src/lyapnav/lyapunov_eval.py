@@ -51,10 +51,8 @@ def sample_transitions(kind, policy, n, seed=0):
             S1.append(sg1)
             if len(S) == n:
                 break
-    if n == 0:
-        d = envs.state_dim(kind)
-        return np.zeros((0, d)), np.zeros((0, d))
-    return np.array(S), np.array(S1)
+    d = envs.state_dim(kind)
+    return np.reshape(S, (n, d)), np.reshape(S1, (n, d))
 
 
 def sink_residual(value_fn, kind):

@@ -337,10 +337,7 @@ class SinkTracker:
         hi = min(lo + MonitorConfig.window, n_seg)
         first = lo * FRACTIONS.size
         cands = self.cands[first : hi * FRACTIONS.size]
-        x = np.empty((len(cands), 2 + state.intrinsic.size))  # envs.goal_condition(state, cands)
-        np.subtract(cands, state.pos, out=x[:, :2])
-        x[:, 2:] = state.intrinsic
-        levels = self.value_fn(x)
+        levels = self.value_fn(envs.goal_condition(state, cands))
         # a level without a certificate gets len(keys), past every deepest safe key
         key_idx = key_index(self.lut, levels).tolist()
         best = None

@@ -84,6 +84,18 @@ def test_make_agent_architecture():
         assert np.array_equal(a, b)
 
 
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_agent_policies_are_built_once_around_pi_and_pi_t(kind, tmp_path):
+    # built with the agent; loading writes pi and pi_t in place, so a loaded
+    # agent's policies wrap its own networks too
+    agent = colearn.make_agent(kind, seed=4)
+    agent.save(tmp_path / "agent")
+    for a in (agent, colearn.Agent.load(tmp_path / "agent")):
+        assert a.policy is a.policy and a.target_policy is a.target_policy
+        assert a.policy.kind is kind and a.target_policy.kind is kind
+        assert a.policy.net is a.pi and a.target_policy.net is a.pi_t
+
+
 def test_agent_save_load_roundtrip(tmp_path):
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=4)
     agent.save(tmp_path / "agent")

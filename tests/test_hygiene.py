@@ -1,6 +1,7 @@
 """Source hygiene: every name a lyapnav module imports is used in it,
-every function and class it defines is referenced somewhere, and every
-lyapnav name the README quotes exists."""
+every function and class it defines is referenced somewhere, no module
+reads another module's private name, and every lyapnav name the README
+quotes exists."""
 
 import ast
 import functools
@@ -38,6 +39,46 @@ def test_unused_imports_finds_leftover_names():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _private(name):
+    return name.startswith("_") and not (name.startswith("__") and name.endswith("__"))
+
+
+def private_reads(source):
+    """``module.name`` for each _-prefixed, non-dunder name that ``source``
+    reads from a lyapnav module it imports, as an attribute of the module or
+    by a from-import."""
+    tree = ast.parse(source)
+    modules = set()
+    reads = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "lyapnav"):
+            if node.module in (None, "lyapnav"):  # from . import envs
+                modules.update(alias.asname or alias.name for alias in node.names)
+            else:
+                reads += [f"{node.module}.{alias.name}" for alias in node.names if _private(alias.name)]
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
+            if _private(node.attr):
+                reads.append(f"{node.value.id}.{node.attr}")
+    return sorted(reads)
+
+
+def test_private_reads_finds_another_modules_private_names():
+    source = (
+        "from . import envs, nn as _nn\nfrom .envs import _step, RobotKind\n"
+        "def f(self, other):\n"
+        "    return envs._featurize_one, envs.__name__, _nn._x, self._own, other._attr, envs.step\n"
+    )
+    assert private_reads(source) == ["_nn._x", "envs._featurize_one", "envs._step"]
+    assert private_reads("from lyapnav import envs\nenvs._hidden\n") == ["envs._hidden"]
+    assert private_reads("import numpy as np\nnp._core\n") == []
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_no_module_reads_another_modules_private_names(path):
+    assert private_reads(path.read_text()) == []
 
 
 def unreferenced_definitions(defining, referencing):

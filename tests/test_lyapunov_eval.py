@@ -65,6 +65,13 @@ def test_sample_transitions_count_and_dim():
     assert np.all(step <= np.sqrt(2) * envs.SWEEP_A_MAX * envs.DT + 1e-9)
 
 
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_sample_transitions_of_no_count_are_empty_state_arrays(kind):
+    policy = colearn.make_agent(kind, seed=1).policy
+    for X in lyapunov_eval.sample_transitions(kind, policy, 0, seed=2):
+        assert X.dtype == np.float64 and X.shape == (0, envs.state_dim(kind))
+
+
 def test_sample_transitions_rejects_a_negative_count():
     agent = colearn.make_agent(RobotKind.SWEEPING, seed=1)
     with pytest.raises(ValueError, match="n=-3"):

@@ -25,13 +25,14 @@ tables must keep matching bit for bit.
 sink term from a memo of f(0) and drop its zero gradient term; their oracles
 are the plain ``f(x) - f(x * mask)`` and ``g1 - g2 * mask``, bit for bit.
 
-``colearn.Agent.act`` builds its one feature row in Python floats; its
-oracle is ``pi.forward(featurize(kind, goal_condition(state, goal)))``.
-``Mlp.forward``, which keeps no activations, is checked against
-``forward_cache``'s output, and point and car V against the two forwards
-``f(x) - f(x * mask)``; the input ``SinkTracker.select`` writes into one
-buffer against ``goal_condition`` of the window's candidates. All bit for
-bit.
+``colearn.Policy.act`` builds its one feature row in Python floats; its
+oracles are ``forward(observe(...))``, which is
+``net.forward(featurize(kind, goal_condition(state, goal)))``, and the numpy
+passes over a one-row batch. ``Mlp.forward``, which keeps no activations, is
+checked against ``forward_cache``'s output, and point and car V against the
+two forwards ``f(x) - f(x * mask)``; the input ``SinkTracker.select`` passes
+V against the plain ``np.hstack`` spelling of ``goal_condition`` of the
+window's candidates. All bit for bit.
 
 ``colearn.Trainer.train_v`` evaluates V's network on 4n rows; its oracle is
 the retired 6n-row update, which also evaluated the sinks and kept the
@@ -804,24 +805,31 @@ def test_select_input_is_the_goal_condition_of_the_window(kind):
     for seg_idx, state in zip((0, n_seg // 2, n_seg - 1, n_seg + 2), _states(kind, rng)):
         tracker.select(state, seg_idx)
         lo, hi, cands = oracle_window(path, seg_idx)
-        assert same_bits(inputs[-1], envs.goal_condition(state, cands)), (seg_idx, lo, hi)
+        want = np.hstack([cands - state.pos, np.tile(state.intrinsic, (len(cands), 1))])
+        assert same_bits(inputs[-1], want), (seg_idx, lo, hi)
     assert [len(x) for x in inputs] == [22, 22, 11, 11]
 
 
 @pytest.mark.parametrize("kind", list(RobotKind))
 def test_agent_act_is_the_policy_forward_of_the_featurized_goal_condition(kind):
-    # Agent.act's one feature row from the state's and the goal's floats, against
-    # the array path of Policy.act, and the numpy oracles of a one-row batch
+    # Policy.act's one feature row from the state's and the goal's floats, for
+    # the online and the target policy, against forward(observe(...)) and the
+    # numpy oracles of a one-row batch; Agent.act is the online policy's act
     agent = colearn.make_agent(kind, seed=31)
+    nn.polyak_update(agent.pi_t, colearn.make_agent(kind, seed=32).pi, 0.5)  # a target unlike pi, in place
     world = envs.make_world(1, 31)
     rng = np.random.default_rng(31)
     n = 0
     for s in _states(kind, rng):
         for goal in (rng.normal(size=2) * 3.0, s.pos.copy(), s.pos + 1e-9, list(rng.uniform(0.0, 4.0, size=2))):
             x = envs.goal_condition(s, goal)
-            got = agent.act(s, goal, world)
-            assert same_bits(got, agent.pi.forward(envs.featurize(kind, x))), (s, goal)
-            assert same_bits(got, agent.policy.act(s, goal, world))
-            assert same_bits(got, oracle_forward_cached(agent.pi, oracle_featurize(x[None]))[-1][0])
+            acts = []
+            for policy, net in ((agent.policy, agent.pi), (agent.target_policy, agent.pi_t)):
+                got = policy.act(s, goal, world)
+                assert same_bits(got, policy.forward(policy.observe(s, goal, world))), (s, goal)
+                assert same_bits(got, oracle_forward_cached(net, oracle_featurize(x[None]))[-1][0])
+                acts.append(got)
+            assert same_bits(agent.act(s, goal, world), acts[0])
+            assert not same_bits(acts[0], acts[1])
             n += 1
     assert n >= 32
