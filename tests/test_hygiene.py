@@ -47,16 +47,15 @@ def _private(name):
 
 def private_reads(source):
     """``module.name`` for each _-prefixed, non-dunder name that ``source``
-    reads from a lyapnav module it imports, as an attribute of the module or
-    by a from-import."""
+    reads from a module it imports relatively (lyapnav's modules import
+    each other so), as an attribute of the module or by a from-import."""
     tree = ast.parse(source)
-    modules = set()
-    reads = []
+    modules, reads = set(), []
     for node in ast.walk(tree):
-        if isinstance(node, ast.ImportFrom) and (node.level > 0 or (node.module or "").split(".")[0] == "lyapnav"):
-            if node.module in (None, "lyapnav"):  # from . import envs
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:  # from . import envs
                 modules.update(alias.asname or alias.name for alias in node.names)
-            else:
+            else:  # from .envs import RobotKind
                 reads += [f"{node.module}.{alias.name}" for alias in node.names if _private(alias.name)]
     for node in ast.walk(tree):
         if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name) and node.value.id in modules:
@@ -72,7 +71,6 @@ def test_private_reads_finds_another_modules_private_names():
         "    return envs._featurize_one, envs.__name__, _nn._x, self._own, other._attr, envs.step\n"
     )
     assert private_reads(source) == ["_nn._x", "envs._featurize_one", "envs._step"]
-    assert private_reads("from lyapnav import envs\nenvs._hidden\n") == ["envs._hidden"]
     assert private_reads("import numpy as np\nnp._core\n") == []
 
 
