@@ -159,19 +159,16 @@ def build_parser():
     sub = p.add_subparsers(dest="command", required=True)
     robots = harness.ROBOTS
 
-    t = sub.add_parser("train", help="co-learn policy and Lyapunov networks")
-    t.add_argument("--robot", choices=robots, required=True)
-    t.add_argument("--config")
-    t.add_argument("--out", required=True)
-    t.add_argument("--seed", type=int, default=0)
-    t.set_defaults(fn=cmd_train)
-
-    te = sub.add_parser("train-e2e", help="train the end-to-end baseline")
-    te.add_argument("--robot", choices=robots, required=True)
-    te.add_argument("--config")
-    te.add_argument("--out", required=True)
-    te.add_argument("--seed", type=int, default=0)
-    te.set_defaults(fn=cmd_train_e2e)
+    for name, about, fn in (
+        ("train", "co-learn policy and Lyapunov networks", cmd_train),
+        ("train-e2e", "train the end-to-end baseline", cmd_train_e2e),
+    ):
+        t = sub.add_parser(name, help=about)
+        t.add_argument("--robot", choices=robots, required=True)
+        t.add_argument("--config")
+        t.add_argument("--out", required=True)
+        t.add_argument("--seed", type=int, default=0)
+        t.set_defaults(fn=fn)
 
     ev = sub.add_parser("eval-nlf", help="Lyapunov satisfaction-rate report")
     ev.add_argument("--agent", required=True)

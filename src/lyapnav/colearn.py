@@ -124,11 +124,9 @@ class LyapunovNet:
 
 
 class Policy:
-    """Deterministic actor over raw goal-conditioned states.
-
-    Wraps the actor network with the feature map so callers (rollouts,
-    ``Agent.act``) can feed raw [d_g, intrinsic] states.
-    """
+    """Deterministic actor over goal-conditioned states. Every rollout calls
+    ``act``, the actor network over ``envs.feature_row`` of the state toward
+    the goal; ``observe`` gives the raw [d_g, intrinsic] row that replay stores."""
 
     def __init__(self, kind, net):
         self.kind = kind
@@ -138,13 +136,8 @@ class Policy:
         """[d_g, intrinsic]; the hazard-free policy does not read ``world``."""
         return envs.goal_condition(state, goal)
 
-    def forward(self, sg):
-        return self.net.forward(envs.featurize(self.kind, sg))
-
     def act(self, state, goal, world):
-        """forward(observe(...))'s bits, from one feature row of the state's and the goal's floats."""
-        (gx, gy), (px, py) = np.asarray(goal, dtype=float).tolist(), state.pos.tolist()
-        return self.net.forward(envs.feature_row(self.kind, [gx - px, gy - py, *state.intrinsic.tolist()]))
+        return self.net.forward(envs.feature_row(self.kind, state, goal))
 
 
 class ReplayBuffer:
@@ -167,13 +160,7 @@ class ReplayBuffer:
 
     def sample(self, rng, n):
         idx = rng.choice(self.size, size=min(n, self.size), replace=False)
-        return {
-            "s": self.s[idx],
-            "a": self.a[idx],
-            "r": self.r[idx],
-            "s1": self.s1[idx],
-            "done": self.done[idx],
-        }
+        return {k: getattr(self, k)[idx] for k in ("s", "a", "r", "s1", "done")}
 
 
 @dataclass
@@ -377,7 +364,7 @@ def collect_episode(policy, state, goal, world, horizon, noise, rng, random_acti
         if random_actions:
             a = rng.uniform(-1.0, 1.0, size=envs.ACTION_DIM)
         else:
-            a = policy.forward(o)
+            a = policy.act(state, goal, world)
             if noise > 0.0:
                 a = a + rng.normal(0.0, noise, size=a.shape)
         a = np.clip(a, -1.0, 1.0)

@@ -114,7 +114,7 @@ def goal_condition(s, g):
 
 
 def featurize(kind, x):
-    """Policy/critic input features for a goal-conditioned state or batch.
+    """Policy/critic input features for a 2-D batch of goal-conditioned states.
 
     Appends a softened unit goal direction and the goal distance so control
     behavior generalizes across goal ranges: [d_g, d_g/(|d_g|+eps), |d_g|,
@@ -123,13 +123,12 @@ def featurize(kind, x):
     the polar coordinates of the classic parking control law. The Lyapunov
     value function keeps the raw state.
 
-    A 1-D state is featurized in Python floats and a 2-D batch with numpy
-    ufuncs over its columns; both round every operation alike, so a state
-    gets the same bits either way.
+    The batch is featurized with numpy ufuncs over its columns; one state's
+    row is ``feature_row``'s, which rounds every operation alike.
     """
     x = np.asarray(x, dtype=float)
-    if x.ndim == 1:
-        return feature_row(kind, x.tolist())
+    if x.ndim != 2:
+        raise ValueError(f"featurize takes a 2-D batch of states, got shape {x.shape}")
     d = x[:, :2]
     dx, dy = x[:, 0:1], x[:, 1:2]
     n = np.sqrt(dx * dx + dy * dy)  # np.linalg.norm(d, axis=1, keepdims=True)
@@ -144,8 +143,11 @@ def featurize(kind, x):
     return np.concatenate(cols, axis=1)
 
 
-def feature_row(kind, x):
-    """featurize of one goal-conditioned state given as a list of floats."""
+def feature_row(kind, s, g):
+    """featurize's row of goal_condition(s, g) for one goal g, bit for bit,
+    from the state's and the goal's Python floats."""
+    (gx, gy), (px, py) = np.asarray(g, dtype=float).tolist(), s.pos.tolist()
+    x = [gx - px, gy - py, *s.intrinsic.tolist()]
     dx, dy = x[0], x[1]
     n = math.sqrt(dx * dx + dy * dy)
     ux, uy = dx / (n + 0.05), dy / (n + 0.05)
@@ -206,20 +208,28 @@ class World:
 
     @classmethod
     def from_json(cls, text):
+        """The world of a JSON document. A missing entry, a size that is not
+        finite and positive, a start or goal that is not a finite 2-vector, or
+        a non-integer level or seed (the seed may be null) raises ValueError."""
         doc = json.loads(text)
         try:
-            return cls(
-                size=float(doc["size"]),
-                hazards=np.asarray(doc["hazards"], dtype=float).reshape(-1, 3),
-                start=np.asarray(doc["start"], dtype=float),
-                goal=np.asarray(doc["goal"], dtype=float),
-                level=int(doc["level"]),
-                seed=doc["seed"],
-            )
+            size, hazards = float(doc["size"]), np.asarray(doc["hazards"], dtype=float).reshape(-1, 3)
+            start, goal = (np.asarray(doc[name], dtype=float) for name in ("start", "goal"))
+            level, seed = doc["level"], doc["seed"]
         except KeyError as exc:
             raise ValueError(f"world JSON has no {exc} entry") from exc
         except TypeError as exc:
             raise ValueError(f"malformed world JSON: {exc}") from exc
+        for name, ok in (
+            ("size", math.isfinite(size) and size > 0),
+            ("start", start.shape == (2,) and np.isfinite(start).all()),
+            ("goal", goal.shape == (2,) and np.isfinite(goal).all()),
+            ("level", type(level) is int),
+            ("seed", seed is None or type(seed) is int),
+        ):
+            if not ok:
+                raise ValueError(f"world JSON entry {name!r} is invalid: {json.dumps(doc[name])}")
+        return cls(size, hazards, start, goal, level, seed)
 
     def hazard_index(self):
         """The HazardIndex of ``hazards``, built on first use and again

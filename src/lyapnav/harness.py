@@ -65,11 +65,8 @@ class E2ePolicy(colearn.Policy):
     def observe(self, state, goal, world):
         return np.concatenate([envs.hazard_observation(state, world), envs.goal_condition(state, goal)])
 
-    def forward(self, o):
-        return self.net.forward(o)
-
     def act(self, state, goal, world):
-        return self.forward(self.observe(state, goal, world))
+        return self.net.forward(self.observe(state, goal, world))
 
     def networks(self):
         return {"e2e_pi": self.net}

@@ -192,8 +192,9 @@ def build_lut(value_fn, grad_fn, level_grid, box, cfg=None, seed=0, v_digest=Non
 def level_grid_from_values(values, n=32, lo_pct=0.1, hi_pct=99.0):
     """Geometric level grid spanning low-to-high percentiles of observed V.
 
-    The low end is deliberately deep (0.1th percentile) so the table's
-    smallest certified circle stays small enough to thread tight passages.
+    The low end is deliberately deep (0.1th percentile), yet the cached point
+    and car tables' smallest inflated radii, 0.206 and 0.221, exceed
+    PlannerConfig.margin = 0.2; build-lut warns about such a table.
     """
     values = np.asarray(values, dtype=float)
     values = values[values > 0]
@@ -274,8 +275,10 @@ class SinkTracker:
 
     ``target`` selects a sink from the current state. A stall holds the last
     safe sink for MonitorConfig.stall_patience steps; past that, or with no
-    sink to hold, it raises MonitorStall and the episode stalls. ``advance``
-    re-anchors the path segment on the robot's new position.
+    sink to hold, it raises MonitorStall and the episode stalls. An episode
+    is certified only on steps that are not uncertified holds: held steps on
+    which V toward the held sink is above the key that certified it.
+    ``advance`` re-anchors the path segment on the robot's new position.
     """
 
     def __init__(self, path, world, value_fn, lut):

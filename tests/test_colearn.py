@@ -148,9 +148,9 @@ def test_load_refuses_malformed_manifest(tmp_path, make, load, edit, match):
 
 def test_policy_wrapper_featurizes():
     agent = colearn.make_agent(RobotKind.POINT, seed=5)
-    sg = np.array([1.0, 2.0, 0.0, 1.0, 0.1])
-    direct = agent.pi.forward(envs.featurize(RobotKind.POINT, sg))
-    assert np.array_equal(agent.policy.forward(sg), direct)
+    s, goal = envs.PhysState(np.array([0.5, -1.0]), np.array([0.0, 1.0, 0.1])), np.array([1.5, 1.0])
+    direct = agent.pi.forward(envs.featurize(RobotKind.POINT, envs.goal_condition(s, goal)[None]))[0]
+    assert np.array_equal(agent.policy.act(s, goal, envs.empty_world()), direct)
 
 
 def test_sample_goal_respects_annulus():

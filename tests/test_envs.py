@@ -113,8 +113,8 @@ def test_reward_penalizes_hazard():
 
 
 def test_featurize_appends_direction_distance():
-    sg = np.array([3.0, 4.0])
-    f = envs.featurize(RobotKind.SWEEPING, sg)
+    sg = np.array([[3.0, 4.0]])
+    f = envs.featurize(RobotKind.SWEEPING, sg)[0]
     assert f.shape == (envs.feature_dim(RobotKind.SWEEPING),)
     assert np.allclose(f[:2], [3.0, 4.0])
     assert np.allclose(f[2:4], [3.0 / 5.05, 4.0 / 5.05])
@@ -126,12 +126,12 @@ def test_featurize_alignment_oracle():
     # perpendicular heading gives dot 0, cross +-1 (computed by trig)
     theta = np.arctan2(4.0, 3.0)  # motion direction toward (3, 4)
     sg = np.concatenate([[3.0, 4.0], [np.sin(theta), np.cos(theta), 0.1]])
-    f = envs.featurize(RobotKind.POINT, sg)
+    f = envs.featurize(RobotKind.POINT, sg[None])[0]
     dhat_norm = 5.0 / 5.05
     assert f[-2] == pytest.approx(dhat_norm)
     assert f[-1] == pytest.approx(0.0, abs=1e-12)
     sg_perp = np.concatenate([[3.0, 4.0], [np.sin(theta + np.pi / 2), np.cos(theta + np.pi / 2), 0.1]])
-    f = envs.featurize(RobotKind.POINT, sg_perp)
+    f = envs.featurize(RobotKind.POINT, sg_perp[None])[0]
     assert f[-2] == pytest.approx(0.0, abs=1e-12)
     assert abs(f[-1]) == pytest.approx(dhat_norm)
 
@@ -141,7 +141,12 @@ def test_featurize_batch_matches_single():
     X = rng.normal(size=(7, 5))
     batch = envs.featurize(RobotKind.POINT, X)
     for i in range(7):
-        assert np.allclose(batch[i], envs.featurize(RobotKind.POINT, X[i]))
+        assert np.allclose(batch[i], envs.feature_row(RobotKind.POINT, envs.PhysState(np.zeros(2), X[i, 2:]), X[i, :2]))
+
+
+def test_featurize_refuses_a_single_state():
+    with pytest.raises(ValueError, match="2-D batch"):
+        envs.featurize(RobotKind.POINT, np.zeros(5))
 
 
 def test_world_levels_pinned():
@@ -205,10 +210,29 @@ def test_world_json_roundtrip():
     assert np.array_equal(w2.goal, w.goal)
 
 
+WORLD_DOC = {"size": 4.0, "hazards": [], "start": [0.5, 0.5], "goal": [3.5, 3.5], "level": 1, "seed": None}
+
+
 @pytest.mark.parametrize(
     "doc, match",
-    [({"size": 4.0, "hazards": []}, "no 'start' entry"), ([4.0], "malformed world"), ({"size": [4.0]}, "malformed")],
-    ids=["without-start", "not-an-object", "list-size"],
+    [
+        ({"size": 4.0, "hazards": []}, "no 'start' entry"),
+        ([4.0], "malformed world"),
+        ({"size": [4.0]}, "malformed"),
+        ({**WORLD_DOC, "level": 1.5}, "'level' is invalid: 1.5"),
+        ({**WORLD_DOC, "level": True}, "'level' is invalid: true"),
+        ({**WORLD_DOC, "seed": 2.5}, "'seed' is invalid: 2.5"),
+        ({**WORLD_DOC, "seed": "7"}, "'seed' is invalid"),
+        ({**WORLD_DOC, "start": [0.5]}, r"'start' is invalid: \[0.5\]"),
+        ({**WORLD_DOC, "goal": [3.5, 3.5, 0.0]}, "'goal' is invalid"),
+        ({**WORLD_DOC, "goal": [3.5, float("nan")]}, "'goal' is invalid"),
+        ({**WORLD_DOC, "size": 0.0}, "'size' is invalid: 0.0"),
+        ({**WORLD_DOC, "size": float("inf")}, "'size' is invalid: Infinity"),
+    ],
+    ids=[
+        "without-start", "not-an-object", "list-size", "fractional-level", "boolean-level", "fractional-seed",
+        "string-seed", "one-coordinate-start", "three-coordinate-goal", "nan-goal", "zero-size", "infinite-size",
+    ],
 )
 def test_world_from_json_rejects_malformed_documents(doc, match):
     with pytest.raises(ValueError, match=match):
@@ -226,7 +250,7 @@ def test_layout_table_agrees_with_dynamics(kind):
     limits = np.array(envs.SPEED_LIMITS[kind])
     s = envs.initial_state(kind, heading=0.7)
     assert s.intrinsic.size == envs.intrinsic_dim(kind) == n_head + limits.size
-    assert envs.featurize(kind, envs.goal_condition(s, [1.0, 2.0])).shape == (envs.feature_dim(kind),)
+    assert envs.feature_row(kind, s, [1.0, 2.0]).shape == (envs.feature_dim(kind),)
     assert np.flatnonzero(envs.sink_mask(kind)).tolist() == list(range(2, 2 + n_head))
     assert np.all(np.isin(envs.sink_mask(kind), [0.0, 1.0]))
     # full throttle either way saturates every speed at exactly its limit

@@ -200,7 +200,7 @@ def _assert_same_choice(got, want):
     assert (got.level, got.radius, got.segment, got.fraction) == (want.level, want.radius, want.segment, want.fraction)
 
 
-def test_select_sink_matches_per_candidate_oracle():
+def test_select_matches_per_candidate_oracle():
     rng = np.random.default_rng(13)
     kinds = {"chosen": 0, "stalled": 0, "uncertified": 0}
     for _ in range(300):
@@ -229,7 +229,7 @@ def test_select_sink_matches_per_candidate_oracle():
     assert min(kinds.values()) >= 20, kinds
 
 
-def test_select_sink_tie_at_shared_waypoint_keeps_earlier_segment():
+def test_select_tie_at_shared_waypoint_keeps_earlier_segment():
     # fraction 1.0 of segment 0 and fraction 0.0 of segment 1 are the same
     # point; a hazard covers the rest of segment 1, so that point is the
     # farthest safe one and the earlier segment must win, as the strict loop did
@@ -370,7 +370,7 @@ def test_sink_tracker_target_holds_the_last_sink_through_a_stall():
         t.target(state)
 
 
-def test_select_sink_prefers_progress_on_clear_ground():
+def test_select_prefers_progress_on_clear_ground():
     # with no hazards every candidate in the window is safe (quadratic V,
     # generous table), so the farthest one must win
     value, grad = quad_v(1.0)
@@ -383,7 +383,7 @@ def test_select_sink_prefers_progress_on_clear_ground():
     assert choice.fraction == pytest.approx(1.0)
 
 
-def test_select_sink_rejects_uncertified_candidates():
+def test_select_rejects_uncertified_candidates():
     value, grad = quad_v(1.0)
     # tiny table: only levels up to 0.04 certify (radius 0.2)
     lut = monitor.build_lut(value, grad, np.array([0.01, 0.04]), BOX2, seed=8)
@@ -395,7 +395,7 @@ def test_select_sink_rejects_uncertified_candidates():
     assert np.linalg.norm(choice.pos - state.pos) <= 0.2 + 1e-6
 
 
-def test_select_sink_skips_hazard_overlapping_circles():
+def test_select_skips_hazard_overlapping_circles():
     value, grad = quad_v(1.0)
     lut = monitor.build_lut(value, grad, np.geomspace(0.01, 16.0, 16), BOX2, seed=9)
     world = envs.empty_world()
@@ -407,7 +407,7 @@ def test_select_sink_skips_hazard_overlapping_circles():
     assert np.linalg.norm(world.hazards[0, :2] - choice.pos) >= r_inf + 0.2
 
 
-def test_select_sink_stalls_when_nothing_safe():
+def test_select_stalls_when_nothing_safe():
     value, grad = quad_v(1.0)
     lut = monitor.build_lut(value, grad, np.array([4.0, 16.0]), BOX2, seed=10)  # huge circles only
     world = envs.empty_world()
@@ -434,7 +434,7 @@ class QuadAgent:
         return d / max(np.linalg.norm(d), 0.05)
 
 
-def test_monitored_rollout_reaches_on_empty_world():
+def test_monitored_episode_reaches_on_empty_world():
     agent = QuadAgent(1.0)
     value, grad = quad_v(1.0)
     grid = np.geomspace(0.01, 16.0, 16)
@@ -444,7 +444,7 @@ def test_monitored_rollout_reaches_on_empty_world():
     assert rep.steps <= harness.STEP_CAPS[1]
 
 
-def test_monitored_rollout_detects_violation(monkeypatch):
+def test_monitored_episode_detects_violation(monkeypatch):
     agent = QuadAgent(1.0)
     value, grad = quad_v(1.0)
     grid = np.geomspace(0.01, 64.0, 16)

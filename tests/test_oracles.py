@@ -5,7 +5,7 @@ once per episode step, so they compute in Python floats and test only the
 hazards that the world's ``envs.HazardIndex`` finds near them; their oracles
 scan every hazard with numpy. ``envs.hazard_observation`` works on
 coordinate columns with bare ufuncs, and ``envs.distance`` is the square
-root of a dot product. ``envs.featurize`` of one state, ``envs.step`` and
+root of a dot product. ``envs.feature_row``, ``envs.step`` and
 ``planner.foot_distance``, the distance that ``segment_free`` and
 ``monitor.SinkTracker.advance`` share, compute in Python floats, whose
 operations round as numpy's float64 ufuncs do, and
@@ -25,14 +25,16 @@ tables must keep matching bit for bit.
 sink term from a memo of f(0) and drop its zero gradient term; their oracles
 are the plain ``f(x) - f(x * mask)`` and ``g1 - g2 * mask``, bit for bit.
 
-``colearn.Policy.act`` builds its one feature row in Python floats; its
-oracles are ``forward(observe(...))``, which is
-``net.forward(featurize(kind, goal_condition(state, goal)))``, and the numpy
-passes over a one-row batch. ``Mlp.forward``, which keeps no activations, is
-checked against ``forward_cache``'s output, and point and car V against the
-two forwards ``f(x) - f(x * mask)``; the input ``SinkTracker.select`` passes
-V against the plain ``np.hstack`` spelling of ``goal_condition`` of the
-window's candidates. All bit for bit.
+``colearn.Policy.act`` is the actor network over ``envs.feature_row``, one
+feature row in Python floats; its oracles are the network over the one-row
+batch ``featurize(kind, observe(...)[None])``, where ``observe`` is
+``goal_condition(state, goal)``, and the numpy passes over that batch.
+``featurize`` takes 2-D batches only; its oracle featurizes one state too.
+``Mlp.forward``, which keeps no activations, is checked against
+``forward_cache``'s output, and point and car V against the two forwards
+``f(x) - f(x * mask)``; the input ``SinkTracker.select`` passes V against
+the plain ``np.hstack`` spelling of ``goal_condition`` of the window's
+candidates. All bit for bit.
 
 ``colearn.Trainer.train_v`` evaluates V's network on 4n rows; its oracle is
 the retired 6n-row update, which also evaluated the sinks and kept the
@@ -286,7 +288,7 @@ def assert_clearance_at_oracle_distance(p, a, b):
         assert planner.segment_free(a, b, world, m) is bool(np.all(d > m)), (p, a, b, m)
 
 
-def test_point_segment_distance_matches_oracle_bitwise():
+def test_foot_distance_matches_oracle_bitwise():
     # foot_distance, directly and through segment_free's clearance decisions
     rng = np.random.default_rng(0)
     for _ in range(300):
@@ -309,7 +311,7 @@ def test_point_segment_distance_matches_oracle_bitwise():
             assert_clearance_at_oracle_distance(*args)
 
 
-def test_point_segment_distance_matches_oracle_on_lists_and_nan():
+def test_foot_distance_matches_oracle_on_lists_and_nan():
     nan = float("nan")
     cases = [
         ([0, 1], [-1, 0], [1, 0]),
@@ -469,8 +471,10 @@ def test_featurize_matches_oracle_for_1d_and_batched_states(kind):
     X[1, 0] = np.nan
     X[2, 1] = np.inf
     with np.errstate(invalid="ignore"):  # inf / inf in the direction of row 2
-        for x in (X, X[:1], X[0], X[1], X[2], X[5]):
+        for x in (X, X[:1]):
             assert same_bits(envs.featurize(kind, x), oracle_featurize(x)), x
+        for x in (X[0], X[1], X[2], X[5]):  # one state at the origin, toward the goal x[:2]
+            assert same_bits(envs.feature_row(kind, envs.PhysState(np.zeros(2), x[2:]), x[:2]), oracle_featurize(x)), x
 
 
 def _states(kind, rng):
@@ -561,7 +565,7 @@ def _tracker(path, world, value_fn=None, keys=(0.5, 1.0), radii=(0.25, 0.25)):
     return monitor.SinkTracker(np.asarray(path, dtype=float), world, value_fn, lut)
 
 
-def test_advance_matches_argmin_of_point_segment_distance():
+def test_advance_matches_argmin_of_foot_distance():
     nan, inf = np.nan, np.inf
     # integer waypoints, so distances are exact: a shared vertex is at 0 from
     # both its segments, and the repeated (1, 1) is a zero-length segment
@@ -813,8 +817,9 @@ def test_select_input_is_the_goal_condition_of_the_window(kind):
 @pytest.mark.parametrize("kind", list(RobotKind))
 def test_agent_act_is_the_policy_forward_of_the_featurized_goal_condition(kind):
     # Policy.act's one feature row from the state's and the goal's floats, for
-    # the online and the target policy, against forward(observe(...)) and the
-    # numpy oracles of a one-row batch; Agent.act is the online policy's act
+    # the online and the target policy, against the network over featurize of
+    # observe(...) as a one-row batch and against the numpy oracles of that
+    # batch; Agent.act is the online policy's act
     agent = colearn.make_agent(kind, seed=31)
     nn.polyak_update(agent.pi_t, colearn.make_agent(kind, seed=32).pi, 0.5)  # a target unlike pi, in place
     world = envs.make_world(1, 31)
@@ -826,7 +831,8 @@ def test_agent_act_is_the_policy_forward_of_the_featurized_goal_condition(kind):
             acts = []
             for policy, net in ((agent.policy, agent.pi), (agent.target_policy, agent.pi_t)):
                 got = policy.act(s, goal, world)
-                assert same_bits(got, policy.forward(policy.observe(s, goal, world))), (s, goal)
+                batch = envs.featurize(kind, policy.observe(s, goal, world)[None])
+                assert same_bits(got, net.forward(batch)[0]), (s, goal)
                 assert same_bits(got, oracle_forward_cached(net, oracle_featurize(x[None]))[-1][0])
                 acts.append(got)
             assert same_bits(agent.act(s, goal, world), acts[0])

@@ -7,24 +7,30 @@ import numpy as np
 import pytest
 
 from lyapnav import envs, harness, planner
-from test_oracles import oracle_point_segment_distance as point_segment_distance
+from test_oracles import oracle_point_segment_distance
 
 
-# the oracle segment_free's distances are checked against bit for bit
-# (tests/test_oracles.py), against hand-computed and densely sampled distances
+def foot_distance(p, a, b):
+    """planner.foot_distance from the point p to the segment from a to b."""
+    return planner.foot_distance(float(p[0]), float(p[1]), planner.segment(*map(float, (*a, *b))))
+
+
+# segment_free's distance, planner.foot_distance, against hand-computed and
+# densely sampled distances; tests/test_oracles.py checks it bit for bit
+# against the numpy oracle
 
 
 def test_point_segment_distance_analytic_cases():
     # oracles computed by hand
-    assert point_segment_distance([0, 1], [-1, 0], [1, 0]) == pytest.approx(1.0)
-    assert point_segment_distance([2, 1], [-1, 0], [1, 0]) == pytest.approx(np.sqrt(2))
-    assert point_segment_distance([0.5, 0], [-1, 0], [1, 0]) == pytest.approx(0.0)
-    assert point_segment_distance([3, 4], [0, 0], [0, 0]) == pytest.approx(5.0)
-    # the same cases as one array of points against one segment
-    d = point_segment_distance([[0, 1], [2, 1], [0.5, 0]], [-1, 0], [1, 0])
+    assert foot_distance([0, 1], [-1, 0], [1, 0]) == pytest.approx(1.0)
+    assert foot_distance([2, 1], [-1, 0], [1, 0]) == pytest.approx(np.sqrt(2))
+    assert foot_distance([0.5, 0], [-1, 0], [1, 0]) == pytest.approx(0.0)
+    assert foot_distance([3, 4], [0, 0], [0, 0]) == pytest.approx(5.0)
+    # the same cases as a list of points against one segment
+    d = [foot_distance(p, [-1, 0], [1, 0]) for p in [[0, 1], [2, 1], [0.5, 0]]]
     assert d == pytest.approx([1.0, np.sqrt(2), 0.0])
-    # and one point against an array of segments, the last of zero length
-    d = point_segment_distance([3, 4], [[-1, 4], [0, 0]], [[1, 4], [0, 0]])
+    # and one point against a list of segments, the last of zero length
+    d = [foot_distance([3, 4], a, b) for a, b in zip([[-1, 4], [0, 0]], [[1, 4], [0, 0]])]
     assert d == pytest.approx([2.0, 5.0])
 
 
@@ -36,19 +42,20 @@ def test_point_segment_distance_matches_dense_sampling():
         ts = np.linspace(0, 1, 2001)
         pts = a + ts[:, None] * (b - a)
         dense = np.min(np.linalg.norm(pts - p, axis=1))
-        assert point_segment_distance(p, a, b) == pytest.approx(dense, abs=1e-3)
+        assert foot_distance(p, a, b) == pytest.approx(dense, abs=1e-3)
 
 
 def test_point_segment_distance_broadcast_equals_row_calls():
+    # the numpy oracle broadcasts over points and over segments
     rng = np.random.default_rng(1)
     pts = rng.normal(size=(40, 2))
     a, b = rng.normal(size=(2, 2))
-    rows = [point_segment_distance(p, a, b) for p in pts]
-    assert np.array_equal(point_segment_distance(pts, a, b), rows)
+    rows = [oracle_point_segment_distance(p, a, b) for p in pts]
+    assert np.array_equal(oracle_point_segment_distance(pts, a, b), rows)
     a_s, b_s = rng.normal(size=(2, 40, 2))
     b_s[7] = a_s[7]  # zero-length segment
-    rows = [point_segment_distance(pts[0], a_, b_) for a_, b_ in zip(a_s, b_s)]
-    assert np.array_equal(point_segment_distance(pts[0], a_s, b_s), rows)
+    rows = [oracle_point_segment_distance(pts[0], a_, b_) for a_, b_ in zip(a_s, b_s)]
+    assert np.array_equal(oracle_point_segment_distance(pts[0], a_s, b_s), rows)
     assert rows[7] == pytest.approx(np.linalg.norm(pts[0] - a_s[7]))
 
 
