@@ -342,24 +342,13 @@ def sample_task(kind, rng):
     return envs.initial_state(kind, heading=rng.uniform(0.0, 2 * np.pi)), goal
 
 
-def _label(policy, goal, state, nxt, world):
-    """(reward, next observation, done) of the step state -> nxt toward
-    ``goal``: the one labeling of every stored transition."""
-    r = envs.reward(goal, state, nxt, world)
-    o1 = policy.observe(nxt, goal, world)
-    done = envs.distance(goal, nxt.pos) < envs.REACH_TOL
-    return r, o1, done
-
-
 def collect_episode(policy, state, goal, world, horizon, noise, rng, random_actions=False, relabels=0):
     """Roll out ``policy`` from ``state`` toward ``goal`` in ``world`` with
     Gaussian exploration noise (or uniform random actions) until the horizon
-    or the goal. Returns the rollout's (o, a, r, o1, done) rows and
-    ``relabels`` copies of each with the goal relabeled to a position reached
-    at or after its step; ``_label`` labels both the same way."""
-    transitions = []
-    states = [state]
-    o = policy.observe(state, goal, world)
+    or the goal, then label its steps. Returns the rollout's (o, a, r, o1,
+    done) rows and ``relabels`` copies of each with the goal relabeled to a
+    position reached at or after its step; one ``label`` builds both."""
+    states, actions = [state], []
     for _ in range(horizon):
         if random_actions:
             a = rng.uniform(-1.0, 1.0, size=envs.ACTION_DIM)
@@ -367,22 +356,21 @@ def collect_episode(policy, state, goal, world, horizon, noise, rng, random_acti
             a = policy.act(state, goal, world)
             if noise > 0.0:
                 a = a + rng.normal(0.0, noise, size=a.shape)
-        a = np.clip(a, -1.0, 1.0)
-        nxt = envs.step(policy.kind, state, a)
-        r, o1, done = _label(policy, goal, state, nxt, world)
-        transitions.append((o, a, r, o1, done))
-        states.append(nxt)
-        state, o = nxt, o1
-        if done:
+        actions.append(np.clip(a, -1.0, 1.0))
+        state = envs.step(policy.kind, state, actions[-1])
+        states.append(state)
+        if envs.reached(state.pos, goal):
             break
-    relabeled = []
-    n = len(transitions)
-    for t in range(n):
-        for _ in range(relabels):
-            g = states[rng.integers(t, n) + 1].pos
-            o = policy.observe(states[t], g, world)
-            relabeled.append((o, transitions[t][1], *_label(policy, g, states[t], states[t + 1], world)))
-    return transitions, relabeled
+
+    def label(g, t):
+        """The row of step t toward goal g."""
+        s, s1 = states[t], states[t + 1]
+        o, o1 = policy.observe(s, g, world), policy.observe(s1, g, world)
+        return o, actions[t], envs.reward(g, s, s1, world), o1, envs.reached(s1.pos, g)
+
+    n = len(actions)
+    transitions = [label(goal, t) for t in range(n)]
+    return transitions, [label(states[rng.integers(t, n) + 1].pos, t) for t in range(n) for _ in range(relabels)]
 
 
 def colearn(kind, cfg=None, seed=0, log_path=None):

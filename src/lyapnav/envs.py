@@ -184,6 +184,12 @@ def distance(p, q):
     return math.sqrt(d.dot(d))
 
 
+def reached(p, goal):
+    """The one reach rule of training and evaluation: p lies strictly within
+    REACH_TOL of goal (a NaN coordinate is never within it)."""
+    return distance(p, goal) < REACH_TOL
+
+
 def reward(g, s_t, s_next, world):
     """Progress toward the goal (previous distance minus new distance), less
     HAZARD_PENALTY when s_next is inside a hazard of ``world``."""
@@ -191,6 +197,11 @@ def reward(g, s_t, s_next, world):
     if in_hazard(s_next.pos, world):
         r -= HAZARD_PENALTY
     return r
+
+
+def number_list(x):
+    """Whether a JSON value is a list of numbers (a boolean is not one)."""
+    return type(x) is list and all(type(v) in (int, float) for v in x)
 
 
 @dataclass
@@ -209,19 +220,24 @@ class World:
     @classmethod
     def from_json(cls, text):
         """The world of a JSON document. A missing entry, a size that is not
-        finite and positive, a start or goal that is not a finite 2-vector, or
-        a non-integer level or seed (the seed may be null) raises ValueError."""
+        finite and positive, hazards that are not a list of finite (cx, cy,
+        radius) number rows with a nonnegative radius (no rows is a list too),
+        a start or goal that is not a finite 2-vector, or a non-integer level
+        or seed (the seed may be null) raises ValueError."""
         doc = json.loads(text)
         try:
-            size, hazards = float(doc["size"]), np.asarray(doc["hazards"], dtype=float).reshape(-1, 3)
+            size, hazards = float(doc["size"]), doc["hazards"]
             start, goal = (np.asarray(doc[name], dtype=float) for name in ("start", "goal"))
             level, seed = doc["level"], doc["seed"]
         except KeyError as exc:
             raise ValueError(f"world JSON has no {exc} entry") from exc
         except TypeError as exc:
             raise ValueError(f"malformed world JSON: {exc}") from exc
+        rows = type(hazards) is list and all(number_list(row) and len(row) == 3 for row in hazards)
+        hazards = np.array(hazards if rows else [], dtype=float).reshape(-1, 3)
         for name, ok in (
             ("size", math.isfinite(size) and size > 0),
+            ("hazards", rows and np.isfinite(hazards).all() and (hazards[:, 2] >= 0).all()),
             ("start", start.shape == (2,) and np.isfinite(start).all()),
             ("goal", goal.shape == (2,) and np.isfinite(goal).all()),
             ("level", type(level) is int),

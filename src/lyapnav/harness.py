@@ -135,7 +135,7 @@ def _episode(method, robot, level, world, outcome, steps):
 
 class _WaypointChaser:
     """Steering of e2e, h-e2e and direct: each waypoint in turn, moving on
-    once the robot is within envs.REACH_TOL of it."""
+    once the robot has ``envs.reached`` it."""
 
     def __init__(self, waypoints):
         self.waypoints = waypoints
@@ -146,7 +146,7 @@ class _WaypointChaser:
 
     def advance(self, state):
         last = len(self.waypoints) - 1
-        while self.wp < last and envs.distance(state.pos, self.waypoints[self.wp]) < envs.REACH_TOL:
+        while self.wp < last and envs.reached(state.pos, self.waypoints[self.wp]):
             self.wp += 1
 
 
@@ -158,10 +158,10 @@ def run_episode(method, agent, world, lut=None, plan_seed=0):
     ``act(state, target, world)``. Every method runs the same loop: take a
     target from the steering (``monitor.SinkTracker`` for ``monitored``, a
     waypoint chaser otherwise), act, step, check hazards once (never for
-    ``direct``), check the goal, advance the steering. The planner and the
-    monitor run at their default settings. A failed plan is reported with
-    the distinct ``plan_failed`` outcome (counts as not reached, not
-    violated).
+    ``direct``), check the goal with ``envs.reached``, advance the steering.
+    The planner and the monitor run at their default settings. A failed plan
+    is reported with the distinct ``plan_failed`` outcome (counts as not
+    reached, not violated).
     """
     if method not in METHODS:
         raise ValueError(f"method must be one of {METHODS}, got {method!r}")
@@ -194,7 +194,7 @@ def run_episode(method, agent, world, lut=None, plan_seed=0):
         state = envs.step(kind, state, agent.act(state, target, world))
         if method != "direct" and envs.in_hazard(state.pos, world):
             return _episode(method, kind, level, world, "violated", t + 1)
-        if envs.distance(state.pos, goal) < envs.REACH_TOL:
+        if envs.reached(state.pos, goal):
             return _episode(method, kind, level, world, "reached", t + 1)
         steer.advance(state)
     return _episode(method, kind, level, world, "timeout", cap)

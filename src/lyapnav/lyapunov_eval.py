@@ -42,17 +42,14 @@ def sample_transitions(kind, policy, n, seed=0):
         raise ValueError(f"sample_transitions needs a count n >= 0, got n={n}")
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE7]))
     arena = envs.empty_world()
-    S, S1 = [], []
+    # each episode's rows go into two float arrays at once, so that no more
+    # than one episode's row objects are alive
+    S = S1 = np.zeros((0, envs.state_dim(kind)))
     while len(S) < n:
         start, goal = colearn.sample_task(kind, rng)
-        transitions, _ = colearn.collect_episode(policy, start, goal, arena, colearn.TrainConfig.horizon, 0.0, rng)
-        for sg, _, _, sg1, _ in transitions:
-            S.append(sg)
-            S1.append(sg1)
-            if len(S) == n:
-                break
-    d = envs.state_dim(kind)
-    return np.reshape(S, (n, d)), np.reshape(S1, (n, d))
+        rows = colearn.collect_episode(policy, start, goal, arena, colearn.TrainConfig.horizon, 0.0, rng)[0]
+        S, S1 = np.vstack([S, [row[0] for row in rows]]), np.vstack([S1, [row[3] for row in rows]])
+    return S[:n], S1[:n]
 
 
 def sink_residual(value_fn, kind):

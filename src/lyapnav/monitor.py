@@ -152,20 +152,30 @@ class RoaLut:
 
     @classmethod
     def from_json(cls, text):
+        """The table of a JSON document. A missing entry, keys, radii or box
+        corners that are not lists of numbers, a search with an unknown
+        setting or a setting that is not an integer of at least 1, or a seed
+        that is not a nonnegative integer raises ValueError; so does any
+        table that the constructor refuses."""
         doc = json.loads(text)
         try:
-            return cls(
-                keys=np.asarray(doc["keys"]),
-                radii=np.asarray(doc["radii"]),
-                box=(np.asarray(doc["box"][0]), np.asarray(doc["box"][1])),
-                search=SearchConfig(**doc["search"]),
-                seed=doc["seed"],
-                v_digest=doc["v_digest"],
-            )
+            keys, radii, box, seed = doc["keys"], doc["radii"], doc["box"], doc["seed"]
+            lo, hi = box[0], box[1]
+            search, v_digest = SearchConfig(**doc["search"]), doc["v_digest"]
         except KeyError as exc:
             raise ValueError(f"lookup table JSON has no {exc} entry") from exc
         except (IndexError, TypeError) as exc:
             raise ValueError(f"malformed lookup table JSON: {exc}") from exc
+        for name, ok in (
+            ("keys", envs.number_list(keys)),
+            ("radii", envs.number_list(radii)),
+            ("box", envs.number_list(lo) and envs.number_list(hi)),
+            ("search", all(type(v) is int and v >= 1 for v in vars(search).values())),
+            ("seed", type(seed) is int and seed >= 0),
+        ):
+            if not ok:
+                raise ValueError(f"lookup table JSON entry {name!r} is invalid: {json.dumps(doc[name])}")
+        return cls(np.asarray(keys), np.asarray(radii), (np.asarray(lo), np.asarray(hi)), search, seed, v_digest)
 
 
 def build_lut(value_fn, grad_fn, level_grid, box, cfg=None, seed=0, v_digest=None, project=None):

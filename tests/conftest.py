@@ -1,9 +1,12 @@
 """Session fixtures: trained agents, baselines, and lookup tables.
 
 Training is expensive, so every artifact is cached on disk under
-tests/_agent_cache/ together with its wall-clock build time; delete that
-directory to retrain from scratch. Seeds and budgets are frozen here — the
-acceptance suite runs against exactly these artifacts.
+tests/_agent_cache/ together with its wall-clock build time. Seeds and
+budgets are frozen here — the acceptance suite runs against exactly these
+artifacts. Deleting the directory does not give them back: the code no
+longer reproduces the cached agents (ROADMAP item 13), so the agents it
+would train are other agents, and every table built for them differs too.
+Only the e2e baselines come out byte for byte (train-e2e --seed 0).
 """
 
 import json

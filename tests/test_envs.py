@@ -228,15 +228,37 @@ WORLD_DOC = {"size": 4.0, "hazards": [], "start": [0.5, 0.5], "goal": [3.5, 3.5]
         ({**WORLD_DOC, "goal": [3.5, float("nan")]}, "'goal' is invalid"),
         ({**WORLD_DOC, "size": 0.0}, "'size' is invalid: 0.0"),
         ({**WORLD_DOC, "size": float("inf")}, "'size' is invalid: Infinity"),
+        ({**WORLD_DOC, "hazards": [[1, 2], [3, 1.5], [2.5, 0.2]]}, r"'hazards' is invalid: \[\[1, 2\]"),
+        ({**WORLD_DOC, "hazards": [1, 2, 3, 1.5, 2.5, 0.2]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": [2, 2, 0.3]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": [[2, 2, 0.3], [1, 1]]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": [[2, float("nan"), 0.3]]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": [[2, 2, float("nan")]]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": [[2, 2, float("inf")]]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": [[2, 2, -0.3]]}, r"'hazards' is invalid: \[\[2, 2, -0.3\]\]"),
+        ({**WORLD_DOC, "hazards": [["2", "2", "0.3"]]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": [[2, 2, True]]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": [[]]}, "'hazards' is invalid"),
+        ({**WORLD_DOC, "hazards": None}, "'hazards' is invalid: null"),
     ],
     ids=[
         "without-start", "not-an-object", "list-size", "fractional-level", "boolean-level", "fractional-seed",
         "string-seed", "one-coordinate-start", "three-coordinate-goal", "nan-goal", "zero-size", "infinite-size",
+        "two-coordinate-hazards", "flat-hazard-list", "one-flat-hazard", "ragged-hazards", "nan-hazard-centre",
+        "nan-hazard-radius", "infinite-hazard-radius", "negative-hazard-radius", "string-hazard", "boolean-hazard",
+        "empty-hazard-row", "null-hazards",
     ],
 )
 def test_world_from_json_rejects_malformed_documents(doc, match):
     with pytest.raises(ValueError, match=match):
         envs.World.from_json(json.dumps(doc))
+
+
+def test_world_from_json_reads_no_hazards_as_an_empty_table():
+    for hazards in ([], [[2, 2, 0]]):
+        world = envs.World.from_json(json.dumps({**WORLD_DOC, "hazards": hazards}))
+        assert world.hazards.dtype == float and world.hazards.shape == (len(hazards), 3)
+        assert not envs.in_hazard([0.5, 0.5], world)
 
 
 def test_make_world_rejects_bad_level():

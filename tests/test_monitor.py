@@ -90,7 +90,10 @@ def test_lut_rejects_bad_tables():
         with pytest.raises(ValueError):
             monitor.RoaLut(keys=keys, radii=radii, box=BOX2)
     # documents that are no table: a missing entry, an unknown search
-    # setting or a search constant, a box with one corner, not an object
+    # setting or a search constant, a box with one corner, not an object;
+    # a search setting that is not an integer of at least 1, a seed that is
+    # not a nonnegative integer, and keys, radii or box corners that are not
+    # lists of numbers
     doc = json.loads(monitor.RoaLut(keys=[1.0, 2.0], radii=[1.0, 2.0], box=BOX2).to_json())
     for text, match in [
         (json.dumps({k: v for k, v in doc.items() if k != "seed"}), "no 'seed' entry"),
@@ -98,6 +101,18 @@ def test_lut_rejects_bad_tables():
         (json.dumps({**doc, "search": {**doc["search"], "beta": 1e3}}), "beta"),
         (json.dumps({**doc, "box": doc["box"][:1]}), "malformed lookup table"),
         (json.dumps([doc]), "malformed lookup table"),
+        (json.dumps({**doc, "search": {**doc["search"], "n_starts": 0}}), "'search' is invalid"),
+        (json.dumps({**doc, "search": {**doc["search"], "n_steps": -1}}), "'search' is invalid"),
+        (json.dumps({**doc, "search": {**doc["search"], "n_starts": 2.5}}), "'search' is invalid"),
+        (json.dumps({**doc, "search": {**doc["search"], "n_steps": True}}), "'search' is invalid"),
+        (json.dumps({**doc, "seed": "x"}), "'seed' is invalid"),
+        (json.dumps({**doc, "seed": -1}), "'seed' is invalid"),
+        (json.dumps({**doc, "seed": 3.0}), "'seed' is invalid"),
+        (json.dumps({**doc, "keys": ["1", "2"]}), "'keys' is invalid"),
+        (json.dumps({**doc, "keys": [[1.0, 2.0]]}), "'keys' is invalid"),
+        (json.dumps({**doc, "radii": [1.0, "2"]}), "'radii' is invalid"),
+        (json.dumps({**doc, "box": [doc["box"][0], ["1", "1"]]}), "'box' is invalid"),
+        (json.dumps({**doc, "box": [doc["box"][0], [True, 1]]}), "'box' is invalid"),
     ]:
         with pytest.raises(ValueError, match=match):
             monitor.RoaLut.from_json(text)

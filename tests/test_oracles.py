@@ -36,6 +36,13 @@ batch ``featurize(kind, observe(...)[None])``, where ``observe`` is
 the plain ``np.hstack`` spelling of ``goal_condition`` of the window's
 candidates. All bit for bit.
 
+``colearn.collect_episode`` rolls out first and then builds every row,
+rollout and hindsight copy alike, through one ``label``; its oracle is the
+retired two-loop collection, which labelled each step as it went, carried
+the observation forward and labelled the copies through ``_label``, bit for
+bit, row by row and draw by draw. ``envs.reached`` is the one reach rule;
+its oracle is ``np.linalg.norm(p - q) < REACH_TOL``.
+
 ``colearn.Trainer.train_v`` evaluates V's network on 4n rows; its oracle is
 the retired 6n-row update, which also evaluated the sinks and kept the
 V(sink)^2 term. Their gradients agree to a tolerance, not bit for bit,
@@ -45,7 +52,7 @@ because BLAS groups the rows of the gradient's sums differently.
 import numpy as np
 import pytest
 
-from lyapnav import colearn, envs, monitor, nn, planner
+from lyapnav import colearn, envs, harness, monitor, nn, planner
 from lyapnav.envs import RobotKind
 
 
@@ -255,6 +262,46 @@ def oracle_select(tracker, state, seg_idx):
     i = farthest[np.argmax(radii[farthest])]
     seg, j = divmod(int(i), fracs.size)
     return monitor.SinkChoice(cands[i], float(levels[i]), float(radii[i]), lo + seg, float(fracs[j]))
+
+
+def oracle_label(policy, goal, state, nxt, world):
+    """(reward, next observation, done) of the step state -> nxt toward goal."""
+    r = envs.reward(goal, state, nxt, world)
+    o1 = policy.observe(nxt, goal, world)
+    done = envs.distance(goal, nxt.pos) < envs.REACH_TOL
+    return r, o1, done
+
+
+def oracle_collect_episode(policy, state, goal, world, horizon, noise, rng, random_actions=False, relabels=0):
+    """Two loops: the rollout labels each step as it takes it and carries the
+    observation forward; the hindsight loop reads each action back from its
+    rollout row."""
+    transitions = []
+    states = [state]
+    o = policy.observe(state, goal, world)
+    for _ in range(horizon):
+        if random_actions:
+            a = rng.uniform(-1.0, 1.0, size=envs.ACTION_DIM)
+        else:
+            a = policy.act(state, goal, world)
+            if noise > 0.0:
+                a = a + rng.normal(0.0, noise, size=a.shape)
+        a = np.clip(a, -1.0, 1.0)
+        nxt = envs.step(policy.kind, state, a)
+        r, o1, done = oracle_label(policy, goal, state, nxt, world)
+        transitions.append((o, a, r, o1, done))
+        states.append(nxt)
+        state, o = nxt, o1
+        if done:
+            break
+    relabeled = []
+    n = len(transitions)
+    for t in range(n):
+        for _ in range(relabels):
+            g = states[rng.integers(t, n) + 1].pos
+            o = policy.observe(states[t], g, world)
+            relabeled.append((o, transitions[t][1], *oracle_label(policy, g, states[t], states[t + 1], world)))
+    return transitions, relabeled
 
 
 # --------------------------------------------------------------------- tests
@@ -839,3 +886,69 @@ def test_agent_act_is_the_policy_forward_of_the_featurized_goal_condition(kind):
             assert not same_bits(acts[0], acts[1])
             n += 1
     assert n >= 32
+
+
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_collect_episode_matches_the_two_loop_oracle_bitwise(kind, request):
+    # every row and every draw, from equal rng seeds: the co-learning target
+    # policy untrained (warmup random actions, then noise) and trained (it
+    # reaches goals, so episodes end early), with co-learning's relabels; and
+    # an e2e policy in level-1 hazard worlds, with and without relabels
+    cfg, relabels = colearn.TrainConfig, colearn.TrainConfig.hindsight_relabels
+    untrained = colearn.make_agent(kind, seed=41).target_policy
+    trained = request.getfixturevalue(f"{kind.value}_agent").target_policy
+    e2e = harness.make_e2e_policy(kind, seed=41)
+    arena = envs.empty_world()
+    reached = 0
+    for seed in range(2):
+        runs = []
+        for policy, random_actions in ((untrained, True), (untrained, False), (trained, False)):
+            start, goal = colearn.sample_task(kind, np.random.default_rng(seed))
+            runs.append((policy, start, goal, arena, cfg.horizon, cfg.noise, random_actions, relabels))
+        world = envs.make_world(harness.E2E_LEVEL, seed)
+        start = envs.initial_state(kind, pos=world.start, heading=0.5 + seed)
+        for random_actions, k in ((True, 0), (False, 0), (False, 2)):
+            runs.append((e2e, start, world.goal, world, harness.E2E_SCHEDULE.horizon, cfg.noise, random_actions, k))
+        for i, (*args, random_actions, k) in enumerate(runs):
+            rng, oracle_rng = np.random.default_rng([seed, i]), np.random.default_rng([seed, i])
+            got = colearn.collect_episode(*args, rng, random_actions, k)
+            want = oracle_collect_episode(*args, oracle_rng, random_actions, k)
+            for rows, oracle_rows in zip(got, want):
+                assert len(rows) == len(oracle_rows), (seed, i)
+                for j, (row, oracle_row) in enumerate(zip(rows, oracle_rows)):
+                    assert len(row) == len(oracle_row) == 5
+                    for x, y in zip(row, oracle_row):
+                        assert type(x) is type(y) and same_bits(x, y), (seed, i, j)
+            assert len(got[1]) == k * len(got[0])
+            assert rng.bit_generator.state == oracle_rng.bit_generator.state
+            reached += got[0][-1][4]
+    assert reached > 0
+
+
+def test_reached_is_strict_at_the_tolerance_and_false_for_nan():
+    tol, origin = envs.REACH_TOL, np.zeros(2)
+    below = np.nextafter(tol, 0.0)
+    for u in np.array([[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]]):
+        assert envs.distance(tol * u, origin) == tol
+        assert envs.reached(tol * u, origin) is False and envs.reached(origin, tol * u) is False
+        assert envs.reached(below * u, origin) is True and envs.reached(origin, below * u) is True
+    nan, inf = np.array([np.nan, 0.0]), np.array([np.inf, 0.0])
+    with np.errstate(invalid="ignore"):  # inf - inf
+        for p, q in ((nan, origin), (origin, nan), (nan, nan), (inf, inf), (inf, origin)):
+            assert envs.reached(p, q) is False, (p, q)
+
+
+def test_reached_matches_the_norm_rule_in_either_argument_order():
+    rng = np.random.default_rng(43)
+    tol, n = envs.REACH_TOL, 4000
+    q = rng.uniform(-10.0, 10.0, size=(n, 2))
+    r = tol * rng.uniform(0.98, 1.02, size=n)  # on both sides of the tolerance
+    phi = rng.uniform(0.0, 2 * np.pi, size=n)
+    p = q + r[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+    outcomes = set()
+    for a, b in zip(p, q):
+        want = bool(np.linalg.norm(a - b) < tol)
+        assert bool(np.linalg.norm(b - a) < tol) is want
+        assert envs.reached(a, b) is want and envs.reached(b, a) is want, (a, b)
+        outcomes.add(want)
+    assert outcomes == {False, True}
