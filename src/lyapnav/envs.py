@@ -220,10 +220,10 @@ class World:
     @classmethod
     def from_json(cls, text):
         """The world of a JSON document. A missing entry, a size that is not
-        finite and positive, hazards that are not a list of finite (cx, cy,
-        radius) number rows with a nonnegative radius (no rows is a list too),
-        a start or goal that is not a finite 2-vector, or a non-integer level
-        or seed (the seed may be null) raises ValueError."""
+        finite and positive, hazards that are not a list, possibly empty, of
+        finite (cx, cy, radius) number rows with a nonnegative radius, a start
+        or goal that is not a finite 2-vector, or a non-integer level or seed
+        (the seed may be null) raises ValueError."""
         doc = json.loads(text)
         try:
             size, hazards = float(doc["size"]), doc["hazards"]
