@@ -74,7 +74,9 @@ def cmd_train(args):
 
 def cmd_train_e2e(args):
     cfg = apply_overrides("e2e", load_config(args.config).get("e2e", {}))
-    policy = harness.train_e2e(RobotKind(args.robot), cfg, seed=args.seed)
+    os.makedirs(args.out, exist_ok=True)
+    log_path = os.path.join(args.out, "train_log.csv")
+    policy = harness.train_e2e(RobotKind(args.robot), cfg, seed=args.seed, log_path=log_path)
     policy.save(args.out)
     print(f"trained {args.robot} e2e baseline (seed {args.seed}) -> {args.out}")
     return 0

@@ -332,6 +332,15 @@ class Trainer:
         nn.polyak_update(self.agent.q_t, self.agent.q, TAU)
         nn.polyak_update(self.agent.lq_t, self.agent.lq, TAU)
 
+    def phase(self, batch):
+        """Q, V, LQ and actor updates, then Polyak averaging; the log's four losses and two hinge fractions."""
+        ql = self.train_q(batch)
+        vl, pos_frac, lie_frac = self.train_v(batch)
+        ll = self.train_lq(batch)
+        pl = self.train_pi(batch)
+        self.polyak()
+        return ql, vl, ll, pl, pos_frac, lie_frac
+
 
 def sample_task(kind, rng):
     """Start (arena origin, uniform heading) and goal (uniform in
@@ -373,24 +382,16 @@ def collect_episode(policy, state, goal, world, horizon, noise, rng, random_acti
     return transitions, [label(states[rng.integers(t, n) + 1].pos, t) for t in range(n) for _ in range(relabels)]
 
 
-def colearn(kind, cfg=None, seed=0, log_path=None):
-    """Run the full co-learning loop and return the trained agent.
-
-    Per episode: collect transitions with the target policy, then cfg.grad_steps
-    phases of (Q update, V and LQ updates, actor update, Polyak averaging).
-    """
-    cfg = cfg or TrainConfig()
-    agent = make_agent(kind, seed=seed)
-    trainer = Trainer(agent, cfg)
-    buffer = ReplayBuffer(REPLAY_CAPACITY, envs.state_dim(kind), envs.ACTION_DIM)
-    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
-    arena = envs.empty_world()  # no hazards; nothing else of it is read
+def learn(policy, phase, task, buffer, nets, cfg, rng, relabels, log_path):
+    """The episode loop of both learners: per episode, roll ``policy`` out from ``task(rng)``'s
+    (start, goal, world), store its rows and ``relabels`` relabeled copies of each, run cfg.grad_steps
+    ``phase(batch)`` calls once the replay holds a batch, and check the ``nets`` (name -> network)
+    are finite. Returns the LOG_FIELDS rows, one per episode, and writes them to ``log_path``."""
     log_rows = []
     for ep in range(cfg.episodes):
-        start, goal = sample_task(kind, rng)
+        start, goal, world = task(rng)
         transitions, relabeled = collect_episode(
-            agent.target_policy, start, goal, arena, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes,
-            cfg.hindsight_relabels,
+            policy, start, goal, world, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes, relabels
         )
         ep_reward = 0.0
         for tr in transitions:
@@ -401,15 +402,9 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
         means = np.zeros(6)
         if buffer.size >= BATCH_SIZE:
             for _ in range(cfg.grad_steps):
-                batch = buffer.sample(rng, BATCH_SIZE)
-                ql = trainer.train_q(batch)
-                vl, pos_frac, lie_frac = trainer.train_v(batch)
-                ll = trainer.train_lq(batch)
-                pl = trainer.train_pi(batch)
-                trainer.polyak()
-                means += (ql, vl, ll, pl, pos_frac, lie_frac)
+                means += phase(buffer.sample(rng, BATCH_SIZE))
             means /= cfg.grad_steps
-        for net, name in ((agent.pi, "pi"), (agent.q, "q"), (agent.v.net, "v"), (agent.lq, "lq")):
+        for name, net in nets.items():
             nn.check_finite(net, f"in {name} after episode {ep}")
         d0 = envs.distance(goal, start.pos)
         row = (ep, ep_reward, *means[:4], d0, int(transitions[-1][4]), float(means[4]), float(means[5]), buffer.size)
@@ -422,4 +417,19 @@ def colearn(kind, cfg=None, seed=0, log_path=None):
             writer.writerows(
                 {k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()} for row in log_rows
             )
-    return agent, log_rows
+    return log_rows
+
+
+def colearn(kind, cfg=None, seed=0, log_path=None):
+    """Co-learn ``kind``'s agent in the hazard-free arena; returns it and the log rows of ``learn``."""
+    cfg = cfg or TrainConfig()
+    agent = make_agent(kind, seed=seed)
+    buffer = ReplayBuffer(REPLAY_CAPACITY, envs.state_dim(kind), envs.ACTION_DIM)
+    rng = np.random.default_rng(np.random.SeedSequence([seed, 0xC0]))
+    arena = envs.empty_world()  # no hazards; nothing else of it is read
+
+    def task(rng):
+        return *sample_task(kind, rng), arena
+
+    phase, nets = Trainer(agent, cfg).phase, agent.networks()
+    return agent, learn(agent.target_policy, phase, task, buffer, nets, cfg, rng, cfg.hindsight_relabels, log_path)

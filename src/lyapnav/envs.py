@@ -16,6 +16,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import nn
+
 DT = 0.1
 ACTION_DIM = 2  # every robot takes two actions in [-1, 1]
 SWEEP_A_MAX = 1.0
@@ -199,11 +201,6 @@ def reward(g, s_t, s_next, world):
     return r
 
 
-def number_list(x):
-    """Whether a JSON value is a list of numbers (a boolean is not one)."""
-    return type(x) is list and all(type(v) in (int, float) for v in x)
-
-
 @dataclass
 class World:
     size: float
@@ -220,10 +217,10 @@ class World:
     @classmethod
     def from_json(cls, text):
         """The world of a JSON document. A missing entry, a size that is not
-        finite and positive, hazards that are not a list, possibly empty, of
-        finite (cx, cy, radius) number rows with a nonnegative radius, a start
-        or goal that is not a finite 2-vector, or a non-integer level or seed
-        (the seed may be null) raises ValueError."""
+        a finite positive number, hazards that are not a list, possibly empty,
+        of finite (cx, cy, radius) number rows with a nonnegative radius, a
+        start or goal that is not a list of two finite numbers, or a
+        non-integer level or seed (the seed may be null) raises ValueError."""
         doc = json.loads(text)
         try:
             size, hazards = float(doc["size"]), doc["hazards"]
@@ -233,13 +230,13 @@ class World:
             raise ValueError(f"world JSON has no {exc} entry") from exc
         except TypeError as exc:
             raise ValueError(f"malformed world JSON: {exc}") from exc
-        rows = type(hazards) is list and all(number_list(row) and len(row) == 3 for row in hazards)
+        rows = type(hazards) is list and all(nn.number_list(row) and len(row) == 3 for row in hazards)
         hazards = np.array(hazards if rows else [], dtype=float).reshape(-1, 3)
         for name, ok in (
-            ("size", math.isfinite(size) and size > 0),
+            ("size", nn.number_list([doc["size"]]) and math.isfinite(size) and size > 0),
             ("hazards", rows and np.isfinite(hazards).all() and (hazards[:, 2] >= 0).all()),
-            ("start", start.shape == (2,) and np.isfinite(start).all()),
-            ("goal", goal.shape == (2,) and np.isfinite(goal).all()),
+            ("start", nn.number_list(doc["start"]) and start.shape == (2,) and np.isfinite(start).all()),
+            ("goal", nn.number_list(doc["goal"]) and goal.shape == (2,) and np.isfinite(goal).all()),
             ("level", type(level) is int),
             ("seed", seed is None or type(seed) is int),
         ):

@@ -93,11 +93,11 @@ E2E_LEVEL = 1  # level of the e2e training worlds
 E2E_SCHEDULE = colearn.TrainConfig(episodes=150, horizon=300)
 
 
-def train_e2e(kind, cfg=E2E_SCHEDULE, seed=0):
+def train_e2e(kind, cfg=E2E_SCHEDULE, seed=0, log_path=None):
     """DDPG training of the end-to-end baseline in randomly generated hazard
-    worlds, with the hazard-penalized progress reward. Episodes run through
-    ``colearn.collect_episode`` with the target actor, and learn at the
-    discount and exploration noise of ``colearn.TrainConfig``, as co-learning's do."""
+    worlds with the hazard-penalized progress reward: ``colearn.learn`` with the target actor,
+    no relabeled copies, and a critic and an actor update per phase at ``colearn.TrainConfig``'s
+    discount. The log's Lyapunov risk, LQ loss and hinge fractions read 0: it has no Lyapunov pair."""
     policy = make_e2e_policy(kind, seed)
     rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE3]))
     q_rng = np.random.default_rng(np.random.SeedSequence([seed, 0xE4]))
@@ -107,25 +107,21 @@ def train_e2e(kind, cfg=E2E_SCHEDULE, seed=0):
     adam_pi = nn.AdamState(policy.net.params(), lr=colearn.ACTOR_LR)
     adam_q = nn.AdamState(q.params(), lr=colearn.LR)
     buffer = colearn.ReplayBuffer(colearn.REPLAY_CAPACITY, obs_dim, envs.ACTION_DIM)
-    for ep in range(cfg.episodes):
+
+    def task(rng):
         world = envs.make_world(E2E_LEVEL, int(rng.integers(2**31)))
-        start = envs.initial_state(kind, pos=world.start, heading=rng.uniform(0, 2 * np.pi))
-        transitions, relabeled = colearn.collect_episode(
-            E2ePolicy(kind, pi_t), start, world.goal, world, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes
-        )
-        for tr in transitions + relabeled:
-            buffer.add(*tr)
-        if buffer.size < colearn.BATCH_SIZE:
-            continue
-        for _ in range(cfg.grad_steps):
-            b = buffer.sample(rng, colearn.BATCH_SIZE)
-            y = colearn.td_target(q_t, pi_t, b["r"], b["s1"], b["done"], cfg.gamma)
-            colearn.regress(q, adam_q, np.hstack([b["s"], b["a"]]), y)
-            colearn.actor_step(policy.net, adam_pi, b["s"], [(q_t, -1.0)])
-            nn.polyak_update(pi_t, policy.net, colearn.TAU)
-            nn.polyak_update(q_t, q, colearn.TAU)
-        nn.check_finite(policy.net, f"in e2e actor after episode {ep}")
-        nn.check_finite(q, f"in e2e critic after episode {ep}")
+        return envs.initial_state(kind, pos=world.start, heading=rng.uniform(0, 2 * np.pi)), world.goal, world
+
+    def phase(b):
+        y = colearn.td_target(q_t, pi_t, b["r"], b["s1"], b["done"], cfg.gamma)
+        q_loss = colearn.regress(q, adam_q, np.hstack([b["s"], b["a"]]), y)
+        policy_loss = colearn.actor_step(policy.net, adam_pi, b["s"], [(q_t, -1.0)])
+        nn.polyak_update(pi_t, policy.net, colearn.TAU)
+        nn.polyak_update(q_t, q, colearn.TAU)
+        return q_loss, 0.0, 0.0, policy_loss, 0.0, 0.0
+
+    nets = {"e2e actor": policy.net, "e2e critic": q}
+    colearn.learn(E2ePolicy(kind, pi_t), phase, task, buffer, nets, cfg, rng, 0, log_path)
     return policy
 
 

@@ -152,11 +152,11 @@ class RoaLut:
 
     @classmethod
     def from_json(cls, text):
-        """The table of a JSON document. A missing entry, keys, radii or box
-        corners that are not lists of numbers, a search with an unknown
-        setting or a setting that is not an integer of at least 1, or a seed
-        that is not a nonnegative integer raises ValueError; so does any
-        table that the constructor refuses."""
+        """The table of a JSON document. A missing entry, keys or radii that are not lists of
+        numbers, a box that is not two finite number corners of one length with lo <= hi, a search
+        with an unknown setting or a setting that is not an integer of at least 1, a seed that is not
+        a nonnegative integer, or a v_digest that is neither a string nor null raises ValueError; so
+        does any table that the constructor refuses."""
         doc = json.loads(text)
         try:
             keys, radii, box, seed = doc["keys"], doc["radii"], doc["box"], doc["seed"]
@@ -167,11 +167,13 @@ class RoaLut:
         except (IndexError, TypeError) as exc:
             raise ValueError(f"malformed lookup table JSON: {exc}") from exc
         for name, ok in (
-            ("keys", envs.number_list(keys)),
-            ("radii", envs.number_list(radii)),
-            ("box", envs.number_list(lo) and envs.number_list(hi)),
+            ("keys", nn.number_list(keys)),
+            ("radii", nn.number_list(radii)),
+            ("box", nn.number_list(box, 2) and len(box) == 2 and len(lo) == len(hi)
+             and np.isfinite(box).all() and np.less_equal(lo, hi).all()),
             ("search", all(type(v) is int and v >= 1 for v in vars(search).values())),
             ("seed", type(seed) is int and seed >= 0),
+            ("v_digest", v_digest is None or type(v_digest) is str),
         ):
             if not ok:
                 raise ValueError(f"lookup table JSON entry {name!r} is invalid: {json.dumps(doc[name])}")

@@ -45,6 +45,13 @@ HIDDEN_ACTIVATION = "tanh"
 OUTPUT_ACTIVATIONS = ("identity", "tanh")
 
 
+def number_list(x, depth=1):
+    """Whether a JSON value is ``depth`` levels of lists over numbers (a boolean is not one)."""
+    if depth > 1:
+        return type(x) is list and all(number_list(v, depth - 1) for v in x)
+    return type(x) is list and set(map(type, x)) <= {int, float}
+
+
 class ShapeError(ValueError):
     """Input or parameter shapes do not match the network architecture."""
 
@@ -301,7 +308,7 @@ def save_params(net, path):
 
 def load_params(path, net):
     """Load a checkpoint into net, whose architecture must match and whose
-    parameters must be finite."""
+    parameters must be finite JSON numbers."""
     try:
         with open(path) as f:
             doc = json.load(f)
@@ -313,6 +320,8 @@ def load_params(path, net):
         biases = [np.asarray(b, dtype=float) for b in doc["biases"]]
     except (json.JSONDecodeError, KeyError, TypeError, ValueError) as exc:
         raise CheckpointError(f"cannot parse checkpoint {path}: {exc}") from exc
+    if not (number_list(doc["weights"], 3) and number_list(doc["biases"], 2)):
+        raise CheckpointError(f"checkpoint {path} has parameters that are not numbers")
     if version != CHECKPOINT_VERSION:
         raise CheckpointError(f"checkpoint {path} has format_version {version}, expected {CHECKPOINT_VERSION}")
     if hidden_activation != HIDDEN_ACTIVATION or output_activation not in OUTPUT_ACTIVATIONS:

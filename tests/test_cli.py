@@ -1,6 +1,7 @@
 """Config files: every section and key names a setting that a command reads,
 and only the training commands read one."""
 
+import csv
 import json
 import shutil
 from dataclasses import fields
@@ -273,3 +274,26 @@ def test_report_on_malformed_episodes_is_a_command_error(tmp_path, capsys, text,
     err = capsys.readouterr().err
     assert err.startswith("error: ") and message in err, err
     assert {p.name for p in tmp_path.iterdir()} == {"episodes.csv"}
+
+
+def test_train_e2e_writes_the_training_log(tmp_path):
+    # three 100-step episodes: the replay holds a batch from the third on
+    schedule = {"episodes": 3, "grad_steps": 2, "horizon": 100, "warmup_episodes": 1}
+    config, out = tmp_path / "schedule.json", tmp_path / "e2e"
+    config.write_text(json.dumps({"e2e": schedule}))
+    assert cli.main(["train-e2e", "--robot", "point", "--config", str(config), "--out", str(out)]) == 0
+    with open(out / "train_log.csv", newline="") as f:
+        reader = csv.DictReader(f)
+        rows = [{k: float(v) for k, v in row.items()} for row in reader]
+    assert reader.fieldnames == list(colearn.LOG_FIELDS)
+    assert [row["episode"] for row in rows] == [0, 1, 2]
+    size = 0
+    for row in rows:
+        # no relabeled copies: the replay grows by the rollout, which runs to
+        # the horizon unless it reaches the goal
+        grown = row["replay_size"] - size
+        assert grown == schedule["horizon"] or (row["reached"] == 1 and 0 < grown < schedule["horizon"]), row
+        size = row["replay_size"]
+        assert (row["q_loss"] > 0) == (size >= colearn.BATCH_SIZE), row
+        # the baseline has no Lyapunov pair
+        assert [row[k] for k in ("lyapunov_risk", "lq_loss", "pos_hinge_frac", "lie_hinge_frac")] == [0, 0, 0, 0]

@@ -498,6 +498,35 @@ def test_both_learners_train_at_one_discount_and_noise(monkeypatch):
         assert all(value == getattr(colearn.TrainConfig, key) for key, value in seen), seen
 
 
+def test_both_learners_train_through_one_loop(monkeypatch):
+    calls = []
+
+    def recording(*args, learn=colearn.learn):
+        calls.append(args)
+        return learn(*args)
+
+    monkeypatch.setattr(colearn, "learn", recording)
+    cfg = colearn.TrainConfig(episodes=2, warmup_episodes=1, grad_steps=1, horizon=20)
+    for train in (colearn.colearn, harness.train_e2e):
+        calls.clear()
+        train(RobotKind.SWEEPING, cfg, seed=0)
+        assert len(calls) == 1, train
+
+
+def test_e2e_training_checks_its_networks_after_every_episode(monkeypatch):
+    # the one warmup episode fills no batch, so no gradient phase runs; the
+    # NaN is still found after it
+    def make_with_nan(kind, seed=0, make=harness.make_e2e_policy):
+        policy = make(kind, seed)
+        policy.net.weights[1][3, 5] = np.nan
+        return policy
+
+    monkeypatch.setattr(harness, "make_e2e_policy", make_with_nan)
+    cfg = colearn.TrainConfig(episodes=1, warmup_episodes=1, grad_steps=1, horizon=20)
+    with pytest.raises(FloatingPointError, match="in e2e actor after episode 0"):
+        harness.train_e2e(RobotKind.SWEEPING, cfg, seed=0)
+
+
 def test_colearn_smoke_logs_and_checkpoints(tmp_path):
     cfg = colearn.TrainConfig(episodes=3, warmup_episodes=1, grad_steps=2, horizon=30)
     log = tmp_path / "log.csv"

@@ -240,13 +240,16 @@ WORLD_DOC = {"size": 4.0, "hazards": [], "start": [0.5, 0.5], "goal": [3.5, 3.5]
         ({**WORLD_DOC, "hazards": [[2, 2, True]]}, "'hazards' is invalid"),
         ({**WORLD_DOC, "hazards": [[]]}, "'hazards' is invalid"),
         ({**WORLD_DOC, "hazards": None}, "'hazards' is invalid: null"),
+        ({**WORLD_DOC, "size": "4"}, "'size' is invalid: \"4\""),
+        ({**WORLD_DOC, "start": ["0.5", "0.5"]}, "'start' is invalid"),
+        ({**WORLD_DOC, "goal": [True, 3.5]}, r"'goal' is invalid: \[true, 3.5\]"),
     ],
     ids=[
         "without-start", "not-an-object", "list-size", "fractional-level", "boolean-level", "fractional-seed",
         "string-seed", "one-coordinate-start", "three-coordinate-goal", "nan-goal", "zero-size", "infinite-size",
         "two-coordinate-hazards", "flat-hazard-list", "one-flat-hazard", "ragged-hazards", "nan-hazard-centre",
         "nan-hazard-radius", "infinite-hazard-radius", "negative-hazard-radius", "string-hazard", "boolean-hazard",
-        "empty-hazard-row", "null-hazards",
+        "empty-hazard-row", "null-hazards", "string-size", "string-start", "boolean-goal",
     ],
 )
 def test_world_from_json_rejects_malformed_documents(doc, match):

@@ -92,8 +92,10 @@ def test_lut_rejects_bad_tables():
     # documents that are no table: a missing entry, an unknown search
     # setting or a search constant, a box with one corner, not an object;
     # a search setting that is not an integer of at least 1, a seed that is
-    # not a nonnegative integer, and keys, radii or box corners that are not
-    # lists of numbers
+    # not a nonnegative integer, keys, radii or box corners that are not
+    # lists of numbers, a box with a corner that is not finite, corners of
+    # unequal length, lo above hi or a third corner, and a digest that is
+    # neither a string nor null
     doc = json.loads(monitor.RoaLut(keys=[1.0, 2.0], radii=[1.0, 2.0], box=BOX2).to_json())
     for text, match in [
         (json.dumps({k: v for k, v in doc.items() if k != "seed"}), "no 'seed' entry"),
@@ -113,6 +115,14 @@ def test_lut_rejects_bad_tables():
         (json.dumps({**doc, "radii": [1.0, "2"]}), "'radii' is invalid"),
         (json.dumps({**doc, "box": [doc["box"][0], ["1", "1"]]}), "'box' is invalid"),
         (json.dumps({**doc, "box": [doc["box"][0], [True, 1]]}), "'box' is invalid"),
+        (json.dumps({**doc, "box": [[np.nan, -3.0], [3.0, 3.0]]}), "'box' is invalid"),
+        (json.dumps({**doc, "box": [[-3.0, -np.inf], [3.0, 3.0]]}), "'box' is invalid"),
+        (json.dumps({**doc, "box": [[-3.0, -3.0], [3.0, 3.0, 7.0]]}), "'box' is invalid"),
+        (json.dumps({**doc, "box": [[-3.0, 4.0], [3.0, 3.0]]}), "'box' is invalid"),
+        (json.dumps({**doc, "box": [*doc["box"], [0.0, 0.0]]}), "'box' is invalid"),
+        (json.dumps({**doc, "box": [[np.nan, -3.0], [3.0, 3.0, 7.0]], "v_digest": 5}), "'box' is invalid"),
+        (json.dumps({**doc, "v_digest": 5}), "'v_digest' is invalid: 5"),
+        (json.dumps({**doc, "v_digest": ["abc"]}), "'v_digest' is invalid"),
     ]:
         with pytest.raises(ValueError, match=match):
             monitor.RoaLut.from_json(text)

@@ -248,6 +248,30 @@ def test_checkpoint_rejects_unknown_activation(tmp_path, field, value):
         nn.load_params(path, net)
 
 
+@pytest.mark.parametrize("where, value", [("weight", "0.5"), ("bias", True), ("bias", False)])
+def test_checkpoint_rejects_parameters_that_are_not_numbers(tmp_path, where, value):
+    # numpy reads "0.5" and true as 0.5 and 1.0
+    net = nn.Mlp([2, 3, 1], "identity", np.random.default_rng(0))
+    path = tmp_path / "net.json"
+    nn.save_params(net, path)
+    doc = json.loads(path.read_text())
+    if where == "weight":
+        doc["weights"][1][2][0] = value
+    else:
+        doc["biases"][0] = [value] * 3
+    path.write_text(json.dumps(doc))
+    before = net.params().flat.copy()
+    with pytest.raises(nn.CheckpointError):
+        nn.load_params(path, net)
+    assert net.params().flat.tobytes() == before.tobytes() and net.params().writes == 0
+
+
+def test_number_list_checks_each_level():
+    assert nn.number_list([1, 2.5]) and nn.number_list([[1], []], 2) and nn.number_list([[[0.5]]], 3)
+    for x, depth in (([True], 1), (["1"], 1), ([[1]], 1), ([1], 2), ([[1], 2], 2), ((1, 2), 1), ([[[False]]], 3)):
+        assert not nn.number_list(x, depth), (x, depth)
+
+
 @pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
 @pytest.mark.parametrize("where", ["weight", "bias"])
 def test_checkpoint_rejects_non_finite_parameters(tmp_path, where, value):
