@@ -178,7 +178,7 @@ def run_episode(method, agent, world, lut=None, plan_seed=0):
     if method == "monitored":
         steer = monitor.SinkTracker(path, world, agent.v.value, lut)
     elif method == "h-e2e":
-        steer = _WaypointChaser(list(path))
+        steer = _WaypointChaser(list(path[1:]))  # path[0] is the start
     else:  # e2e and direct drive straight at the goal
         steer = _WaypointChaser([goal])
     state = envs.initial_state(kind, pos=np.asarray(world.start, dtype=float))

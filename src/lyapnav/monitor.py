@@ -272,18 +272,20 @@ class MonitorConfig:
 
 # the path fractions of a segment's candidate sinks, shared by every tracker
 FRACTIONS = np.minimum(np.arange(int(np.ceil(1.0 / MonitorConfig.delta)) + 1) * MonitorConfig.delta, 1.0)
+S = FRACTIONS.size - 1  # candidate rows per segment: fractions delta, ..., 1
 
 
 class SinkTracker:
     """Steering of a monitored episode: one sink per step along the path.
 
     The path is tabulated once, when the tracker is built: the candidate
-    sinks of every segment, at fractions 0, delta, ..., 1 of it, their path
-    progress, the segments themselves, and for each candidate the deepest
-    table key whose inflated certified circle there clears every hazard. A
-    step costs one V call over the window and one search of the table's
-    keys; the pick then compares key indices in Python, farthest candidate
-    first.
+    sinks in path order (path[0], then per segment its points at fractions
+    delta, ..., 1 - delta and its end waypoint itself, so waypoint k is row
+    k * S, once and bit-equal), the segments themselves, and for each
+    candidate the deepest table key whose inflated certified circle there
+    clears every hazard. A step costs one V call over the window's 2 * S + 1
+    rows and one search of the table's keys; the pick then compares key
+    indices in Python, farthest candidate first.
 
     ``target`` selects a sink from the current state. A stall holds the last
     safe sink for MonitorConfig.stall_patience steps; past that, or with no
@@ -304,11 +306,11 @@ class SinkTracker:
         n_seg = max(len(path) - 1, 1)
         seg_a = path[:n_seg]
         seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
-        # candidates in window order, segment by segment, one (x, y) row each
-        self.cands = (seg_a[:, None] + FRACTIONS[:, None] * (seg_b - seg_a)[:, None]).reshape(-1, 2)
-        # progress never decreases along the candidates, and is equal at a
-        # segment's end and the next start
-        self.progress = (np.arange(n_seg)[:, None] + FRACTIONS).ravel().tolist()
+        # candidates in progress order, one (x, y) row each: path[0], then per
+        # segment its interior points and its end waypoint itself, so row
+        # k * S is waypoint k, held once and bit-equal to the path
+        inner = seg_a[:, None] + FRACTIONS[1:-1, None] * (seg_b - seg_a)[:, None]
+        self.cands = np.vstack([seg_a[:1], np.concatenate([inner, seg_b[:, None]], axis=1).reshape(-1, 2)])
         self.segments = [planner.segment(*a, *b) for a, b in zip(seg_a.tolist(), seg_b.tolist())]
         # hazards grouped by radius: every hazard of radius rho has the same
         # clearance threshold R * inflation + rho, so the group's nearest
@@ -336,12 +338,12 @@ class SinkTracker:
         seg_idx + MonitorConfig.window - 1.
 
         A candidate is safe when its inflated certified circle clears every
-        hazard; among safe candidates the farthest path progress wins, ties
-        broken by the larger certified radius, then by the earlier segment and
-        fraction. (Radius-first selection livelocks in tight passages: the
-        already-traversed open space behind the robot always admits a larger
-        circle than the passage ahead, so the monitor would keep sending the
-        robot backward.) Raises MonitorStall when nothing is safe.
+        hazard; the safe candidate of farthest path progress wins, and a
+        waypoint counts as fraction 1 of the segment it ends. (Radius-first
+        selection livelocks in tight passages: the already-traversed open
+        space behind the robot always admits a larger circle than the passage
+        ahead, so the monitor would keep sending the robot backward.) Raises
+        MonitorStall when nothing is safe.
 
         The robot position is taken to be hazard-free and is not checked here:
         ``harness.run_episode`` ends an episode at its first in-hazard step,
@@ -350,27 +352,20 @@ class SinkTracker:
         n_seg = len(self.segments)
         lo = min(seg_idx, n_seg - 1)
         hi = min(lo + MonitorConfig.window, n_seg)
-        first = lo * FRACTIONS.size
-        cands = self.cands[first : hi * FRACTIONS.size]
+        first = lo * S
+        cands = self.cands[first : hi * S + 1]
         levels = self.value_fn(envs.goal_condition(state, cands))
         # a level without a certificate gets len(keys), past every deepest safe key
         key_idx = key_index(self.lut, levels).tolist()
-        best = None
-        # from the farthest candidate back: the first safe one has the
-        # farthest progress, and only candidates of equal progress can still
-        # beat it, by a larger radius or, on a tie, by coming earlier
+        # rows are in progress order, so the last safe row is the farthest
         for i in range(len(key_idx) - 1, -1, -1):
-            if best is not None and self.progress[first + i] != self.progress[first + best]:
+            if key_idx[i] <= self.deepest_safe[first + i]:
                 break
-            if key_idx[i] <= self.deepest_safe[first + i] and (
-                best is None or self.radii[key_idx[i]] >= self.radii[key_idx[best]]
-            ):
-                best = i
-        if best is None:
+        else:
             raise MonitorStall(f"no safe sink in window at segment {lo}")
-        seg, j = divmod(best, FRACTIONS.size)
-        radius = self.radii[key_idx[best]]
-        return SinkChoice(cands[best].copy(), float(levels[best]), radius, lo + seg, float(FRACTIONS[j]))
+        seg = max(i - 1, 0) // S
+        radius = self.radii[key_idx[i]]
+        return SinkChoice(cands[i].copy(), float(levels[i]), radius, lo + seg, float(FRACTIONS[i - seg * S]))
 
     def target(self, state):
         try:

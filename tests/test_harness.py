@@ -9,7 +9,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from lyapnav import colearn, envs, harness, monitor, nn
+from lyapnav import colearn, envs, harness, monitor, nn, planner
 from lyapnav.envs import RobotKind
 
 
@@ -203,6 +203,23 @@ def test_run_episode_deterministic():
     assert a == b
 
 
+def test_h_e2e_chases_the_waypoints_after_the_start():
+    # path[0] is the robot's own start, so h-e2e's first target is path[1];
+    # a robot that never moves keeps that target for the whole episode
+    world = envs.make_world(1, 7)
+    path = planner.plan_path(world, seed=world.seed)
+    targets = []
+
+    class Recording(_IdlePolicy):
+        def act(self, state, goal, world):
+            targets.append(goal)
+            return super().act(state, goal, world)
+
+    rep = harness.run_episode("h-e2e", Recording(RobotKind.SWEEPING), world, plan_seed=world.seed)
+    assert rep.outcome == "timeout" and len(targets) == rep.steps
+    assert all(np.array_equal(t, path[1]) for t in targets)
+
+
 def test_episode_world_seed_paired_across_methods():
     assert harness.episode_world_seed(3, 5) == harness.episode_world_seed(3, 5)
     assert harness.episode_world_seed(3, 5) != harness.episode_world_seed(4, 5)
@@ -359,15 +376,11 @@ PINNED_LEVEL3_SWEEPING = {
 PINNED_LEVEL3_SWEEPING["Zen"] = PINNED_LEVEL3_SWEEPING["Haswell"]
 
 
-def assert_pinned_trajectories(monkeypatch, pins, core, agent, lut, level, name):
-    """Play the monitored episode on world episode_world_seed(k, 0) at
-    ``level`` for every k that ``pins[core]`` holds, and compare each
-    (outcome, steps, digest of the stepped states) with its pin."""
-    if core not in pins:
-        pytest.fail(f"no trajectories are pinned for the OpenBLAS core {core!r}")
-    pinned = pins[core]
+def play_digested(monkeypatch, agent, lut, world):
+    """(outcome, steps, SHA-256 over the pos and intrinsic bytes of every
+    stepped state) of the monitored episode on ``world``."""
+    digest = hashlib.sha256()
     step = envs.step
-    digest = None
 
     def recording(kind, s, a):
         nxt = step(kind, s, a)
@@ -375,13 +388,23 @@ def assert_pinned_trajectories(monkeypatch, pins, core, agent, lut, level, name)
         digest.update(nxt.intrinsic.tobytes())
         return nxt
 
-    monkeypatch.setattr(envs, "step", recording)
-    got = []
-    for k in range(len(pinned)):
-        digest = hashlib.sha256()
-        world = envs.make_world(level, harness.episode_world_seed(k, 0))
+    with monkeypatch.context() as m:
+        m.setattr(envs, "step", recording)
         rep = harness.run_episode("monitored", agent, world, lut=lut, plan_seed=world.seed)
-        got.append((rep.outcome, rep.steps, digest.hexdigest()))
+    return rep.outcome, rep.steps, digest.hexdigest()
+
+
+def assert_pinned_trajectories(monkeypatch, pins, core, agent, lut, level, name):
+    """Play the monitored episode on world episode_world_seed(k, 0) at
+    ``level`` for every k that ``pins[core]`` holds, and compare each
+    (outcome, steps, digest of the stepped states) with its pin."""
+    if core not in pins:
+        pytest.fail(f"no trajectories are pinned for the OpenBLAS core {core!r}")
+    pinned = pins[core]
+    got = [
+        play_digested(monkeypatch, agent, lut, envs.make_world(level, harness.episode_world_seed(k, 0)))
+        for k in range(len(pinned))
+    ]
     moved = [k for k in range(len(pinned)) if got[k] != pinned[k]]
     assert not moved, f"{name} trajectories moved on worlds {moved} under {core}: {got}"
 
@@ -397,6 +420,39 @@ def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, ope
 def test_level3_sweeping_trajectories_are_pinned_bit_for_bit(monkeypatch, openblas_core, sweeping_agent, sweeping_lut):
     pins = PINNED_LEVEL3_SWEEPING
     assert_pinned_trajectories(monkeypatch, pins, openblas_core, sweeping_agent, sweeping_lut, 3, "level-3 sweeping")
+
+
+# The same for the monitored car on the three worlds where it is known to
+# enter a hazard, all at the end of a run of uncertified held steps (ROADMAP
+# items 14 and 17): (level, world seed) below. Recorded under SkylakeX and
+# under OPENBLAS_CORETYPE=Haswell, on one BLAS thread and on two, which give
+# the same digests; a change to the monitor's steering or to the car's
+# artifacts that moves one of these episodes shows here.
+CAR_HAZARD_WORLDS = [
+    (1, harness.episode_world_seed(2, 94)),
+    (2, harness.episode_world_seed(2, 22)),
+    (2, harness.episode_world_seed(2, 86)),
+]
+PINNED_CAR_HAZARD_ENTRIES = {
+    "SkylakeX": [
+        ("violated", 165, "7c7ca0e0202aac99ced960a97ba7ce211d42bca34e1513ed4517992863618786"),
+        ("violated", 207, "b3dd06c913196e62128370ce7dc2449b1f8d7dff5ac1981e7b512176bbd223aa"),
+        ("violated", 275, "a484c663c55d137008bb001dba255ae128c9b878cc0d1c262d7657c205fc7a31"),
+    ],
+    "Haswell": [
+        ("violated", 165, "d6b391c3bc334f0d0112cdaff284e6943616385dd1a5eab4c62295fdb9c51e5e"),
+        ("violated", 207, "ede49d05d8a6315fb33ca54b24b12d93d72593d1ed388e4d89c70acc05f365e1"),
+        ("violated", 275, "3ede766fe83832750b414f6b313e9ed24fe3f3ebd7269daa7f0786e659d05e6c"),
+    ],
+}
+PINNED_CAR_HAZARD_ENTRIES["Zen"] = PINNED_CAR_HAZARD_ENTRIES["Haswell"]
+
+
+def test_known_car_hazard_entries_are_pinned_bit_for_bit(monkeypatch, openblas_core, car_agent, car_lut):
+    if openblas_core not in PINNED_CAR_HAZARD_ENTRIES:
+        pytest.fail(f"no car hazard entries are pinned for the OpenBLAS core {openblas_core!r}")
+    got = [play_digested(monkeypatch, car_agent, car_lut, envs.make_world(*world)) for world in CAR_HAZARD_WORLDS]
+    assert got == PINNED_CAR_HAZARD_ENTRIES[openblas_core], f"car hazard entries moved under {openblas_core}"
 
 
 def test_monitored_steps_end_inside_freshly_selected_sinks(monkeypatch, request):

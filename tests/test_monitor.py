@@ -9,7 +9,7 @@ import pytest
 
 from lyapnav import envs, harness, monitor, nn
 from lyapnav.envs import RobotKind
-from test_oracles import oracle_point_segment_distance
+from test_oracles import oracle_point_segment_distance, same_bits
 
 
 def quad_v(k):
@@ -267,6 +267,46 @@ def test_select_tie_at_shared_waypoint_keeps_earlier_segment():
     choice = monitor.SinkTracker(path, world, value, lut).select(state, 0)
     assert (choice.segment, choice.fraction) == (0, 1.0)
     _assert_same_choice(choice, reference_select_sink(state, path, 0, world, value, lut))
+
+
+def test_path_table_holds_each_waypoint_once():
+    # waypoint k is candidate row k * S, bit-equal to the path and in no other
+    # row; a window of two segments is 2 * S + 1 rows and one on the last
+    # segment S + 1; and when waypoint k + 1 is the window's farthest
+    # certified row it is chosen as fraction 1.0 of segment k, the earlier of
+    # the two it joins. Waypoint scales spread over six decades, where
+    # a + 1.0 * (b - a) often misses b in its last bits
+    S = monitor.FRACTIONS.size - 1
+    rng = np.random.default_rng(34)
+    lut = monitor.RoaLut(keys=[0.01, 16.0], radii=[0.05, 0.05], box=BOX2)
+    state = envs.initial_state(RobotKind.SWEEPING, pos=(0.0, 0.0))  # goal vectors are the rows themselves
+    windows = []
+
+    def certified_up_to(waypoints):
+        # V is 0 (certified) at the given waypoints and inf (uncertified) elsewhere
+        def value(x):
+            windows.append(len(x))
+            return np.where((x[:, None, :2] == waypoints).all(axis=2).any(axis=1), 0.0, np.inf)
+
+        return value
+
+    for _ in range(200):
+        n = int(rng.integers(1, 8))
+        path = rng.uniform(-4.0, 4.0, size=(n, 2)) * 10.0 ** rng.integers(-3, 3, size=(n, 1))
+        n_seg = max(n - 1, 1)
+        tracker = monitor.SinkTracker(path, envs.empty_world(), None, lut)
+        assert tracker.cands.shape == (n_seg * S + 1, 2)
+        for k in range(n):
+            assert same_bits(tracker.cands[k * S], path[k])
+            if n > 1:  # a one-waypoint path is one segment of length zero
+                assert (tracker.cands == path[k]).all(axis=1).sum() == 1
+        for k in range(n_seg):
+            tracker.value_fn = certified_up_to(path[: k + 2])
+            choice = tracker.select(state, k)
+            assert windows[-1] == (2 * S + 1 if k + 1 < n_seg else S + 1)
+            assert (choice.segment, choice.fraction) == (k, 1.0)
+            assert same_bits(choice.pos, path[min(k + 1, n - 1)])
+    assert windows.count(2 * S + 1) >= 200, windows
 
 
 def _oracle_checked_tracker(log):

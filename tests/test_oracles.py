@@ -222,15 +222,18 @@ def oracle_advance(tracker, state):
 def oracle_window(path, seg_idx):
     """(lo, hi, candidate rows): the segments seg_idx to seg_idx +
     window - 1 that SinkTracker.select searches, clamped to the path, and
-    their candidate sinks in window order."""
+    their candidate sinks in path order: waypoint lo, then per segment its
+    points at fractions delta, ..., 1 - delta and its end waypoint."""
     cfg = monitor.MonitorConfig
     n_seg = max(len(path) - 1, 1)
     fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
-    seg_a = path[:n_seg]
-    seg_b = path[np.minimum(np.arange(n_seg) + 1, len(path) - 1)]
     lo = min(seg_idx, n_seg - 1)
     hi = min(lo + cfg.window, n_seg)
-    return lo, hi, (seg_a[:, None] + fracs[:, None] * (seg_b - seg_a)[:, None])[lo:hi].reshape(-1, 2)
+    rows = [path[lo]]
+    for seg in range(lo, hi):
+        a, b = path[seg], path[min(seg + 1, len(path) - 1)]
+        rows += [a + f * (b - a) for f in fracs[1:-1]] + [b]
+    return lo, hi, np.array(rows)
 
 
 def _radius_or_nan(lut, level):
@@ -243,12 +246,11 @@ def _radius_or_nan(lut, level):
 def oracle_select(tracker, state, seg_idx):
     """SinkTracker.select as one vectorized pass over the window's
     candidates: lut_query level by level (NaN above the top key), every
-    hazard's clearance, then the farthest progress, the largest radius and
-    the first index. None for a stall."""
-    path, cfg, lut = tracker.path, monitor.MonitorConfig, tracker.lut
-    n_seg = max(len(path) - 1, 1)
+    hazard's clearance, then the farthest progress, a waypoint counting as
+    fraction 1 of the segment it ends. None for a stall."""
+    cfg, lut = monitor.MonitorConfig, tracker.lut
     fracs = np.minimum(np.arange(int(np.ceil(1.0 / cfg.delta)) + 1) * cfg.delta, 1.0)
-    lo, hi, cands = oracle_window(path, seg_idx)
+    lo, hi, cands = oracle_window(tracker.path, seg_idx)
     levels = tracker.value_fn(envs.goal_condition(state, cands))
     radii = np.array([_radius_or_nan(lut, level) for level in levels])
     hz = tracker.world.hazards
@@ -256,12 +258,14 @@ def oracle_select(tracker, state, seg_idx):
     safe = ~np.isnan(radii) & np.all(gaps >= (radii * cfg.radius_inflation)[:, None] + hz[:, 2], axis=1)
     if not safe.any():
         return None
-    progress = (np.arange(n_seg)[:, None] + fracs)[lo:hi].ravel()
+    # (segment, fraction) of each row: waypoint lo at fraction 0, then each
+    # segment's fractions delta, ..., 1
+    segments = np.concatenate([[lo], np.repeat(np.arange(lo, hi), fracs.size - 1)])
+    fractions = np.concatenate([[0.0], np.tile(fracs[1:], hi - lo)])
+    progress = segments + fractions
     idx = np.flatnonzero(safe)
-    farthest = idx[progress[idx] == progress[idx].max()]
-    i = farthest[np.argmax(radii[farthest])]
-    seg, j = divmod(int(i), fracs.size)
-    return monitor.SinkChoice(cands[i], float(levels[i]), float(radii[i]), lo + seg, float(fracs[j]))
+    i = idx[np.argmax(progress[idx])]
+    return monitor.SinkChoice(cands[i], float(levels[i]), float(radii[i]), int(segments[i]), float(fractions[i]))
 
 
 def oracle_label(policy, goal, state, nxt, world):
@@ -858,7 +862,7 @@ def test_select_input_is_the_goal_condition_of_the_window(kind):
         lo, hi, cands = oracle_window(path, seg_idx)
         want = np.hstack([cands - state.pos, np.tile(state.intrinsic, (len(cands), 1))])
         assert same_bits(inputs[-1], want), (seg_idx, lo, hi)
-    assert [len(x) for x in inputs] == [22, 22, 11, 11]
+    assert [len(x) for x in inputs] == [21, 21, 11, 11]
 
 
 @pytest.mark.parametrize("kind", list(RobotKind))
