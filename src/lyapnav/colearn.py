@@ -122,6 +122,17 @@ class LyapunovNet:
         g2 = self.net.input_gradients(x * self.mask, ones)
         return g1 - g2 * self.mask
 
+    def forward_cache(self, x):
+        """V of a 2-D batch from one forward over the twin stack [x, sink(x)],
+        and the cache that ``param_grads`` takes."""
+        n = x.shape[0]
+        out, cache = self.net.forward_cache(np.vstack([x, x * self.mask]))
+        return out[:n, 0] - out[n:, 0], cache
+
+    def param_grads(self, cache, u):
+        """Parameter gradients of sum(u * V) over the batch of ``forward_cache``."""
+        return self.net.backward(cache, np.vstack([u[:, None], -u[:, None]]))
+
 
 class Policy:
     """Deterministic actor over goal-conditioned states. Every rollout calls
@@ -300,20 +311,16 @@ class Trainer:
         ag, cfg = self.agent, self.cfg
         s, s1 = batch["s"], batch["s1"]
         n = s.shape[0]
-        # one forward over [s, s1] and their sink images serves the values
-        # (V = f(x) - f(sink(x))) and the backward pass; V is 0 on sinks by
-        # construction, so the risk needs no V(sink) term
-        points = np.vstack([s, s1])
-        out, cache = ag.v.net.forward_cache(np.vstack([points, points * ag.v.mask]))
-        v = out[: 2 * n, 0] - out[2 * n :, 0]
+        # one pass over [s, s1] serves the values and the backward pass; V is
+        # 0 on sinks by construction, so the risk needs no V(sink) term
+        v, cache = ag.v.forward_cache(np.vstack([s, s1]))
         vs, vs1 = v[:n], v[n:]
         floor = cfg.pos_margin * np.linalg.norm(s[:, :2], axis=1)
         pos_active = vs < floor
         lie_active = vs1 - vs > -cfg.lie_margin
         u_s = (-pos_active.astype(float) - lie_active.astype(float)) / n
         u_s1 = lie_active.astype(float) / n
-        u = np.concatenate([u_s, u_s1])[:, None]
-        grads = ag.v.net.backward(cache, np.vstack([u, -u]))
+        grads = ag.v.param_grads(cache, np.concatenate([u_s, u_s1]))
         nn.adam_step(self.adam_v, ag.v.net.params(), grads)
         return lyapunov_risk(vs, vs1), float(np.mean(pos_active)), float(np.mean(lie_active))
 
@@ -386,37 +393,39 @@ def learn(policy, phase, task, buffer, nets, cfg, rng, relabels, log_path):
     """The episode loop of both learners: per episode, roll ``policy`` out from ``task(rng)``'s
     (start, goal, world), store its rows and ``relabels`` relabeled copies of each, run cfg.grad_steps
     ``phase(batch)`` calls once the replay holds a batch, and check the ``nets`` (name -> network)
-    are finite. Returns the LOG_FIELDS rows, one per episode, and writes them to ``log_path``."""
+    are finite. Returns the LOG_FIELDS rows, one per episode, and writes them, up to any failure, to ``log_path``."""
     log_rows = []
-    for ep in range(cfg.episodes):
-        start, goal, world = task(rng)
-        transitions, relabeled = collect_episode(
-            policy, start, goal, world, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes, relabels
-        )
-        ep_reward = 0.0
-        for tr in transitions:
-            ep_reward += tr[2]  # in step order; from Python 3.12 builtin sum compensates, changing mean_reward
-        for tr in transitions + relabeled:
-            buffer.add(*tr)
-        # phase means of the four losses and the two hinge-active fractions
-        means = np.zeros(6)
-        if buffer.size >= BATCH_SIZE:
-            for _ in range(cfg.grad_steps):
-                means += phase(buffer.sample(rng, BATCH_SIZE))
-            means /= cfg.grad_steps
-        for name, net in nets.items():
-            nn.check_finite(net, f"in {name} after episode {ep}")
-        d0 = envs.distance(goal, start.pos)
-        row = (ep, ep_reward, *means[:4], d0, int(transitions[-1][4]), float(means[4]), float(means[5]), buffer.size)
-        log_rows.append(dict(zip(LOG_FIELDS, row)))
-    if log_path is not None:
-        with open(log_path, "w", newline="") as f:
-            writer = csv.DictWriter(f, fieldnames=LOG_FIELDS)
-            writer.writeheader()
-            # repr(float(.)): numpy 2 writes repr(np.float64) as "np.float64(...)"
-            writer.writerows(
-                {k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()} for row in log_rows
+    try:
+        for ep in range(cfg.episodes):
+            start, goal, world = task(rng)
+            transitions, relabeled = collect_episode(
+                policy, start, goal, world, cfg.horizon, cfg.noise, rng, ep < cfg.warmup_episodes, relabels
             )
+            ep_reward = 0.0
+            for tr in transitions:
+                ep_reward += tr[2]  # in step order; from Python 3.12 builtin sum compensates, changing mean_reward
+            for tr in transitions + relabeled:
+                buffer.add(*tr)
+            # phase means of the four losses and the two hinge-active fractions
+            means = np.zeros(6)
+            if buffer.size >= BATCH_SIZE:
+                for _ in range(cfg.grad_steps):
+                    means += phase(buffer.sample(rng, BATCH_SIZE))
+                means /= cfg.grad_steps
+            for name, net in nets.items():
+                nn.check_finite(net, f"in {name} after episode {ep}")
+            d0 = envs.distance(goal, start.pos)
+            row = (ep, ep_reward, *means[:4], d0, int(transitions[-1][4]), *map(float, means[4:]), buffer.size)
+            log_rows.append(dict(zip(LOG_FIELDS, row)))
+    finally:
+        if log_path is not None:
+            with open(log_path, "w", newline="") as f:
+                writer = csv.DictWriter(f, fieldnames=LOG_FIELDS)
+                writer.writeheader()
+                # repr(float(.)): numpy 2 writes repr(np.float64) as "np.float64(...)"
+                writer.writerows(
+                    {k: repr(float(v)) if isinstance(v, float) else v for k, v in row.items()} for row in log_rows
+                )
     return log_rows
 
 

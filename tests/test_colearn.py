@@ -48,6 +48,50 @@ def test_lyapunov_net_grad_matches_finite_differences():
             assert g[i, j] == pytest.approx(num, rel=1e-4, abs=1e-7)
 
 
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_lyapunov_net_forward_cache_is_value_and_zero_on_sinks(kind):
+    # train_v's pass: one forward over the twin stack [x, sink(x)]. V is
+    # exactly 0 on sink rows at an even row count, as train_v's [s, s1] has;
+    # at an odd one OpenBLAS's gemm rounds a row and its twin n rows below
+    # apart by about 1e-17 in the last rows
+    v = colearn.make_agent(kind, seed=23).v
+    for rows in (37, 74, 512):
+        x = np.random.default_rng(rows).uniform(-2, 2, size=(rows, envs.state_dim(kind)))
+        got, _ = v.forward_cache(x)
+        np.testing.assert_allclose(got, v.value(x), rtol=0.0, atol=1e-12)
+        sinks = v.forward_cache(x * v.mask)[0]
+        assert not np.any(sinks) if rows % 2 == 0 else np.abs(sinks).max() < 1e-12
+
+
+@pytest.mark.parametrize("kind", list(RobotKind))
+def test_lyapunov_net_param_grads_match_finite_differences(kind):
+    # the gradient of sum(u * V) over forward_cache's batch, both signs of u,
+    # checked on 48 random parameter coordinates at criterion 1's tolerance
+    v = colearn.make_agent(kind, seed=24).v
+    rng = np.random.default_rng(24)
+    x = rng.uniform(-2, 2, size=(16, envs.state_dim(kind)))
+    u = rng.normal(size=16)
+    grads = v.param_grads(v.forward_cache(x)[1], u)
+    params = v.net.params()
+    assert [g.shape for g in grads] == [p.shape for p in params]
+
+    def loss():
+        return float(np.sum(u * v.forward_cache(x)[0]))
+
+    eps = 1e-6
+    for _ in range(48):
+        i = int(rng.integers(len(params)))
+        j = int(rng.integers(params[i].size))
+        p = params[i].ravel()
+        orig = p[j]
+        p[j] = orig + eps
+        hi = loss()
+        p[j] = orig - eps
+        lo = loss()
+        p[j] = orig
+        assert grads[i].ravel()[j] == pytest.approx((hi - lo) / (2 * eps), rel=1e-4, abs=1e-8), (i, j)
+
+
 def test_lyapunov_risk_formula_oracle():
     # oracle: recompute the two risk terms by hand for V = sum of state
     value_fn = lambda x: np.atleast_2d(x).sum(axis=1)
@@ -566,6 +610,24 @@ def test_train_log_csv_cells_are_plain_numbers(tmp_path):
     for row, written in zip(rows, cells):
         for key, text in written.items():
             assert float(text) == row[key], (key, text)
+
+
+def test_a_failed_training_run_keeps_its_log(tmp_path, monkeypatch):
+    # a NaN in pi after episode 2 stops the run; the log still holds
+    # episodes 0-1, byte for byte the log of a two-episode run
+    def check_finite(net, context="", check=nn.check_finite):
+        if context == "in pi after episode 2":
+            net.weights[0][0, 0] = np.nan
+        return check(net, context)
+
+    cfg = colearn.TrainConfig(episodes=2, warmup_episodes=1, grad_steps=2, horizon=30)
+    colearn.colearn(RobotKind.SWEEPING, cfg, seed=0, log_path=tmp_path / "two.csv")
+    monkeypatch.setattr(nn, "check_finite", check_finite)
+    with pytest.raises(FloatingPointError, match="in pi after episode 2"):
+        colearn.colearn(RobotKind.SWEEPING, replace(cfg, episodes=4), seed=0, log_path=tmp_path / "failed.csv")
+    text = (tmp_path / "failed.csv").read_text()
+    assert [line.split(",")[0] for line in text.splitlines()] == ["episode", "0", "1"]
+    assert text == (tmp_path / "two.csv").read_text()
 
 
 # Training's bits, in a child process on one BLAS thread: a short co-learning

@@ -1,7 +1,7 @@
 """Source hygiene: every name a lyapnav module imports is used in it,
 every function and class it defines is referenced somewhere, no module
-reads another module's private name, and every lyapnav name the README
-quotes exists."""
+reads another module's private name, every lyapnav name the README
+quotes exists, and pyproject.toml's test extra pins the versions CI installs."""
 
 import ast
 import functools
@@ -232,3 +232,14 @@ def test_every_readme_name_exists():
         except AttributeError:
             missing.append(".".join([module, *path]))
     assert missing == []
+
+
+def test_the_test_extra_pins_what_ci_installs():
+    # the pins, the cached artifacts and the training digests were recorded
+    # with these versions (numpy 2.4.6's bundled OpenBLAS 0.3.31)
+    tomllib = pytest.importorskip("tomllib")
+    extra = tomllib.loads((REPO / "pyproject.toml").read_text())["project"]["optional-dependencies"]["test"]
+    workflow = (REPO / ".github" / "workflows" / "tier1.yml").read_text()
+    (install,) = [line for line in workflow.splitlines() if "pip install" in line]
+    installed = re.findall(r"[A-Za-z][\w.-]*==[\w.]+", install)
+    assert installed and sorted(extra) == sorted(installed)
