@@ -125,10 +125,6 @@ def train_e2e(kind, cfg=E2E_SCHEDULE, seed=0, log_path=None):
     return policy
 
 
-def _episode(method, robot, level, world, outcome, steps):
-    return EpisodeReport(method, robot.value, level, world.seed, outcome, steps)
-
-
 class _WaypointChaser:
     """Steering of e2e, h-e2e and direct: each waypoint in turn, moving on
     once the robot has ``envs.reached`` it."""
@@ -153,8 +149,9 @@ def run_episode(method, agent, world, lut=None, plan_seed=0):
     an E2ePolicy for ``e2e``/``h-e2e``; both act through
     ``act(state, target, world)``. Every method runs the same loop: take a
     target from the steering (``monitor.SinkTracker`` for ``monitored``, a
-    waypoint chaser otherwise), act, step, check hazards once (never for
-    ``direct``), check the goal with ``envs.reached``, advance the steering.
+    waypoint chaser otherwise), stall on a None target, act, step, check
+    hazards once (never for ``direct``), check the goal with ``envs.reached``,
+    advance the steering; every episode ends at the one report after the loop.
     The planner and the monitor run at their default settings. A failed plan
     is reported with the distinct ``plan_failed`` outcome (counts as not
     reached, not violated).
@@ -174,7 +171,7 @@ def run_episode(method, agent, world, lut=None, plan_seed=0):
         try:
             path = planner.plan_path(world, seed=plan_seed)
         except planner.PlanNotFound:
-            return _episode(method, kind, level, world, "plan_failed", 0)
+            return EpisodeReport(method, kind.value, level, world.seed, "plan_failed", 0)
     if method == "monitored":
         steer = monitor.SinkTracker(path, world, agent.v.value, lut)
     elif method == "h-e2e":
@@ -182,18 +179,21 @@ def run_episode(method, agent, world, lut=None, plan_seed=0):
     else:  # e2e and direct drive straight at the goal
         steer = _WaypointChaser([goal])
     state = envs.initial_state(kind, pos=np.asarray(world.start, dtype=float))
+    outcome, steps = "timeout", cap
     for t in range(cap):
-        try:
-            target = steer.target(state)
-        except monitor.MonitorStall:
-            return _episode(method, kind, level, world, "stalled", t)
+        target = steer.target(state)
+        if target is None:
+            outcome, steps = "stalled", t
+            break
         state = envs.step(kind, state, agent.act(state, target, world))
         if method != "direct" and envs.in_hazard(state.pos, world):
-            return _episode(method, kind, level, world, "violated", t + 1)
+            outcome, steps = "violated", t + 1
+            break
         if envs.reached(state.pos, goal):
-            return _episode(method, kind, level, world, "reached", t + 1)
+            outcome, steps = "reached", t + 1
+            break
         steer.advance(state)
-    return _episode(method, kind, level, world, "timeout", cap)
+    return EpisodeReport(method, kind.value, level, world.seed, outcome, steps)
 
 
 def episode_world_seed(seed, index):

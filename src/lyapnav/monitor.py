@@ -26,10 +26,6 @@ class LevelExceededError(RuntimeError):
     """Queried level lies above the largest table key; no certificate exists."""
 
 
-class MonitorStall(RuntimeError):
-    """No candidate sink admits a hazard-clear certified circle."""
-
-
 @dataclass
 class SearchConfig:
     """The sublevel search's one setting: class constants bar the chains' count and length."""
@@ -287,9 +283,10 @@ class SinkTracker:
     rows and one search of the table's keys; the pick then compares key
     indices in Python, farthest candidate first.
 
-    ``target`` selects a sink from the current state. A stall holds the last
-    safe sink for MonitorConfig.stall_patience steps; past that, or with no
-    sink to hold, it raises MonitorStall and the episode stalls. An episode
+    ``target`` selects a sink from the current state and returns its position.
+    A stall holds the last safe sink for MonitorConfig.stall_patience steps;
+    past that, or with no sink to hold, it returns None and the episode
+    stalls. A stall is a return value, not an exception. An episode
     is certified only on steps that are not uncertified holds: held steps on
     which V toward the held sink is above the key that certified it.
     ``advance`` re-anchors the path segment on the robot's new position.
@@ -342,8 +339,8 @@ class SinkTracker:
         waypoint counts as fraction 1 of the segment it ends. (Radius-first
         selection livelocks in tight passages: the already-traversed open
         space behind the robot always admits a larger circle than the passage
-        ahead, so the monitor would keep sending the robot backward.) Raises
-        MonitorStall when nothing is safe.
+        ahead, so the monitor would keep sending the robot backward.) Returns
+        None when nothing is safe.
 
         The robot position is taken to be hazard-free and is not checked here:
         ``harness.run_episode`` ends an episode at its first in-hazard step,
@@ -360,21 +357,19 @@ class SinkTracker:
         # rows are in progress order, so the last safe row is the farthest
         for i in range(len(key_idx) - 1, -1, -1):
             if key_idx[i] <= self.deepest_safe[first + i]:
-                break
-        else:
-            raise MonitorStall(f"no safe sink in window at segment {lo}")
-        seg = max(i - 1, 0) // S
-        radius = self.radii[key_idx[i]]
-        return SinkChoice(cands[i].copy(), float(levels[i]), radius, lo + seg, float(FRACTIONS[i - seg * S]))
+                seg = max(i - 1, 0) // S
+                radius = self.radii[key_idx[i]]
+                return SinkChoice(cands[i].copy(), float(levels[i]), radius, lo + seg, float(FRACTIONS[i - seg * S]))
+        return None
 
     def target(self, state):
-        try:
-            choice = self.select(state, self.seg_idx)
+        choice = self.select(state, self.seg_idx)
+        if choice is not None:
             self.stall = 0
-        except MonitorStall:
+        else:
             self.stall += 1
             if self.held is None or self.stall > MonitorConfig.stall_patience:
-                raise
+                return None
             choice = self.held
         self.held = choice
         self.seg_idx = max(self.seg_idx, choice.segment)

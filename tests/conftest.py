@@ -79,14 +79,19 @@ def _cached_e2e(kind):
 
 
 @pytest.fixture(scope="session")
-def openblas_core():
-    """The OpenBLAS core numpy runs here: the "Core:" line that its OpenBLAS
+def pin_core():
+    """The key of the bit pins of BLAS results, which differ by the kernels
+    OpenBLAS runs: the core named by the "Core:" line that numpy's OpenBLAS
     logs on import under OPENBLAS_VERBOSE=2, read from a child process, which
-    inherits OPENBLAS_CORETYPE. Bit pins of BLAS results are keyed by it."""
+    inherits OPENBLAS_CORETYPE. Zen runs the Haswell kernels, so it reads the
+    Haswell pins; any core but SkylakeX, Haswell and Zen fails, naming it."""
     env = {**os.environ, "OPENBLAS_VERBOSE": "2"}
     log = subprocess.run([sys.executable, "-c", "import numpy"], env=env, capture_output=True, text=True, check=True)
     cores = [line.removeprefix("Core:").strip() for line in log.stderr.splitlines() if line.startswith("Core:")]
-    return cores[0] if cores else None
+    core = cores[0] if cores else None
+    if core not in ("SkylakeX", "Haswell", "Zen"):
+        pytest.fail(f"no bits are pinned for the OpenBLAS core {core!r}")
+    return "Haswell" if core == "Zen" else core
 
 
 @pytest.fixture(scope="session")

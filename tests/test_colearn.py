@@ -661,12 +661,9 @@ PINNED_TRAINING = {
     "SkylakeX": "5d7e603ed599bc8e9d1fa0aa507391411c6a0f612875eb33618033df4b423a8b",
     "Haswell": "8c10a41eba7a9d8c4548eca5b92b575d108435707b4c06b83a2065b613901578",
 }
-PINNED_TRAINING["Zen"] = PINNED_TRAINING["Haswell"]
 
 
-def test_training_is_pinned_bit_for_bit(openblas_core):
-    if openblas_core not in PINNED_TRAINING:
-        pytest.fail(f"no training digest is pinned for the OpenBLAS core {openblas_core!r}")
+def test_training_is_pinned_bit_for_bit(pin_core):
     env = {**os.environ, "OPENBLAS_NUM_THREADS": "1"}
     src = str(Path(colearn.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
@@ -676,4 +673,4 @@ def test_training_is_pinned_bit_for_bit(openblas_core):
     got = json.loads(proc.stdout)
     # every run took gradient phases
     assert all(q != 0.0 for q in got["q_loss"]) and got["e2e_trained"], got
-    assert got["digest"] == PINNED_TRAINING[openblas_core], f"training bits moved under {openblas_core}"
+    assert got["digest"] == PINNED_TRAINING[pin_core], f"training bits moved under {pin_core}"

@@ -175,6 +175,56 @@ def test_run_episode_violation_terminates_inside_hazard(method):
         assert hit == (t == rep.steps - 1)
 
 
+def _idle_monitored_episode(monkeypatch, value):
+    """(outcome, steps, envs.step calls) of a monitored episode in the empty
+    world whose robot never moves, so it neither reaches nor violates; V is
+    ``value``, under a table of zero radii."""
+    stepped = []
+    step = envs.step
+    monkeypatch.setattr(envs, "step", lambda *args: stepped.append(args) or step(*args))
+    agent = _IdlePolicy(RobotKind.SWEEPING)
+    agent.v = SimpleNamespace(value=value, net=nn.Mlp([2, 4, 1], "identity", np.random.default_rng(0)))
+    box = (np.array([-3.0, -3.0]), np.array([3.0, 3.0]))
+    lut = monitor.RoaLut(keys=[1.0, 2.0], radii=[0.0, 0.0], box=box, v_digest=nn.params_digest(agent.v.net))
+    rep = harness.run_episode("monitored", agent, envs.empty_world(), lut=lut)
+    return rep.outcome, rep.steps, len(stepped)
+
+
+@pytest.mark.parametrize("k", [0, 1, 7])
+def test_a_none_target_stalls_the_episode_without_a_step(monkeypatch, k):
+    # a stall is the steering's None target: a steering that returns None at
+    # step k ends the episode there, after exactly k steps
+    class Scripted:
+        def __init__(self, path, world, value_fn, lut):
+            self.left = k
+            self.goal = world.goal
+
+        def target(self, state):
+            self.left -= 1
+            return None if self.left < 0 else self.goal
+
+        def advance(self, state):
+            pass
+
+    monkeypatch.setattr(monitor, "SinkTracker", Scripted)
+    assert _idle_monitored_episode(monkeypatch, None) == ("stalled", k, k)
+
+
+def test_a_tracker_that_finds_no_safe_sink_stalls_after_its_patience(monkeypatch):
+    # V certifies every candidate on its first call and none after: the
+    # tracker selects one sink, holds it for stall_patience steps, and the
+    # next step stalls
+    calls = []
+
+    def value(x):
+        calls.append(len(x))
+        return np.full(len(x), 1.0 if len(calls) == 1 else np.inf)
+
+    patience = monitor.MonitorConfig.stall_patience
+    assert _idle_monitored_episode(monkeypatch, value) == ("stalled", 1 + patience, 1 + patience)
+    assert len(calls) == 2 + patience
+
+
 def test_run_episode_checks_hazards_once_per_step(monkeypatch, sweeping_agent, sweeping_lut, sweeping_e2e):
     counts = {}
     step, in_hazard = envs.step, envs.in_hazard
@@ -305,156 +355,92 @@ def test_render_table_columns():
 
 
 # (outcome, steps, SHA-256 over the pos and intrinsic bytes of every stepped
-# state) of the monitored level-1 episode on world episode_world_seed(k, 0),
-# k = 0..3, with each cached agent and table, recorded before the monitored
-# step's single-state arithmetic moved to Python floats; any change that
-# moves a single bit of a trajectory fails here. V's forwards per step
-# are BLAS gemms, so the bits depend on the BLAS build (OpenBLAS 0.3.31, as
-# bundled with numpy 2.4.6) and on the kernels it runs, which are keyed here
-# by OpenBLAS core. Every AVX2-only CPU, AMD Zen included, runs the Haswell
-# kernels; their digests were recorded under OPENBLAS_CORETYPE=Haswell on one
-# BLAS thread (two threads give the same). On these pinned worlds outcomes
-# and step counts agree across kernels; off them they need not (the car on
-# level-2 world episode_world_seed(1, 0) times out under SkylakeX and
+# state) of the monitored episode with each cached agent and table, the plan
+# seeded by the world seed, keyed by (robot, level, world seed):
+# - level 1 for each robot, on worlds episode_world_seed(k, 0) = 1_000_003 * k,
+#   k = 0..3, recorded before the monitored step's single-state arithmetic
+#   moved to Python floats;
+# - level 3 sweeping on k = 0, 1: the first two worlds of the nav-l3-sweeping
+#   benchmark suite, 16x16 with 128 hazards;
+# - the car on the three worlds where it is known to enter a hazard, all at
+#   the end of a run of uncertified held steps (ROADMAP items 14 and 17):
+#   level 1, episode_world_seed(2, 94), and level 2, (2, 22) and (2, 86).
+# Any change that moves a single bit of a trajectory, of the monitor's
+# steering or of the artifacts fails here. V's forwards per step are BLAS
+# gemms, so the bits depend on the BLAS build (OpenBLAS 0.3.31, as bundled
+# with numpy 2.4.6) and on the kernels it runs, which are keyed here by
+# OpenBLAS core (conftest's pin_core). Every AVX2-only CPU, AMD Zen included,
+# runs the Haswell kernels; their digests were recorded under
+# OPENBLAS_CORETYPE=Haswell on one BLAS thread (two threads give the same, as
+# they do for the car hazard entries under SkylakeX). On these pinned worlds
+# outcomes and step counts agree across kernels; off them they need not (the
+# car on level-2 world episode_world_seed(1, 0) times out under SkylakeX and
 # reaches its goal at step 1,285 under Haswell).
-PINNED_TRAJECTORIES = {
+PINNED_EPISODES = {
     "SkylakeX": {
-        "sweeping": [
-            ("reached", 36, "ec3eaa291edce7f43edf49b532246d4eec6754cc18489bf5dac6c9576ef6a540"),
-            ("reached", 39, "24c6838d73e7592aaa578cab2721837764ebe189e96774933a2d46b8877ef722"),
-            ("reached", 33, "3c57bd5c6721c45252e397158f3f48b3802fd3cfd7f6b45e194188e7c41fb48c"),
-            ("reached", 41, "48254044efe0227ff83a9e80bc74441da50d95e82cff5057f0a480c075952e92"),
-        ],
-        "point": [
-            ("reached", 120, "d3647d8d4abf678d4f464f848968a85c0d4920279beb13d11fb6fb3baa1357fe"),
-            ("reached", 111, "c4dba4fa377e2f53c93bee1109ab1eca98502c3666b93be8aba2867add18db4b"),
-            ("reached", 101, "775eac6d2828f35c6ad9915aee1e44892e36d8f3dd3b5cbb62b347bf9be98c2e"),
-            ("reached", 138, "00d1207c55d3358cdc765e2db2b79e8f9376b1c7850916bdbcd404ee32744ae3"),
-        ],
-        "car": [
-            ("stalled", 262, "b36901f1ffa24312eb0fdc68d7c473bfacb01f01caa0190891bdb66db00c5e86"),
-            ("timeout", 1000, "03edf977dbb3e252ecc88836e32ef04e0d46d901ce0f30c15b57a37dcf624b93"),
-            ("reached", 305, "7854048918aff9bb045dfab4ee46047fe74f9697b4e1457b7d1e36d3e1f0d75b"),
-            ("timeout", 1000, "e1096ed2a6023458c79cd6962e38c8c14d75975ea72b3f274ed3bf23a100bcff"),
-        ],
+        ("sweeping", 1, 0): ("reached", 36, "ec3eaa291edce7f43edf49b532246d4eec6754cc18489bf5dac6c9576ef6a540"),
+        ("sweeping", 1, 1000003): ("reached", 39, "24c6838d73e7592aaa578cab2721837764ebe189e96774933a2d46b8877ef722"),
+        ("sweeping", 1, 2000006): ("reached", 33, "3c57bd5c6721c45252e397158f3f48b3802fd3cfd7f6b45e194188e7c41fb48c"),
+        ("sweeping", 1, 3000009): ("reached", 41, "48254044efe0227ff83a9e80bc74441da50d95e82cff5057f0a480c075952e92"),
+        ("point", 1, 0): ("reached", 120, "d3647d8d4abf678d4f464f848968a85c0d4920279beb13d11fb6fb3baa1357fe"),
+        ("point", 1, 1000003): ("reached", 111, "c4dba4fa377e2f53c93bee1109ab1eca98502c3666b93be8aba2867add18db4b"),
+        ("point", 1, 2000006): ("reached", 101, "775eac6d2828f35c6ad9915aee1e44892e36d8f3dd3b5cbb62b347bf9be98c2e"),
+        ("point", 1, 3000009): ("reached", 138, "00d1207c55d3358cdc765e2db2b79e8f9376b1c7850916bdbcd404ee32744ae3"),
+        ("car", 1, 0): ("stalled", 262, "b36901f1ffa24312eb0fdc68d7c473bfacb01f01caa0190891bdb66db00c5e86"),
+        ("car", 1, 1000003): ("timeout", 1000, "03edf977dbb3e252ecc88836e32ef04e0d46d901ce0f30c15b57a37dcf624b93"),
+        ("car", 1, 2000006): ("reached", 305, "7854048918aff9bb045dfab4ee46047fe74f9697b4e1457b7d1e36d3e1f0d75b"),
+        ("car", 1, 3000009): ("timeout", 1000, "e1096ed2a6023458c79cd6962e38c8c14d75975ea72b3f274ed3bf23a100bcff"),
+        ("sweeping", 3, 0): ("reached", 228, "e5bc52c649f9f93010dcb727172e14ffdbda54082392124eea4737ae14764735"),
+        ("sweeping", 3, 1000003): ("reached", 824, "f0f437a83a2b0f0014fa67c2c7dafaad5b43d66e8f99cc66b79a2bdbf02be2cf"),
+        ("car", 1, 2000100): ("violated", 165, "7c7ca0e0202aac99ced960a97ba7ce211d42bca34e1513ed4517992863618786"),
+        ("car", 2, 2000028): ("violated", 207, "b3dd06c913196e62128370ce7dc2449b1f8d7dff5ac1981e7b512176bbd223aa"),
+        ("car", 2, 2000092): ("violated", 275, "a484c663c55d137008bb001dba255ae128c9b878cc0d1c262d7657c205fc7a31"),
     },
     "Haswell": {
-        "sweeping": [
-            ("reached", 36, "ec3eaa291edce7f43edf49b532246d4eec6754cc18489bf5dac6c9576ef6a540"),
-            ("reached", 39, "24c6838d73e7592aaa578cab2721837764ebe189e96774933a2d46b8877ef722"),
-            ("reached", 33, "060b8f0a314c5eb67858ef639acb31f0b19ad05ef22b944e14249b938d5a4d94"),
-            ("reached", 41, "48254044efe0227ff83a9e80bc74441da50d95e82cff5057f0a480c075952e92"),
-        ],
-        "point": [
-            ("reached", 120, "ad19d3cb538338203a63f529235eb5fa2781a1a047e3a32b53cf7b15feebabd0"),
-            ("reached", 111, "6644755114a9feab4aa987a9bf925963241fbaca094cc1eca6e4f081902f5c6f"),
-            ("reached", 101, "8f7277b8ba47d4bc8ace2d84c4481e0ebd979218de9136c8248b5dfebb7d3ad2"),
-            ("reached", 138, "ba235fa59b836c42353b8e16cb68722d9af5441bac0473f44787f95c7ca43bfd"),
-        ],
-        "car": [
-            ("stalled", 262, "5caa21b1a8c9ace4e470ea1ca395ba45cab81a5e711d96dcc43e47c37e2c8835"),
-            ("timeout", 1000, "b80ccd6dc32b0924ec475281f0ed3d9dfe37c9f6bfdf1501a43f72a169043ddd"),
-            ("reached", 305, "1fea9ad0e46be023b185e0de1edb5509d3e4717fddc2a85480d799173a0e296a"),
-            ("timeout", 1000, "24004e80b682aa2485ce5356b6d4e3832a791b1d043cf95b18dd4b17971f3bc0"),
-        ],
+        ("sweeping", 1, 0): ("reached", 36, "ec3eaa291edce7f43edf49b532246d4eec6754cc18489bf5dac6c9576ef6a540"),
+        ("sweeping", 1, 1000003): ("reached", 39, "24c6838d73e7592aaa578cab2721837764ebe189e96774933a2d46b8877ef722"),
+        ("sweeping", 1, 2000006): ("reached", 33, "060b8f0a314c5eb67858ef639acb31f0b19ad05ef22b944e14249b938d5a4d94"),
+        ("sweeping", 1, 3000009): ("reached", 41, "48254044efe0227ff83a9e80bc74441da50d95e82cff5057f0a480c075952e92"),
+        ("point", 1, 0): ("reached", 120, "ad19d3cb538338203a63f529235eb5fa2781a1a047e3a32b53cf7b15feebabd0"),
+        ("point", 1, 1000003): ("reached", 111, "6644755114a9feab4aa987a9bf925963241fbaca094cc1eca6e4f081902f5c6f"),
+        ("point", 1, 2000006): ("reached", 101, "8f7277b8ba47d4bc8ace2d84c4481e0ebd979218de9136c8248b5dfebb7d3ad2"),
+        ("point", 1, 3000009): ("reached", 138, "ba235fa59b836c42353b8e16cb68722d9af5441bac0473f44787f95c7ca43bfd"),
+        ("car", 1, 0): ("stalled", 262, "5caa21b1a8c9ace4e470ea1ca395ba45cab81a5e711d96dcc43e47c37e2c8835"),
+        ("car", 1, 1000003): ("timeout", 1000, "b80ccd6dc32b0924ec475281f0ed3d9dfe37c9f6bfdf1501a43f72a169043ddd"),
+        ("car", 1, 2000006): ("reached", 305, "1fea9ad0e46be023b185e0de1edb5509d3e4717fddc2a85480d799173a0e296a"),
+        ("car", 1, 3000009): ("timeout", 1000, "24004e80b682aa2485ce5356b6d4e3832a791b1d043cf95b18dd4b17971f3bc0"),
+        ("sweeping", 3, 0): ("reached", 228, "50454a301c3a61dd9898937e4a7582b869decb15fcba986865748b8810ee54a2"),
+        ("sweeping", 3, 1000003): ("reached", 824, "2123a6cec803e4bd03f611a457693db500d2cbcc787f65c84e2d88bded7e2fcd"),
+        ("car", 1, 2000100): ("violated", 165, "d6b391c3bc334f0d0112cdaff284e6943616385dd1a5eab4c62295fdb9c51e5e"),
+        ("car", 2, 2000028): ("violated", 207, "ede49d05d8a6315fb33ca54b24b12d93d72593d1ed388e4d89c70acc05f365e1"),
+        ("car", 2, 2000092): ("violated", 275, "3ede766fe83832750b414f6b313e9ed24fe3f3ebd7269daa7f0786e659d05e6c"),
     },
 }
-PINNED_TRAJECTORIES["Zen"] = PINNED_TRAJECTORIES["Haswell"]
 
 
-# The same for the monitored level-3 sweeping episodes on worlds
-# episode_world_seed(k, 0), k = 0, 1: the first two worlds of the
-# nav-l3-sweeping benchmark suite, 16x16 with 128 hazards.
-PINNED_LEVEL3_SWEEPING = {
-    "SkylakeX": [
-        ("reached", 228, "e5bc52c649f9f93010dcb727172e14ffdbda54082392124eea4737ae14764735"),
-        ("reached", 824, "f0f437a83a2b0f0014fa67c2c7dafaad5b43d66e8f99cc66b79a2bdbf02be2cf"),
-    ],
-    "Haswell": [
-        ("reached", 228, "50454a301c3a61dd9898937e4a7582b869decb15fcba986865748b8810ee54a2"),
-        ("reached", 824, "2123a6cec803e4bd03f611a457693db500d2cbcc787f65c84e2d88bded7e2fcd"),
-    ],
-}
-PINNED_LEVEL3_SWEEPING["Zen"] = PINNED_LEVEL3_SWEEPING["Haswell"]
-
-
-def play_digested(monkeypatch, agent, lut, world):
-    """(outcome, steps, SHA-256 over the pos and intrinsic bytes of every
-    stepped state) of the monitored episode on ``world``."""
-    digest = hashlib.sha256()
-    step = envs.step
-
-    def recording(kind, s, a):
-        nxt = step(kind, s, a)
-        digest.update(nxt.pos.tobytes())
-        digest.update(nxt.intrinsic.tobytes())
-        return nxt
-
-    with monkeypatch.context() as m:
-        m.setattr(envs, "step", recording)
-        rep = harness.run_episode("monitored", agent, world, lut=lut, plan_seed=world.seed)
-    return rep.outcome, rep.steps, digest.hexdigest()
-
-
-def assert_pinned_trajectories(monkeypatch, pins, core, agent, lut, level, name):
-    """Play the monitored episode on world episode_world_seed(k, 0) at
-    ``level`` for every k that ``pins[core]`` holds, and compare each
-    (outcome, steps, digest of the stepped states) with its pin."""
-    if core not in pins:
-        pytest.fail(f"no trajectories are pinned for the OpenBLAS core {core!r}")
-    pinned = pins[core]
-    got = [
-        play_digested(monkeypatch, agent, lut, envs.make_world(level, harness.episode_world_seed(k, 0)))
-        for k in range(len(pinned))
-    ]
-    moved = [k for k in range(len(pinned)) if got[k] != pinned[k]]
-    assert not moved, f"{name} trajectories moved on worlds {moved} under {core}: {got}"
-
-
-@pytest.mark.parametrize("robot", sorted(PINNED_TRAJECTORIES["SkylakeX"]))
-def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, openblas_core, robot):
+@pytest.mark.parametrize("robot", sorted({robot for robot, _, _ in PINNED_EPISODES["SkylakeX"]}))
+def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, pin_core, robot):
     agent = request.getfixturevalue(f"{robot}_agent")
     lut = request.getfixturevalue(f"{robot}_lut")
-    pins = {core: table[robot] for core, table in PINNED_TRAJECTORIES.items()}
-    assert_pinned_trajectories(monkeypatch, pins, openblas_core, agent, lut, 1, robot)
+    step = envs.step
 
+    def play(level, world_seed):
+        digest = hashlib.sha256()
 
-def test_level3_sweeping_trajectories_are_pinned_bit_for_bit(monkeypatch, openblas_core, sweeping_agent, sweeping_lut):
-    pins = PINNED_LEVEL3_SWEEPING
-    assert_pinned_trajectories(monkeypatch, pins, openblas_core, sweeping_agent, sweeping_lut, 3, "level-3 sweeping")
+        def recording(kind, s, a):
+            nxt = step(kind, s, a)
+            digest.update(nxt.pos.tobytes())
+            digest.update(nxt.intrinsic.tobytes())
+            return nxt
 
+        monkeypatch.setattr(envs, "step", recording)
+        rep = harness.run_episode("monitored", agent, envs.make_world(level, world_seed), lut=lut, plan_seed=world_seed)
+        return rep.outcome, rep.steps, digest.hexdigest()
 
-# The same for the monitored car on the three worlds where it is known to
-# enter a hazard, all at the end of a run of uncertified held steps (ROADMAP
-# items 14 and 17): (level, world seed) below. Recorded under SkylakeX and
-# under OPENBLAS_CORETYPE=Haswell, on one BLAS thread and on two, which give
-# the same digests; a change to the monitor's steering or to the car's
-# artifacts that moves one of these episodes shows here.
-CAR_HAZARD_WORLDS = [
-    (1, harness.episode_world_seed(2, 94)),
-    (2, harness.episode_world_seed(2, 22)),
-    (2, harness.episode_world_seed(2, 86)),
-]
-PINNED_CAR_HAZARD_ENTRIES = {
-    "SkylakeX": [
-        ("violated", 165, "7c7ca0e0202aac99ced960a97ba7ce211d42bca34e1513ed4517992863618786"),
-        ("violated", 207, "b3dd06c913196e62128370ce7dc2449b1f8d7dff5ac1981e7b512176bbd223aa"),
-        ("violated", 275, "a484c663c55d137008bb001dba255ae128c9b878cc0d1c262d7657c205fc7a31"),
-    ],
-    "Haswell": [
-        ("violated", 165, "d6b391c3bc334f0d0112cdaff284e6943616385dd1a5eab4c62295fdb9c51e5e"),
-        ("violated", 207, "ede49d05d8a6315fb33ca54b24b12d93d72593d1ed388e4d89c70acc05f365e1"),
-        ("violated", 275, "3ede766fe83832750b414f6b313e9ed24fe3f3ebd7269daa7f0786e659d05e6c"),
-    ],
-}
-PINNED_CAR_HAZARD_ENTRIES["Zen"] = PINNED_CAR_HAZARD_ENTRIES["Haswell"]
-
-
-def test_known_car_hazard_entries_are_pinned_bit_for_bit(monkeypatch, openblas_core, car_agent, car_lut):
-    if openblas_core not in PINNED_CAR_HAZARD_ENTRIES:
-        pytest.fail(f"no car hazard entries are pinned for the OpenBLAS core {openblas_core!r}")
-    got = [play_digested(monkeypatch, car_agent, car_lut, envs.make_world(*world)) for world in CAR_HAZARD_WORLDS]
-    assert got == PINNED_CAR_HAZARD_ENTRIES[openblas_core], f"car hazard entries moved under {openblas_core}"
+    pins = {key: pin for key, pin in PINNED_EPISODES[pin_core].items() if key[0] == robot}
+    got = {key: play(*key[1:]) for key in pins}
+    moved = {key: got[key] for key in pins if got[key] != pins[key]}
+    assert not moved, f"monitored episodes moved under {pin_core}: {moved}"
 
 
 def test_monitored_steps_end_inside_freshly_selected_sinks(monkeypatch, request):
@@ -462,14 +448,16 @@ def test_monitored_steps_end_inside_freshly_selected_sinks(monkeypatch, request)
     # selected sink ends inside that sink's certified circle, uninflated.
     # Criterion 6's level-1 worlds and the ordering gate's car worlds. A step
     # that holds the last safe sink through a stall is not checked: the car
-    # can leave the held circle there (ROADMAP item 8)
+    # can leave the held circle there (ROADMAP item 8). A None target ends the
+    # episode without a step
     target, step = monitor.SinkTracker.target, envs.step
     steering = []  # the choice of the step under way, None when held
     checked = {}
 
     def recording_target(self, state):
         pos = target(self, state)
-        steering.append(self.held if self.stall == 0 else None)
+        if pos is not None:
+            steering.append(self.held if self.stall == 0 else None)
         return pos
 
     def recording_step(kind, s, a):

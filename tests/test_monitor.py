@@ -194,7 +194,7 @@ def _progress(choice):
 def reference_select_sink(state, path, seg_idx, world, value_fn, lut):
     """Oracle: one V call and one table query per candidate, scanned segment
     by segment; a candidate replaces the best only on strictly greater
-    (progress, radius)."""
+    (progress, radius). None when no candidate is safe."""
     cfg = monitor.MonitorConfig
     n_seg = max(len(path) - 1, 1)
     seg_idx = min(seg_idx, n_seg - 1)
@@ -215,8 +215,6 @@ def reference_select_sink(state, path, seg_idx, world, value_fn, lut):
             cand = monitor.SinkChoice(p, level, radius, seg, float(frac))
             if best is None or (_progress(cand), cand.radius) > (_progress(best), best.radius):
                 best = cand
-    if best is None:
-        raise monitor.MonitorStall("no safe sink")
     return best
 
 
@@ -242,15 +240,14 @@ def test_select_matches_per_candidate_oracle():
         state = envs.initial_state(RobotKind.SWEEPING, pos=pos)
         seg_idx = int(rng.integers(0, len(path)))
         kinds["uncertified"] += bool(np.any(value(envs.goal_condition(state, path)) > keys[-1]))
-        try:
-            want = reference_select_sink(state, path, seg_idx, world, value, lut)
-        except monitor.MonitorStall:
+        want = reference_select_sink(state, path, seg_idx, world, value, lut)
+        got = monitor.SinkTracker(path, world, value, lut).select(state, seg_idx)
+        if want is None:
             kinds["stalled"] += 1
-            with pytest.raises(monitor.MonitorStall):
-                monitor.SinkTracker(path, world, value, lut).select(state, seg_idx)
+            assert got is None
             continue
         kinds["chosen"] += 1
-        _assert_same_choice(monitor.SinkTracker(path, world, value, lut).select(state, seg_idx), want)
+        _assert_same_choice(got, want)
     assert min(kinds.values()) >= 20, kinds
 
 
@@ -316,24 +313,17 @@ def _oracle_checked_tracker(log):
     hazards changed the oracle's choice."""
     no_hazards = envs.empty_world()
 
-    def oracle(state, path, seg_idx, world, value_fn, lut):
-        try:
-            return reference_select_sink(state, path, seg_idx, world, value_fn, lut)
-        except monitor.MonitorStall:
-            return None
-
     class Checked(monitor.SinkTracker):
         def select(self, state, seg_idx):
-            want = oracle(state, self.path, seg_idx, self.world, self.value_fn, self.lut)
-            free = oracle(state, self.path, seg_idx, no_hazards, self.value_fn, self.lut)
+            want = reference_select_sink(state, self.path, seg_idx, self.world, self.value_fn, self.lut)
+            free = reference_select_sink(state, self.path, seg_idx, no_hazards, self.value_fn, self.lut)
             log["selections"] += 1
             log["hazard_decided"] += want is None or free is None or _progress(want) != _progress(free)
-            if want is None:
-                with pytest.raises(monitor.MonitorStall):
-                    super().select(state, seg_idx)
-                raise monitor.MonitorStall("no safe sink")
             got = super().select(state, seg_idx)
-            _assert_same_choice(got, want)
+            if want is None:
+                assert got is None
+            else:
+                _assert_same_choice(got, want)
             return got
 
         def advance(self, state):
@@ -395,12 +385,12 @@ def test_sink_tracker_advance_scans_window_plus_one_segments():
 
 def test_sink_tracker_target_holds_the_last_sink_through_a_stall():
     # select picks from a script: a segment index succeeds with a sink on
-    # that segment, None raises MonitorStall
+    # that segment, None finds no safe sink
     class Scripted(monitor.SinkTracker):
         def select(self, state, seg_idx):
             segment = next(self.script)
             if segment is None:
-                raise monitor.MonitorStall("scripted stall")
+                return None
             return monitor.SinkChoice(np.array([segment + 0.5, 0.0]), 1.0, 0.1, segment, 0.5)
 
     path = np.column_stack([np.arange(6.0), np.zeros(6)])
@@ -414,11 +404,10 @@ def test_sink_tracker_target_holds_the_last_sink_through_a_stall():
         t.script = iter(script)
         return t
 
-    # nothing held: the first stall raises
-    with pytest.raises(monitor.MonitorStall):
-        tracker([None]).target(state)
+    # nothing held: the first stall returns None
+    assert tracker([None]).target(state) is None
     # a success, then patience stalls that each return the held sink; a
-    # success in between resets the count; the next stall past it raises
+    # success in between resets the count; the next stall past it returns None
     script = [3] + [None] * 30 + [1] + [None] * patience + [None]
     t = tracker(script)
     for k, segment in enumerate(script[:-1]):
@@ -431,8 +420,7 @@ def test_sink_tracker_target_holds_the_last_sink_through_a_stall():
         # seg_idx never moves back, not even to the later success on segment 1
         assert t.seg_idx == 3, k
     assert t.stall == patience
-    with pytest.raises(monitor.MonitorStall):
-        t.target(state)
+    assert t.target(state) is None
 
 
 def test_select_prefers_progress_on_clear_ground():
@@ -479,8 +467,7 @@ def test_select_stalls_when_nothing_safe():
     world.hazards = np.array([[1.0, 0.6, 0.2]])
     path = np.array([[0.5, 0.5], [1.5, 0.5]])
     state = envs.initial_state(RobotKind.SWEEPING, pos=(0.5, 0.5))
-    with pytest.raises(monitor.MonitorStall):
-        monitor.SinkTracker(path, world, value, lut).select(state, 0)
+    assert monitor.SinkTracker(path, world, value, lut).select(state, 0) is None
 
 
 class QuadAgent:

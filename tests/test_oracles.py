@@ -676,13 +676,12 @@ def test_select_matches_oracle_at_exact_clearances_and_uncertified_levels():
         seg_idx = int(rng.integers(len(path)))
         seen["uncertified"] += bool(np.any(~(value(envs.goal_condition(state, cands)) <= keys[-1])))
         want = oracle_select(tracker, state, seg_idx)
+        got = tracker.select(state, seg_idx)
         if want is None:
             seen["stalled"] += 1
-            with pytest.raises(monitor.MonitorStall):
-                tracker.select(state, seg_idx)
+            assert got is None
             continue
         seen["chosen"] += 1
-        got = tracker.select(state, seg_idx)
         assert same_bits(got.pos, want.pos)
         assert [getattr(got, f) for f in fields] == [getattr(want, f) for f in fields]
     assert min(seen.values()) >= 10, seen
