@@ -418,13 +418,25 @@ PINNED_EPISODES = {
 }
 
 
-@pytest.mark.parametrize("robot", sorted({robot for robot, _, _ in PINNED_EPISODES["SkylakeX"]}))
-def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, pin_core, robot):
-    agent = request.getfixturevalue(f"{robot}_agent")
-    lut = request.getfixturevalue(f"{robot}_lut")
+# The keys of the level-3 sweeping pins and of the car's known hazard entries;
+# the rest of the table is level 1 on episode_world_seed(k, 0), k = 0..3.
+LEVEL3_SWEEPING_WORLDS = [("sweeping", 3, harness.episode_world_seed(k, 0)) for k in range(2)]
+CAR_HAZARD_WORLDS = [
+    ("car", 1, harness.episode_world_seed(2, 94)),
+    ("car", 2, harness.episode_world_seed(2, 22)),
+    ("car", 2, harness.episode_world_seed(2, 86)),
+]
+
+
+def assert_pinned_episodes(monkeypatch, request, pin_core, keys):
+    """Play the monitored episode of every (robot, level, world seed) in
+    ``keys`` with the robot's cached agent and table, and compare each
+    (outcome, steps, digest of the stepped states) with its pin."""
     step = envs.step
 
-    def play(level, world_seed):
+    def play(robot, level, world_seed):
+        agent = request.getfixturevalue(f"{robot}_agent")
+        lut = request.getfixturevalue(f"{robot}_lut")
         digest = hashlib.sha256()
 
         def recording(kind, s, a):
@@ -437,10 +449,33 @@ def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, pin
         rep = harness.run_episode("monitored", agent, envs.make_world(level, world_seed), lut=lut, plan_seed=world_seed)
         return rep.outcome, rep.steps, digest.hexdigest()
 
-    pins = {key: pin for key, pin in PINNED_EPISODES[pin_core].items() if key[0] == robot}
-    got = {key: play(*key[1:]) for key in pins}
-    moved = {key: got[key] for key in pins if got[key] != pins[key]}
+    pins = PINNED_EPISODES[pin_core]
+    got = {key: play(*key) for key in keys}
+    moved = {key: got[key] for key in keys if got[key] != pins[key]}
     assert not moved, f"monitored episodes moved under {pin_core}: {moved}"
+
+
+@pytest.mark.parametrize("robot", sorted({robot for robot, _, _ in PINNED_EPISODES["SkylakeX"]}))
+def test_monitored_trajectories_are_pinned_bit_for_bit(monkeypatch, request, pin_core, robot):
+    keys = [(robot, 1, harness.episode_world_seed(k, 0)) for k in range(4)]
+    assert_pinned_episodes(monkeypatch, request, pin_core, keys)
+
+
+def test_level3_sweeping_trajectories_are_pinned_bit_for_bit(monkeypatch, request, pin_core):
+    assert_pinned_episodes(monkeypatch, request, pin_core, LEVEL3_SWEEPING_WORLDS)
+
+
+def test_known_car_hazard_entries_are_pinned_bit_for_bit(monkeypatch, request, pin_core):
+    assert_pinned_episodes(monkeypatch, request, pin_core, CAR_HAZARD_WORLDS)
+
+
+def test_pin_tests_cover_every_pinned_episode():
+    # every row of the pin table is played by one of the three pin tests
+    level1 = [(robot, 1, harness.episode_world_seed(k, 0)) for robot in ("car", "point", "sweeping") for k in range(4)]
+    played = level1 + LEVEL3_SWEEPING_WORLDS + CAR_HAZARD_WORLDS
+    assert len(set(played)) == len(played)
+    for table in PINNED_EPISODES.values():
+        assert set(table) == set(played)
 
 
 def test_monitored_steps_end_inside_freshly_selected_sinks(monkeypatch, request):
